@@ -1,8 +1,7 @@
 """Bench: the kernel workload per array backend.
 
 One row per backend the interpreter can actually build (``numpy`` and
-``numpy_portable`` everywhere; ``array_api_strict``/``cupy``/``jax`` when
-installed): the same fixed rectifier + hysteresis + capture + BER-decode
+``numpy_portable`` everywhere; ``array_api_strict`` when installed): the same fixed rectifier + hysteresis + capture + BER-decode
 workload runs under ``use_backend(name)`` so ``run_once`` records a
 per-backend ``kernel_samples_per_s`` and stamps the row with the backend
 that produced it.  NumPy-namespace backends must stay bit-identical to

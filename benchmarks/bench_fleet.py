@@ -5,7 +5,7 @@ fleet with capture-effect arbitration through the stacked-array resolver
 (:func:`repro.fleet.collision.run_inventory`) must be at least 5x faster
 than driving the same tags through the per-slot Gen2Tag state-machine
 walk with scalar receive and decode
-(:func:`repro.fleet.collision.run_inventory_reference`) -- while the two
+(:func:`tests.reference.fleet.run_inventory_reference`) -- while the two
 outcomes stay bitwise identical (read order, per-slot reply counts,
 decode verdicts, Q trajectory).
 
@@ -17,13 +17,8 @@ The run also records ``fleet_tags`` / ``fleet_tags_per_s`` into
 import time
 
 from repro.experiments.report import Table
-from repro.fleet import (
-    CaptureModel,
-    FleetConfig,
-    generate_shard,
-    run_inventory,
-    run_inventory_reference,
-)
+from repro.fleet import CaptureModel, FleetConfig, generate_shard, run_inventory
+from tests.reference.fleet import run_inventory_reference
 from conftest import run_once
 
 FLEET = FleetConfig(n_tags=192, n_shards=1, initial_q=6, seed=92)

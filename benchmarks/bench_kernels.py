@@ -12,12 +12,13 @@ import time
 
 import numpy as np
 
-from repro.experiments import ber
 from repro.experiments.report import Table
 from repro.harvester.rectifier import MultiStageRectifier
 from repro.harvester.storage import PowerManager
 from repro.kernels import ber_block, hysteresis_mask_batch, rectifier_batch
 from repro.reader.out_of_band import OutOfBandReader
+from tests.reference.ber import word_errors_chunk
+from tests.reference.kernels import capture_response_scalar, powered_mask_scalar
 from conftest import run_once
 
 RECTIFIER_SHAPE = (96, 4000)
@@ -87,7 +88,7 @@ def test_hysteresis_kernel_speedup_and_parity(benchmark, emit):
 
     def scalar():
         return np.vstack(
-            [manager.powered_mask_scalar(row) for row in traces]
+            [powered_mask_scalar(manager, row) for row in traces]
         )
 
     hysteresis_mask_batch(traces[:4], 1.8, 1.4)  # warm
@@ -128,8 +129,8 @@ def test_capture_kernel_speedup_and_parity(benchmark, emit):
     def scalar():
         reader = OutOfBandReader()
         rng = np.random.default_rng(33)
-        return reader.capture_response_scalar(
-            template, 2e-4, CAPTURE_PERIODS, rng
+        return capture_response_scalar(
+            reader, template, 2e-4, CAPTURE_PERIODS, rng
         )
 
     def batched():
@@ -179,7 +180,7 @@ def test_ber_block_parity_and_throughput(benchmark, emit):
 
     def timed_comparison():
         reference, t_scalar = _best_of(
-            lambda: ber._word_errors_chunk(0, BER_WORDS, **kwargs), repeats=3
+            lambda: word_errors_chunk(0, BER_WORDS, **kwargs), repeats=3
         )
         kernel, t_kernel = _best_of(
             lambda: ber_block(0, BER_WORDS, **kwargs), repeats=3

@@ -14,13 +14,10 @@ from repro.constants import TANK_STANDOFF_POWER_GAIN_M
 from repro.core.plan import paper_plan
 from repro.em.phantoms import WaterTankPhantom
 from repro.experiments import fig04
-from repro.experiments.common import (
-    TankChannelFactory,
-    measure_gain_trials,
-    measure_gain_trials_scalar,
-)
+from repro.experiments.common import TankChannelFactory, measure_gain_trials
 from repro.experiments.report import Table
 from repro.runtime import engine as engine_mod
+from tests.reference.measurement import measure_gain_trials_scalar
 from conftest import run_once
 
 PAPER_TRIALS = 500  # Fig. 4 Monte-Carlo phase draws

@@ -32,10 +32,8 @@ batched pipeline on top of that fact:
   :class:`repro.runtime.runner.TrialRunner` and merges the best result
   reproducibly, bit-identical for any worker count.
 
-``mode="sequential"`` drives the same staged algorithm through
-single-candidate kernel calls; because the FFT kernel is row-stable, both
-modes select bit-identical plans -- the equivalence the batched-runtime
-tests pin down.
+The FFT kernel is row-stable: scoring candidates one row at a time selects
+bit-identical plans, the equivalence the batched-search tests pin down.
 """
 
 import math
@@ -67,12 +65,9 @@ SEARCH_REV = 2
 """Search-algorithm revision, part of plan-cache keys.
 
 Bumped whenever the search pipeline changes the plans it selects for a
-given seed (rev 2: batched coarse-to-fine search), so stale disk-cache
-entries from an older algorithm are never served as current results.
+given seed (rev 2: batched coarse-to-fine search), so stored plans from
+an older algorithm are never served as current results.
 """
-
-SEARCH_MODES = ("batched", "sequential")
-"""Scoring modes: stacked-FFT pipeline vs per-candidate reference loop."""
 
 DEFAULT_SHORTLIST = 8
 """Coarse-stage survivors rescored on the full grid per search."""
@@ -97,7 +92,7 @@ class StackedScoreSpec:
     :meth:`FrequencyOptimizer._stacked_values` needs to score its candidate
     rows, with the shift/re-centring and precision decisions already baked
     in.  Because each row's inverse FFT is independent of whatever rows it
-    is stacked with (the row-stability the batched/sequential equivalence
+    is stacked with (the row-stability the batched-search equivalence
     tests pin down), specs from *different* optimizers -- even different
     searches serving different requests -- can be co-stacked into one IFFT
     by :func:`evaluate_stacked_specs` and still score bit-identically to
@@ -477,7 +472,6 @@ class _SearchSpec:
     refine_rounds: int
     refine_steps: Tuple[int, ...]
     shortlist: int
-    mode: str
     islands: int
 
 
@@ -522,7 +516,6 @@ def _search_island_chunk(
             refine_rounds=spec.refine_rounds,
             refine_steps=spec.refine_steps,
             shortlist=spec.shortlist,
-            mode=spec.mode,
             rng=rng,
         )
         out.append((island, outcome))
@@ -535,9 +528,7 @@ class FrequencyOptimizer:
     The same monte-carlo phase draws (common random numbers) score every
     candidate, so candidate comparisons have far lower variance than the
     objective estimates themselves. Scoring is a coarse-to-fine batched
-    pipeline (see the module docstring); ``mode="sequential"`` runs the
-    identical stages through per-candidate kernel calls and selects
-    bit-identical plans.
+    pipeline (see the module docstring).
     """
 
     def __init__(
@@ -757,9 +748,7 @@ class FrequencyOptimizer:
         return float(np.mean(np.abs(signal) > threshold))
 
     def score_candidates(
-        self,
-        candidates: Sequence[Sequence[int]],
-        mode: str = "batched",
+        self, candidates: Sequence[Sequence[int]]
     ) -> np.ndarray:
         """Batched :meth:`objective` over many candidate sets.
 
@@ -767,7 +756,6 @@ class FrequencyOptimizer:
         per row to calling :meth:`objective` on each set (the stacked FFT
         kernel is row-stable), in one chunked pipeline.
         """
-        self._check_mode(mode)
         rows = np.asarray(candidates, dtype=np.int64)
         if rows.ndim == 1:
             rows = rows[None, :]
@@ -777,7 +765,7 @@ class FrequencyOptimizer:
         current_obs().metrics.counter("search.candidates_scored").inc(
             rows.shape[0]
         )
-        return self._score_matrix(rows, "fine", "peak", 0.0, mode)
+        return self._score_matrix(rows, "fine", "peak", 0.0)
 
     # -- batched scoring kernel -------------------------------------------------
 
@@ -846,37 +834,17 @@ class FrequencyOptimizer:
         level: str,
         kind: str,
         threshold: float,
-        mode: str,
     ) -> np.ndarray:
-        """Level-aware scoring: coarse (shifted small grid) or fine.
-
-        ``mode="sequential"`` loops the identical single-candidate kernel
-        call per row; the FFT is row-stable, so both modes return the same
-        bits -- the property the equivalence tests assert.
-        """
+        """Level-aware scoring: coarse (shifted small grid) or fine."""
         rows = np.asarray(candidates, dtype=np.int64)
         if rows.ndim == 1:
             rows = rows[None, :]
         grid_size, shift = self.grid_size, False
         if level == "coarse" and self._coarse_grid_size is not None:
             grid_size, shift = self._coarse_grid_size, True
-        if mode == "sequential":
-            values = np.empty(rows.shape[0])
-            for index in range(rows.shape[0]):
-                values[index] = self._stacked_values(
-                    rows[index : index + 1], grid_size, shift, kind, threshold
-                )[0]
-            return values
         return self._stacked_values(rows, grid_size, shift, kind, threshold)
 
     # -- search ------------------------------------------------------------------
-
-    @staticmethod
-    def _check_mode(mode: str) -> None:
-        if mode not in SEARCH_MODES:
-            raise ValueError(
-                f"mode must be one of {SEARCH_MODES}, got {mode!r}"
-            )
 
     def _neighborhood(
         self, incumbent: np.ndarray, refine_steps: Tuple[int, ...]
@@ -915,7 +883,6 @@ class FrequencyOptimizer:
         refine_rounds: int,
         refine_steps: Tuple[int, ...],
         shortlist: int,
-        mode: str,
         rng: np.random.Generator,
     ) -> _SearchOutcome:
         """One coarse-to-fine search over a candidate stream.
@@ -939,7 +906,7 @@ class FrequencyOptimizer:
                 coarse_evals += matrix.shape[0]
             else:
                 fine_evals += matrix.shape[0]
-            return self._score_matrix(matrix, level, kind, threshold, mode)
+            return self._score_matrix(matrix, level, kind, threshold)
 
         candidates = self.random_candidates(n_candidates, rng=rng)
         coarse_values = score(candidates, "coarse")
@@ -1014,7 +981,6 @@ class FrequencyOptimizer:
         refine_rounds: int,
         refine_steps: Tuple[int, ...],
         shortlist: int,
-        mode: str,
         islands: int,
         workers: int,
     ) -> _SearchOutcome:
@@ -1039,7 +1005,6 @@ class FrequencyOptimizer:
             refine_rounds=refine_rounds,
             refine_steps=tuple(refine_steps),
             shortlist=shortlist,
-            mode=mode,
             islands=islands,
         )
         runner = TrialRunner(workers=workers)
@@ -1072,12 +1037,10 @@ class FrequencyOptimizer:
         refine_rounds: int,
         refine_steps: Tuple[int, ...],
         shortlist: int,
-        mode: str,
         islands: int,
         workers: int,
     ) -> _SearchOutcome:
         """Run one search (in-process or islands) with obs bookkeeping."""
-        self._check_mode(mode)
         if islands < 1:
             raise ValueError(f"islands must be >= 1, got {islands}")
         if n_candidates < 1:
@@ -1089,7 +1052,6 @@ class FrequencyOptimizer:
         with obs.tracer.span(
             "optimizer.search",
             kind=kind,
-            mode=mode,
             islands=islands,
             n_antennas=self.n_antennas,
             candidates=n_candidates,
@@ -1102,7 +1064,6 @@ class FrequencyOptimizer:
                     refine_rounds=refine_rounds,
                     refine_steps=tuple(refine_steps),
                     shortlist=shortlist,
-                    mode=mode,
                     rng=self._rng,
                 )
             else:
@@ -1113,7 +1074,6 @@ class FrequencyOptimizer:
                     refine_rounds=refine_rounds,
                     refine_steps=tuple(refine_steps),
                     shortlist=shortlist,
-                    mode=mode,
                     islands=islands,
                     workers=workers,
                 )
@@ -1141,7 +1101,6 @@ class FrequencyOptimizer:
         refine_rounds: int = 2,
         refine_steps: Tuple[int, ...] = (1, 2, 5, 10, 20),
         *,
-        mode: str = "batched",
         shortlist: int = DEFAULT_SHORTLIST,
         islands: int = 1,
         workers: int = 1,
@@ -1155,8 +1114,6 @@ class FrequencyOptimizer:
                 (``refine_rounds * (N - 1)`` moves; each move scores the
                 whole perturbation neighborhood in one batch).
             refine_steps: Offset perturbations tried per coordinate.
-            mode: ``"batched"`` (stacked FFTs) or ``"sequential"``
-                (per-candidate reference loop); both pick the same plan.
             shortlist: Coarse-stage survivors rescored on the fine grid.
             islands: Independent candidate streams searched in parallel;
                 ``1`` uses the instance generator in-process.
@@ -1172,7 +1129,6 @@ class FrequencyOptimizer:
             refine_rounds=refine_rounds,
             refine_steps=refine_steps,
             shortlist=shortlist,
-            mode=mode,
             islands=islands,
             workers=workers,
         )
@@ -1195,7 +1151,6 @@ class FrequencyOptimizer:
         refine_rounds: int = 1,
         refine_steps: Tuple[int, ...] = (1, 2, 5, 10, 20),
         *,
-        mode: str = "batched",
         shortlist: int = DEFAULT_SHORTLIST,
         islands: int = 1,
         workers: int = 1,
@@ -1223,7 +1178,6 @@ class FrequencyOptimizer:
             refine_rounds=refine_rounds,
             refine_steps=refine_steps,
             shortlist=shortlist,
-            mode=mode,
             islands=islands,
             workers=workers,
         )
@@ -1243,7 +1197,6 @@ class FrequencyOptimizer:
         self,
         n_sets: int = 50,
         *,
-        mode: str = "batched",
         shortlist: int = DEFAULT_SHORTLIST,
     ) -> Tuple[Tuple[Tuple[int, ...], float], Tuple[Tuple[int, ...], float]]:
         """Score random feasible sets; return the (best, worst) with values.
@@ -1256,11 +1209,8 @@ class FrequencyOptimizer:
         """
         if n_sets < 2:
             raise ValueError(f"need at least two sets to rank, got {n_sets}")
-        self._check_mode(mode)
         candidates = self.random_candidates(n_sets)
-        coarse_values = self._score_matrix(
-            candidates, "coarse", "peak", 0.0, mode
-        )
+        coarse_values = self._score_matrix(candidates, "coarse", "peak", 0.0)
         keep = min(n_sets, max(1, shortlist))
         order = np.argsort(coarse_values, kind="stable")
         pool = np.unique(np.concatenate([order[:keep], order[-keep:]]))
@@ -1268,7 +1218,7 @@ class FrequencyOptimizer:
             fine_values = coarse_values[pool]
         else:
             fine_values = self._score_matrix(
-                candidates[pool], "fine", "peak", 0.0, mode
+                candidates[pool], "fine", "peak", 0.0
             )
         evaluations = n_sets + (
             0 if self._coarse_grid_size is None else pool.size

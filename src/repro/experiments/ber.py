@@ -12,14 +12,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.analysis.mc import spawn_rngs
 from repro.experiments.report import Table
-from repro.gen2.fm0 import chips_to_waveform, encode_chips, waveform_to_chips
-from repro.gen2.fm0 import decode_chips
-from repro.gen2.miller import decode_waveform, encode_waveform
-from repro.reader.averaging import coherent_average
+from repro.kernels import ber_block
 from repro.obs.context import current_obs
 from repro.runtime.adaptive import (
     AdaptiveConfig,
@@ -41,10 +35,8 @@ class BerConfig:
         miller_orders: Miller-M schemes swept alongside FM0.
         averaging_periods: Extra curve: FM0 with M-period averaging.
         seed: Experiment seed.
-        workers: Worker processes for the per-word chunks.
-        use_kernels: Count errors through the block-decision kernel
-            (:func:`repro.kernels.ber_block`, bit-identical to the scalar
-            chunk); False forces the per-word reference.
+        workers: Worker processes for the per-word chunks, each counted
+            by the block-decision kernel :func:`repro.kernels.ber_block`.
         adaptive: Optional streaming-allocation policy. Each SNR point
             streams word batches until the Wilson CI on *every* scheme's
             BER meets the target (the allocator judges the loosest
@@ -58,7 +50,6 @@ class BerConfig:
     averaging_periods: int = 10
     seed: int = 54
     workers: int = 1
-    use_kernels: bool = True
     adaptive: Optional[AdaptiveConfig] = None
 
     @classmethod
@@ -92,74 +83,6 @@ class BerResult:
         raise KeyError(f"{scheme} has no point at {snr_db} dB")
 
 
-def _fm0_trial(
-    bits: Tuple[int, ...],
-    noise_std: float,
-    spc: int,
-    rng: np.random.Generator,
-    n_periods: int = 1,
-) -> int:
-    """Bit errors of one FM0 word at the given noise level."""
-    chips = encode_chips(bits)
-    clean = chips_to_waveform(chips, spc)
-    captures = [
-        clean + rng.normal(0.0, noise_std, clean.size)
-        for _ in range(n_periods)
-    ]
-    waveform = coherent_average(captures)
-    try:
-        decoded_chips = waveform_to_chips(waveform, spc)
-        decoded = decode_chips(decoded_chips)
-    except Exception:
-        return len(bits)
-    return sum(a != b for a, b in zip(bits, decoded))
-
-
-def _miller_trial(
-    bits: Tuple[int, ...],
-    noise_std: float,
-    m: int,
-    rng: np.random.Generator,
-) -> int:
-    clean = encode_waveform(bits, m=m)
-    noisy = clean + rng.normal(0.0, noise_std, clean.size)
-    decoded = decode_waveform(noisy, len(bits), m=m)
-    return sum(a != b for a, b in zip(bits, decoded))
-
-
-def _word_errors_chunk(
-    start: int,
-    count: int,
-    seed: int,
-    n_words: int,
-    noise_std: float,
-    samples_per_chip: int,
-    miller_orders: Tuple[int, ...],
-    averaging_periods: int,
-) -> Dict[str, int]:
-    """Per-scheme bit-error counts for words ``[start, start + count)``.
-
-    Replicates the legacy per-word draw order exactly (bits, FM0, each
-    Miller order, averaged FM0 -- all from the same generator), so summing
-    the chunk counts reproduces the serial sweep bit for bit.
-    """
-    errors: Dict[str, int] = {"FM0": 0}
-    for m in miller_orders:
-        errors[f"Miller-{m}"] = 0
-    errors[f"FM0 avg x{averaging_periods}"] = 0
-    rngs = spawn_rngs(seed, n_words)[start : start + count]
-    for rng in rngs:
-        bits = tuple(int(b) for b in rng.integers(0, 2, 16))
-        errors["FM0"] += _fm0_trial(bits, noise_std, samples_per_chip, rng)
-        for m in miller_orders:
-            errors[f"Miller-{m}"] += _miller_trial(bits, noise_std, m, rng)
-        errors[f"FM0 avg x{averaging_periods}"] += _fm0_trial(
-            bits, noise_std, samples_per_chip, rng,
-            n_periods=averaging_periods,
-        )
-    return errors
-
-
 def run(config: BerConfig = BerConfig()) -> BerResult:
     curves: Dict[str, List[Tuple[float, float]]] = {}
     schemes = (
@@ -171,12 +94,6 @@ def run(config: BerConfig = BerConfig()) -> BerResult:
         curves[scheme] = []
 
     runner = TrialRunner(workers=config.workers)
-    if config.use_kernels:
-        from repro.kernels import ber_block
-
-        chunk_fn = ber_block
-    else:
-        chunk_fn = _word_errors_chunk
     streaming = config.adaptive is not None and config.adaptive.enabled
     budget = (
         config.adaptive.budget(config.n_words)
@@ -186,7 +103,7 @@ def run(config: BerConfig = BerConfig()) -> BerResult:
     for snr_db in config.snr_db_points:
         noise_std = float(10.0 ** (-snr_db / 20.0))  # signal amplitude = 1
         fn = partial(
-            chunk_fn,
+            ber_block,
             seed=config.seed + abs(int(snr_db * 10)) * 2 + (snr_db < 0),
             n_words=budget,
             noise_std=noise_std,

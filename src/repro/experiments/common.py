@@ -5,9 +5,9 @@ The public drivers (:func:`measure_gain_trials`,
 batched :mod:`repro.runtime` engine: trials are chunked by a
 :class:`~repro.runtime.runner.TrialRunner` (optionally across worker
 processes) and each chunk is evaluated in stacked ``(D, N)`` arrays. The
-original one-trial-per-iteration loops are kept as ``*_scalar`` reference
-implementations; the regression suite asserts the engine reproduces them
-bit-for-bit at fixed seeds.
+original one-trial-per-iteration loops live in ``tests/reference/`` as
+the oracles the regression suite pins the engine to, bit for bit at fixed
+seeds.
 """
 
 import math
@@ -17,14 +17,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.analysis.mc import spawn_rngs
 from repro.core import waveform as waveform_mod
-from repro.core.baselines import (
-    BlindSameFrequencyTransmitter,
-    CIBTransmitter,
-    SingleAntennaTransmitter,
-    TransmitterStrategy,
-)
+from repro.core.baselines import TransmitterStrategy
 from repro.core.plan import CarrierPlan
 from repro.em.channel import BlindChannel
 from repro.em.media import Medium
@@ -120,8 +114,8 @@ def measure_gain_trials(
     Args:
         engine: Envelope evaluation tier (see
             :data:`repro.runtime.engine.ENGINES`). ``"direct"`` and
-            ``"scalar"`` are bit-identical to
-            :func:`measure_gain_trials_scalar`; ``"fft"`` (the ``"auto"``
+            ``"scalar"`` are bit-identical to the per-trial reference loop
+            in ``tests/reference/``; ``"fft"`` (the ``"auto"``
             choice for integer-bin plans) agrees to ~1e-13 relative.
         workers: Worker processes; results are identical for any count.
         chunk_size: Trials per chunk (default: one chunk per worker).
@@ -180,39 +174,6 @@ def measure_gain_trials(
         GainSample(cib_gain=float(cib), baseline_gain=float(base))
         for cib, base in zip(cib_gains, baseline_gains)
     ]
-
-
-def measure_gain_trials_scalar(
-    channel_factory: Callable[[np.random.Generator], BlindChannel],
-    plan: CarrierPlan,
-    n_trials: int,
-    seed: int,
-    duration_s: float = CAPTURE_DURATION_S,
-    include_baseline: bool = True,
-) -> List[GainSample]:
-    """Legacy one-trial-per-iteration loop (reference implementation)."""
-    if n_trials <= 0:
-        raise ValueError(f"n_trials must be positive, got {n_trials}")
-    cib = CIBTransmitter(plan)
-    baseline = BlindSameFrequencyTransmitter(plan.n_antennas)
-    reference = SingleAntennaTransmitter()
-    samples: List[GainSample] = []
-    for rng in spawn_rngs(seed, n_trials):
-        channel = channel_factory(rng)
-        realization = channel.realize(rng)
-        reference_peak = reference.peak_amplitude(realization, rng, duration_s)
-        cib_peak = cib.peak_amplitude(realization, rng, duration_s)
-        if include_baseline:
-            baseline_peak = baseline.peak_amplitude(realization, rng, duration_s)
-        else:
-            baseline_peak = reference_peak
-        samples.append(
-            GainSample(
-                cib_gain=(cib_peak / reference_peak) ** 2,
-                baseline_gain=(baseline_peak / reference_peak) ** 2,
-            )
-        )
-    return samples
 
 
 def peak_input_voltage_v(
@@ -376,28 +337,6 @@ def power_up_probability(
     ).probability
 
 
-def power_up_probability_scalar(
-    plan: CarrierPlan,
-    channel_factory: Callable[[np.random.Generator], BlindChannel],
-    medium_at_tag: Medium,
-    eirp_per_branch_w: float,
-    tag_spec: TagSpec,
-    n_trials: int,
-    seed: int,
-) -> float:
-    """Legacy per-trial power-up loop (reference implementation)."""
-    threshold = tag_spec.minimum_input_voltage_v()
-    successes = 0
-    for rng in spawn_rngs(seed, n_trials):
-        channel = channel_factory(rng)
-        voltage = peak_input_voltage_v(
-            plan, channel, medium_at_tag, eirp_per_branch_w, tag_spec, rng
-        )
-        if voltage >= threshold:
-            successes += 1
-    return successes / n_trials
-
-
 def measure_strategy_gains(
     channel_factory: Callable[[np.random.Generator], BlindChannel],
     strategy_factory: Callable[[BlindChannel], TransmitterStrategy],
@@ -436,25 +375,3 @@ def measure_strategy_gains(
     ):
         parts = runner.map_chunks(fn, n_trials)
     return [float(gain) for gain in np.concatenate(parts)]
-
-
-def measure_strategy_gains_scalar(
-    channel_factory: Callable[[np.random.Generator], BlindChannel],
-    strategy_factory: Callable[[BlindChannel], TransmitterStrategy],
-    n_trials: int,
-    seed: int,
-    duration_s: float = CAPTURE_DURATION_S,
-) -> List[float]:
-    """Legacy per-trial strategy loop (reference implementation)."""
-    if n_trials <= 0:
-        raise ValueError(f"n_trials must be positive, got {n_trials}")
-    reference = SingleAntennaTransmitter()
-    gains: List[float] = []
-    for rng in spawn_rngs(seed, n_trials):
-        channel = channel_factory(rng)
-        strategy = strategy_factory(channel)
-        realization = channel.realize(rng)
-        reference_peak = reference.peak_amplitude(realization, rng, duration_s)
-        peak = strategy.peak_amplitude(realization, rng, duration_s)
-        gains.append((peak / reference_peak) ** 2)
-    return gains

@@ -9,10 +9,10 @@ at Tari, FM0 uplink at the BLF).
 The rounds themselves run on the fleet resolver
 (:func:`repro.fleet.collision.run_inventory` in its ideal-arbitration
 mode, ``capture=None``), which emulates the per-tag state machines with
-identical randomness. :func:`run_reference` keeps the original
-:class:`~repro.gen2.inventory.InventoryRound` loop verbatim; the
-regression suite pins ``run == run_reference`` row for row, so the port
-cannot drift from the legacy numbers.
+identical randomness. The original
+:class:`~repro.gen2.inventory.InventoryRound` loop is kept verbatim in
+``tests/reference/``; the regression suite pins ``run`` to it row for
+row, so the port cannot drift from the legacy numbers.
 """
 
 from dataclasses import dataclass
@@ -25,9 +25,7 @@ from repro.experiments.report import Table
 from repro.fleet.collision import run_inventory
 from repro.fleet.population import TagSet
 from repro.gen2.fm0 import symbol_duration_s
-from repro.gen2.inventory import InventoryRound, QAlgorithm
 from repro.gen2.pie import PIETiming
-from repro.gen2.tag_state import Gen2Tag
 
 #: Gen2 link turnaround gaps (T1 + T2), order of a few hundred us total.
 TURNAROUND_S = 300e-6
@@ -117,7 +115,7 @@ def _population_tag_set(population: int, population_seq) -> TagSet:
 
     One child stream per tag plus one for the EPCs; spawning keeps the
     streams statistically independent, and keeping the legacy spawn
-    layout keeps every draw identical to :func:`run_reference`.
+    layout keeps every draw identical to the InventoryRound reference.
     """
     children = population_seq.spawn(population + 1)
     epc_rng = np.random.default_rng(children[0])
@@ -159,53 +157,6 @@ def run(config: ThroughputConfig = ThroughputConfig()) -> ThroughputResult:
                 total_airtime += airtime.slot_s(outcome.legacy_kind(slot))
                 total_slots += 1
         read = result.reads
-        rate = read / total_airtime if total_airtime > 0 else 0.0
-        efficiency = read / total_slots if total_slots else 0.0
-        rows.append(
-            (population, total_slots, total_airtime * 1e3, rate, efficiency)
-        )
-    return ThroughputResult(rows=rows)
-
-
-def run_reference(
-    config: ThroughputConfig = ThroughputConfig(),
-) -> ThroughputResult:
-    """The original InventoryRound-driven loop, kept verbatim.
-
-    The regression suite pins ``run(config).rows == run_reference(config).rows``
-    exactly: the fleet resolver must emulate these state machines draw
-    for draw.
-    """
-    airtime = AirtimeModel(blf_hz=config.blf_hz)
-    rows: List[Tuple[int, int, float, float, float]] = []
-    root = np.random.SeedSequence(config.seed)
-    for population, population_seq in zip(
-        config.populations, root.spawn(len(config.populations))
-    ):
-        children = population_seq.spawn(population + 1)
-        rng = np.random.default_rng(children[0])
-        tags = []
-        for index in range(population):
-            epc = tuple(int(b) for b in rng.integers(0, 2, 96))
-            tag = Gen2Tag(epc, np.random.default_rng(children[1 + index]))
-            tag.power_up()
-            tags.append(tag)
-        algorithm = QAlgorithm(initial_q=config.initial_q)
-        seen = set()
-        total_airtime = 0.0
-        total_slots = 0
-        for _ in range(config.max_rounds):
-            round_driver = InventoryRound(tags)
-            result = round_driver.run(algorithm.q)
-            total_airtime += airtime.query_s()
-            for slot in result.slots:
-                total_airtime += airtime.slot_s(slot.kind)
-                total_slots += 1
-                algorithm.on_slot(slot.n_replies)
-            seen.update(result.epcs)
-            if result.n_singletons == 0 and result.n_collisions == 0:
-                break
-        read = len(seen)
         rate = read / total_airtime if total_airtime > 0 else 0.0
         efficiency = read / total_slots if total_slots else 0.0
         rows.append(

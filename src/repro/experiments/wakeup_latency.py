@@ -8,11 +8,11 @@ periods and reports how long a sensor at each depth needs before its
 first response -- the latency cost of operating near the edge of the
 power-up region.
 
-Two execution paths produce bit-identical rows: the default batched path
-fans :func:`repro.runtime.engine.wakeup_latency_chunk` across a
+The sweep fans :func:`repro.runtime.engine.wakeup_latency_chunk` across a
 :class:`~repro.runtime.runner.TrialRunner` (all depths' trials in
-``(rows, T)`` blocks through the vectorized rectifier kernel), and the
-legacy per-trial loop kept as the pinned reference.
+``(rows, T)`` blocks through the vectorized rectifier kernel); its rows
+are pinned bit for bit to the legacy per-trial loop in
+``tests/reference/``.
 """
 
 from dataclasses import dataclass
@@ -21,10 +21,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.mc import spawn_rngs
 from repro.constants import TANK_STANDOFF_RANGE_M
-from repro.core import waveform
-from repro.core.optimizer import envelope_series_fft
 from repro.core.plan import paper_plan
 from repro.em.channel import BlindChannel
 from repro.em.media import WATER
@@ -38,7 +35,6 @@ from repro.runtime.adaptive import (
     adaptive_map_chunks,
 )
 from repro.runtime.runner import TrialRunner
-from repro.sensors.sensor import BatteryFreeSensor
 from repro.sensors.tags import standard_tag_spec
 
 
@@ -55,17 +51,14 @@ class WakeupConfig:
         envelope_rate_hz: Envelope sampling rate for the rectifier sim.
         seed: Experiment seed.
         workers: Worker processes for the batched path.
-        use_kernels: Run the batched kernel path (bit-identical to the
-            legacy loop); False forces the per-trial reference.
         fault_plan: Optional fault plan perturbing each trial's carriers
             and harvested voltage; an empty plan matches None bit for bit.
         adaptive: Optional streaming-allocation policy. Each depth runs
             batches until the Wilson CI on its wake fraction meets the
-            target (requires ``use_kernels``). Note the per-depth seeding
-            makes trial streams depend only on the depth, so adaptive
-            trials are bitwise prefixes of the fixed run's -- except under
-            a ``fault_plan``, whose trial keys become depth-local rather
-            than sweep-global.
+            target. Note the per-depth seeding makes trial streams depend
+            only on the depth, so adaptive trials are bitwise prefixes of
+            the fixed run's -- except under a ``fault_plan``, whose trial
+            keys become depth-local rather than sweep-global.
     """
 
     depths_m: Tuple[float, ...] = (0.05, 0.10, 0.15, 0.20, 0.24)
@@ -76,7 +69,6 @@ class WakeupConfig:
     envelope_rate_hz: float = 20e3
     seed: int = 52
     workers: int = 1
-    use_kernels: bool = True
     fault_plan: Optional[FaultPlan] = None
     adaptive: Optional[AdaptiveConfig] = None
 
@@ -125,83 +117,6 @@ def _tank_channel(
     return tank.channel(n_antennas, depth_m, center_frequency_hz, rng=rng)
 
 
-def _field_envelope(
-    offsets_hz: np.ndarray,
-    betas: np.ndarray,
-    n_samples: int,
-    dt: float,
-    amplitudes: np.ndarray,
-) -> np.ndarray:
-    """Multi-period field envelope, via the sparse-spectrum FFT when exact.
-
-    With integer offsets and a whole number of periods, every carrier
-    lands on an integer bin of the ``n_samples``-point grid, so the
-    envelope is one inverse FFT instead of an (N x samples) direct
-    evaluation -- the hot path of this experiment. Offsets that miss the
-    bin grid fall back to the direct evaluation.
-    """
-    duration_s = n_samples * dt
-    try:
-        return envelope_series_fft(
-            offsets_hz, betas, n_samples, duration_s, amplitudes
-        )[0]
-    except ValueError:
-        t = np.arange(n_samples) * dt
-        return waveform.envelope(offsets_hz, betas, t, amplitudes)
-
-
-def _trial_latency(
-    config: WakeupConfig,
-    depth_m: float,
-    rng: np.random.Generator,
-    injector=None,
-    trial_index: int = 0,
-) -> Optional[float]:
-    """Wake-up latency of one placement (None when it never wakes).
-
-    This is the pinned scalar reference the batched
-    :func:`repro.runtime.engine.wakeup_latency_chunk` must reproduce bit
-    for bit. ``injector`` / ``trial_index`` apply the same per-trial fault
-    realization the chunk applies (keyed by the absolute trial index).
-    """
-    plan = paper_plan().subset(config.n_antennas)
-    channel = _tank_channel(
-        rng, depth_m, config.n_antennas, plan.center_frequency_hz
-    )
-    realization = channel.realize(rng)
-    gains = realization.gains
-    betas = rng.uniform(0, 2 * np.pi, gains.size) + np.angle(gains)
-    amplitudes = (
-        np.sqrt(60.0 * config.eirp_per_branch_w) * np.abs(gains)
-    )
-    spec = standard_tag_spec()
-    sensor = BatteryFreeSensor(
-        spec, tuple(int(b) for b in rng.integers(0, 2, 96)), rng
-    )
-    dt = 1.0 / config.envelope_rate_hz
-    n_samples = int(config.max_periods * config.envelope_rate_hz)
-    offsets = plan.offsets_array()
-    voltage_scale = None
-    if injector is not None:
-        perturbed = injector.perturb_trial(
-            trial_index, offsets, betas, amplitudes
-        )
-        offsets = perturbed.offsets_hz
-        betas = perturbed.betas
-        amplitudes = perturbed.amplitudes
-        voltage_scale = perturbed.voltage_scale
-    field_envelope = _field_envelope(
-        offsets, betas, n_samples, dt, amplitudes
-    )
-    # Field -> rectifier input voltage, via the medium-aware front end.
-    scale = sensor.input_voltage_from_field(1.0, WATER, plan.center_frequency_hz)
-    voltage_envelope = scale * field_envelope
-    if voltage_scale is not None:
-        voltage_envelope = voltage_envelope * voltage_scale
-    result = sensor.evaluate_power_envelope(voltage_envelope, dt)
-    return result.time_to_power_up_s
-
-
 def _rows_from_latencies(
     config: WakeupConfig, latencies: np.ndarray
 ) -> List[Tuple[float, Optional[float], float]]:
@@ -216,6 +131,30 @@ def _rows_from_latencies(
         median = float(np.median(woke)) if woke.size else None
         rows.append((depth, median, fraction))
     return rows
+
+
+def _chunk_fn(
+    config: WakeupConfig, plan, depths_m: Tuple[float, ...], n_trials: int
+):
+    """The sweep's chunk function over ``depths_m``, ``n_trials`` each."""
+    return partial(
+        engine_mod.wakeup_latency_chunk,
+        plan=plan,
+        depths_m=tuple(depths_m),
+        n_trials_per_depth=n_trials,
+        channel_factory=partial(
+            _tank_channel,
+            n_antennas=config.n_antennas,
+            center_frequency_hz=plan.center_frequency_hz,
+        ),
+        eirp_per_branch_w=config.eirp_per_branch_w,
+        tag_spec=standard_tag_spec(),
+        medium_at_tag=WATER,
+        envelope_rate_hz=config.envelope_rate_hz,
+        max_periods=config.max_periods,
+        seed=config.seed,
+        fault_plan=config.fault_plan,
+    )
 
 
 def _adaptive_rows(
@@ -233,24 +172,7 @@ def _adaptive_rows(
     budget = adaptive.budget(config.n_trials)
     rows: List[Tuple[float, Optional[float], float]] = []
     for depth in config.depths_m:
-        fn = partial(
-            engine_mod.wakeup_latency_chunk,
-            plan=plan,
-            depths_m=(depth,),
-            n_trials_per_depth=budget,
-            channel_factory=partial(
-                _tank_channel,
-                n_antennas=config.n_antennas,
-                center_frequency_hz=plan.center_frequency_hz,
-            ),
-            eirp_per_branch_w=config.eirp_per_branch_w,
-            tag_spec=standard_tag_spec(),
-            medium_at_tag=WATER,
-            envelope_rate_hz=config.envelope_rate_hz,
-            max_periods=config.max_periods,
-            seed=config.seed,
-            fault_plan=config.fault_plan,
-        )
+        fn = _chunk_fn(config, plan, (depth,), budget)
         tracker = ProportionTracker(adaptive.confidence_z)
 
         def absorb(part, count, tracker=tracker):
@@ -274,56 +196,15 @@ def _adaptive_rows(
 
 
 def run(config: WakeupConfig = WakeupConfig()) -> WakeupResult:
-    streaming = config.adaptive is not None and config.adaptive.enabled
-    if streaming and not config.use_kernels:
-        raise ValueError(
-            "adaptive allocation requires the batched kernel path "
-            "(use_kernels=True)"
-        )
-    if config.use_kernels:
-        plan = paper_plan().subset(config.n_antennas)
-        runner = TrialRunner(workers=config.workers)
-        if streaming:
-            return WakeupResult(rows=_adaptive_rows(config, plan, runner))
-        chunk_fn = partial(
-            engine_mod.wakeup_latency_chunk,
-            plan=plan,
-            depths_m=tuple(config.depths_m),
-            n_trials_per_depth=config.n_trials,
-            channel_factory=partial(
-                _tank_channel,
-                n_antennas=config.n_antennas,
-                center_frequency_hz=plan.center_frequency_hz,
-            ),
-            eirp_per_branch_w=config.eirp_per_branch_w,
-            tag_spec=standard_tag_spec(),
-            medium_at_tag=WATER,
-            envelope_rate_hz=config.envelope_rate_hz,
-            max_periods=config.max_periods,
-            seed=config.seed,
-            fault_plan=config.fault_plan,
-        )
-        chunks = runner.map_chunks(
-            chunk_fn,
-            len(config.depths_m) * config.n_trials,
-            label="wakeup.chunk",
-        )
-        return WakeupResult(
-            rows=_rows_from_latencies(config, np.concatenate(chunks))
-        )
-
-    injector = engine_mod._fault_injector(config.fault_plan, config.seed)
-    latencies = np.full(len(config.depths_m) * config.n_trials, np.nan)
-    for depth_index, depth in enumerate(config.depths_m):
-        rngs = spawn_rngs(config.seed + int(depth * 1e4), config.n_trials)
-        for trial, rng in enumerate(rngs):
-            value = _trial_latency(
-                config,
-                depth,
-                rng,
-                injector=injector,
-                trial_index=depth_index * config.n_trials + trial,
-            )
-            if value is not None:
-                latencies[depth_index * config.n_trials + trial] = value
-    return WakeupResult(rows=_rows_from_latencies(config, latencies))
+    plan = paper_plan().subset(config.n_antennas)
+    runner = TrialRunner(workers=config.workers)
+    if config.adaptive is not None and config.adaptive.enabled:
+        return WakeupResult(rows=_adaptive_rows(config, plan, runner))
+    chunks = runner.map_chunks(
+        _chunk_fn(config, plan, config.depths_m, config.n_trials),
+        len(config.depths_m) * config.n_trials,
+        label="wakeup.chunk",
+    )
+    return WakeupResult(
+        rows=_rows_from_latencies(config, np.concatenate(chunks))
+    )

@@ -14,12 +14,11 @@ them participate in the :mod:`repro.runtime.cache` plan-cache key: results
 computed under one fault plan can never be served to another.
 """
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.hashing import stable_digest
 
 FAULT_KINDS = (
     "antenna_dropout",
@@ -148,10 +147,7 @@ class FaultPlan:
         SHA-256), so it can seed the injector's random streams and key
         caches.
         """
-        canonical = json.dumps(
-            [event.to_dict() for event in self.events], sort_keys=True
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return stable_digest([event.to_dict() for event in self.events], 16)
 
     def cache_token(self) -> str:
         """The plan's contribution to runtime plan-cache keys.

@@ -24,7 +24,6 @@ from repro.fleet.collision import (
     CaptureModel,
     ShardInventoryResult,
     run_inventory,
-    run_inventory_reference,
 )
 from repro.fleet.campaign import (
     FLEET_SCHEMA_VERSION,
@@ -51,7 +50,6 @@ __all__ = [
     "generate_shard",
     "run_fleet_campaign",
     "run_inventory",
-    "run_inventory_reference",
     "shard_bounds",
     "validate_fleet_dict",
 ]

@@ -9,24 +9,21 @@ module replaces reply counting with physics:
 * Every replier's FM0-encoded RN16 enters the slot's composite waveform
   weighted by its backscatter amplitude at the reader.
 * The composite passes through the out-of-band reader's receive chain
-  (SAW, thermal noise, AGC + ADC, coherent averaging) via the batched
-  :func:`repro.kernels.capture_batch` kernel, one call per attempted
-  slot; the scalar reference path runs the pinned per-period loop
-  (:meth:`~repro.reader.out_of_band.OutOfBandReader.capture_response_scalar`).
+  (SAW, thermal noise, AGC + ADC, coherent averaging) through the
+  stacked :func:`repro.kernels.capture_block` kernel.
 * All of a round's averaged waveforms are stacked ``(slots, T)`` and
   decoded in a single :func:`repro.kernels.fm0_block_errors` call; a
   zero error count against the strongest replier's RN16 is a successful
   capture. Slots whose strongest-reply SINR sits below the attempt
   threshold are skipped outright (they cannot decode).
 
-Two resolvers share these semantics. :func:`run_inventory` is the
-vectorized production path: per round it draws every active tag's slot
-counter and RN16 from the tag's own generator, resolves all slots in
-stacked arrays, and loops only over decode attempts. Ties on reply
-amplitude break deterministically toward the lowest global tag index.
-:func:`run_inventory_reference` drives actual
-:class:`~repro.gen2.tag_state.Gen2Tag` state machines slot by slot with
-scalar receive and decode -- the honest serial baseline the parity tests
+:func:`run_inventory` resolves these semantics vectorized: per round it
+draws every active tag's slot counter and RN16 from the tag's own
+generator, resolves all slots in stacked arrays, and loops only over
+decode attempts. Ties on reply amplitude break deterministically toward
+the lowest global tag index. Its oracle, in ``tests/reference/``, drives
+actual :class:`~repro.gen2.tag_state.Gen2Tag` state machines slot by slot
+with scalar receive and decode -- the serial baseline the parity tests
 and the ``bench_fleet`` speedup gate compare against. Both consume
 identical randomness (per-tag MAC streams; per-slot decode streams keyed
 on ``(fleet hash, seed, shard, round, slot)``), so their results are
@@ -38,13 +35,13 @@ mask and amplitudes), and ``bit_corruption`` corrupts each attempted
 slot's averaged waveform ahead of the decoder, keyed on a deterministic
 per-(shard, round, slot) trial index.
 
-Reader-side MAC conventions (identical in both resolvers, documented
-here once): a captured slot ACKs only the strongest replier -- the
-losers stay in REPLY and rejoin at the next Query, exactly as the seed
-MAC left un-ACKed colliders. For Q adaptation the reader scores what it
-observed: a successful decode counts as a singleton, a failed decode
-with energy in the slot counts as a collision (an invalid reply), and an
-empty slot counts as empty. EPC decode after a successful RN16 exchange
+Reader-side MAC conventions (identical in the reference resolver): a
+captured slot ACKs only the strongest replier -- the losers stay in REPLY
+and rejoin at the next Query, exactly as the seed MAC left un-ACKed
+colliders. For Q adaptation the reader scores what it observed: a
+successful decode counts as a singleton, a failed decode with energy in
+the slot counts as a collision (an invalid reply), and an empty slot
+counts as empty. EPC decode after a successful RN16 exchange
 is assumed clean (the ACK reply rides the same link at far higher SNR
 than the contended RN16).
 """
@@ -55,19 +52,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DecodingError, ProtocolError
+from repro.errors import ConfigurationError
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import EMPTY_PLAN, FaultPlan
-from repro.gen2.commands import Ack, Query, QueryRep
-from repro.gen2.fm0 import (
-    chips_to_waveform,
-    decode_chips,
-    encode_chips,
-    encode_chips_block,
-    waveform_to_chips,
-)
+from repro.gen2.fm0 import encode_chips_block
 from repro.gen2.inventory import QAlgorithm
-from repro.gen2.tag_state import Gen2Tag
 from repro.kernels import capture_block, fm0_block_errors
 from repro.kernels.backend import get_namespace
 from repro.obs.context import current_obs
@@ -280,7 +269,7 @@ def _noise_after_averaging(reader, n_periods: int) -> float:
 
 
 def _stop_state(round_had_replies: bool, round_had_success: bool, stalled: int) -> int:
-    """Shared stall counter update (identical in both resolvers)."""
+    """Stall counter update (shared with the reference resolver)."""
     if not round_had_replies:
         return 0
     return 0 if round_had_success else stalled + 1
@@ -536,189 +525,3 @@ def _vectorized_decode(
     decoded[attempt_slots[errors == 0]] = True
     obs.metrics.counter("fleet.decode_attempts").inc(attempt_rows.size)
     return decoded
-
-
-def run_inventory_reference(
-    tags: TagSet,
-    capture: Optional[CaptureModel] = None,
-    *,
-    initial_q: int = 4,
-    max_rounds: int = 64,
-    session: int = 0,
-    seed_material: int = 0,
-    seed: int = 0,
-    shard_index: int = 0,
-    fault_plan: FaultPlan = EMPTY_PLAN,
-) -> ShardInventoryResult:
-    """Scalar reference resolver: real Gen2Tag machines, slot by slot.
-
-    Each round issues an actual ``Query`` and walks every slot with
-    ``QueryRep`` against :class:`~repro.gen2.tag_state.Gen2Tag` objects
-    sharing the vectorized path's per-tag generators; attempted slots
-    run the pinned scalar receive loop and the scalar chip decoder.
-    Bitwise-identical outcomes to :func:`run_inventory` -- and the
-    honest serial baseline of the ``bench_fleet`` speedup gate.
-    """
-    obs = current_obs()
-    n = tags.n_tags
-    algorithm = QAlgorithm(initial_q=initial_q)
-    injector = FaultInjector(fault_plan, seed)
-    reader = _reader() if capture is not None else None
-    noise_avg = (
-        _noise_after_averaging(reader, capture.n_periods)
-        if capture is not None
-        else 0.0
-    )
-    scale = capture.amplitude_scale if capture is not None else 1.0
-
-    objs = []
-    for row in range(n):
-        tag = Gen2Tag(tuple(int(b) for b in tags.epc_bits[row]), tags.mac_rngs[row])
-        if tags.powered[row]:
-            tag.power_up()
-        objs.append(tag)
-
-    result = ShardInventoryResult(
-        shard=shard_index,
-        n_tags=n,
-        n_powered=int(np.count_nonzero(tags.powered)),
-    )
-    stalled = 0
-    with obs.stage_span(
-        "fleet.inventory", shard=shard_index, tags=n, mode="reference"
-    ):
-        for round_index in range(max_rounds):
-            q = algorithm.q
-            n_slots = 2**q
-            query = Query(session=session, target="A", q=q)
-            counts = np.zeros(n_slots, dtype=np.int32)
-            decoded_slots = np.zeros(n_slots, dtype=bool)
-            winners = np.full(n_slots, -1, dtype=np.int64)
-            round_had_success = False
-            for slot in range(n_slots):
-                repliers: List[Tuple[int, Tuple[int, ...]]] = []
-                if slot == 0:
-                    for row, tag in enumerate(objs):
-                        reply = tag.handle_query(query)
-                        if reply is not None:
-                            repliers.append((row, reply.bits))
-                else:
-                    query_rep = QueryRep(session=session)
-                    for row, tag in enumerate(objs):
-                        reply = tag.handle_query_rep(query_rep)
-                        if reply is not None:
-                            repliers.append((row, reply.bits))
-                counts[slot] = len(repliers)
-                if not repliers:
-                    algorithm.on_slot(0)
-                    continue
-                winner_row, winner_bits = max(
-                    repliers,
-                    key=lambda item: (
-                        tags.reply_amplitude_v[item[0]] * scale,
-                        -item[0],
-                    ),
-                )
-                if capture is None:
-                    success = len(repliers) == 1
-                else:
-                    success = _scalar_decode_attempt(
-                        capture,
-                        reader,
-                        injector,
-                        noise_avg,
-                        repliers,
-                        winner_row,
-                        winner_bits,
-                        tags.reply_amplitude_v,
-                        scale,
-                        slot,
-                        seed_material,
-                        seed,
-                        shard_index,
-                        round_index,
-                        max_rounds,
-                    )
-                if success:
-                    epc_reply = objs[winner_row].handle_ack(
-                        Ack(rn16=winner_bits)
-                    )
-                    assert epc_reply is not None
-                    decoded_slots[slot] = True
-                    winners[slot] = int(tags.global_indices[winner_row])
-                    result.read_order.append(int(winners[slot]))
-                    round_had_success = True
-                if capture is None:
-                    algorithm.on_slot(len(repliers))
-                else:
-                    algorithm.on_slot(
-                        1 if success else max(len(repliers), 2)
-                    )
-            result.rounds.append(
-                RoundOutcome(
-                    q=q,
-                    n_replies=counts,
-                    decoded=decoded_slots,
-                    winners=winners,
-                )
-            )
-            # Every active tag replies within its round (slot < 2**q), so
-            # a reply-free round means nobody is left: the quiet round.
-            had_replies = bool(np.any(counts > 0))
-            stalled = _stop_state(had_replies, round_had_success, stalled)
-            if not had_replies:
-                break
-            if capture is not None and stalled >= capture.stall_rounds:
-                break
-
-    obs.metrics.counter("fleet.reference_reads").inc(result.reads)
-    return result
-
-
-def _scalar_decode_attempt(
-    capture: CaptureModel,
-    reader,
-    injector: FaultInjector,
-    noise_avg: float,
-    repliers: List[Tuple[int, Tuple[int, ...]]],
-    winner_row: int,
-    winner_bits: Tuple[int, ...],
-    amplitudes: np.ndarray,
-    scale: float,
-    slot: int,
-    seed_material: int,
-    seed: int,
-    shard_index: int,
-    round_index: int,
-    max_rounds: int,
-) -> bool:
-    """One slot's decode attempt on the scalar path."""
-    spc = capture.samples_per_chip
-    amp_w = float(amplitudes[winner_row]) * scale
-    total_power = sum(
-        (float(amplitudes[row]) * scale) ** 2 for row, _ in repliers
-    )
-    interference = max(total_power - amp_w**2, 0.0)
-    sinr = amp_w / math.sqrt(interference + noise_avg**2)
-    if sinr < capture.min_attempt_sinr:
-        return False
-    composite = np.zeros(RN16_CHIPS * spc)
-    for row, bits in repliers:  # ascending row: global tag order
-        composite += (float(amplitudes[row]) * scale) * chips_to_waveform(
-            encode_chips(tuple(bits)), spc
-        )
-    rng = _decode_rng(seed_material, seed, shard_index, round_index, slot)
-    received = reader.capture_response_scalar(
-        composite, 1.0, capture.n_periods, rng
-    ).waveform
-    if injector.active:
-        received = injector.corrupt_waveform(
-            _decode_trial_index(shard_index, round_index, slot, max_rounds),
-            received,
-            spc,
-        )
-    try:
-        decoded = decode_chips(waveform_to_chips(received, spc))
-    except (DecodingError, ProtocolError):
-        return False
-    return decoded == tuple(winner_bits)

@@ -24,8 +24,6 @@ deeper tags exponentially weaker replies -- the power asymmetry that
 makes capture-effect arbitration matter.
 """
 
-import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
@@ -40,6 +38,7 @@ from repro.errors import ConfigurationError
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import EMPTY_PLAN, FaultPlan
 from repro.harvester.tag_power import HarvesterFrontEnd, TagPowerModel
+from repro.hashing import stable_digest
 from repro.rf.antenna import MINIATURE_TAG_ANTENNA, STANDARD_TAG_ANTENNA
 
 _FLEET_STREAM_TAG = 0x0F1EE7
@@ -123,8 +122,7 @@ class FleetConfig:
 
     def stable_hash(self) -> str:
         """sha256 of the canonical field dict (16 hex chars)."""
-        canonical = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return stable_digest(asdict(self), 16)
 
     def cache_token(self) -> str:
         """Cache-key component identifying this fleet."""
@@ -185,13 +183,13 @@ class TagSet:
 
 
 def _tag_rng(
-    config: FleetConfig, tag_index: int, stream: int
+    seed_material: int, seed: int, tag_index: int, stream: int
 ) -> np.random.Generator:
     sequence = np.random.SeedSequence(
         [
             _FLEET_STREAM_TAG,
-            config.seed_material(),
-            int(config.seed),
+            seed_material,
+            int(seed),
             int(tag_index),
             int(stream),
         ]
@@ -254,6 +252,8 @@ def generate_shard(
     model = TagPowerModel(front_end)
     injector = FaultInjector(fault_plan, config.seed)
     aperture = front_end.effective_aperture_in(medium, config.frequency_hz)
+    # Hashing the config is costly; every tag stream shares the material.
+    material = config.seed_material()
 
     epc_bits = np.empty((n, 96), dtype=int)
     depths = np.empty(n)
@@ -263,7 +263,7 @@ def generate_shard(
     mac_rngs: List[np.random.Generator] = []
 
     for row, tag_index in enumerate(range(lo, hi)):
-        rng = _tag_rng(config, tag_index, _STREAM_PHYSICS)
+        rng = _tag_rng(material, config.seed, tag_index, _STREAM_PHYSICS)
         depth = float(
             rng.uniform(config.depth_min_m, config.depth_max_m)
         )
@@ -311,7 +311,9 @@ def generate_shard(
         voltages[row] = voltage
         powered[row] = model.powers_up_at_peak(voltage)
         amplitudes[row] = backscatter_amplitude_v(forward_gain, aperture)
-        mac_rngs.append(_tag_rng(config, tag_index, _STREAM_MAC))
+        mac_rngs.append(
+            _tag_rng(material, config.seed, tag_index, _STREAM_MAC)
+        )
 
     return TagSet(
         epc_bits=epc_bits,

@@ -41,8 +41,8 @@ class PowerManager:
         Implements the hysteresis: the chip turns on when the trace crosses
         ``operate_voltage_v`` upward and stays on until it falls below
         ``brownout_voltage_v``. Delegates to the closed-form kernel; the
-        sample-by-sample recurrence lives in :meth:`powered_mask_scalar`
-        as the pinned reference.
+        sample-by-sample recurrence it is pinned to lives in
+        ``tests/reference/``.
         """
         from repro.kernels import hysteresis_mask_batch
 
@@ -50,23 +50,6 @@ class PowerManager:
         return hysteresis_mask_batch(
             trace, self.operate_voltage_v, self.brownout_voltage_v
         )
-
-    def powered_mask_scalar(self, voltage_trace: np.ndarray) -> np.ndarray:
-        """Reference implementation of :meth:`powered_mask` (per-sample loop).
-
-        Kept as the pinned equivalence oracle for the vectorized kernel --
-        parity tests assert the two are bit-identical on arbitrary traces.
-        """
-        trace = np.asarray(voltage_trace, dtype=float)
-        mask = np.empty(trace.size, dtype=bool)
-        powered = False
-        for index, voltage in enumerate(trace):
-            if powered:
-                powered = voltage >= self.brownout_voltage_v
-            else:
-                powered = voltage >= self.operate_voltage_v
-            mask[index] = powered
-        return mask
 
     def ever_powers_up(self, voltage_trace: np.ndarray) -> bool:
         """Whether the chip reaches its operating voltage at any point."""

@@ -1,9 +1,9 @@
-"""Array-namespace backend registry: portable kernels on NumPy/CuPy/JAX.
+"""Array-namespace backend registry: portable kernels on array-API namespaces.
 
 Every hot path in this package -- the per-sample kernel chains and the
 stacked candidate x draw IFFT scoring -- is bulk array math, which the
 `Python array-API standard <https://data-apis.org/array-api/latest/>`_
-abstracts over NumPy, CuPy, JAX, and ``array-api-strict``. This module is
+abstracts over NumPy and ``array-api-strict``. This module is
 the seam: a small registry of :class:`Backend` objects, each bundling an
 array namespace (``xp``), a device label, dtype plumbing, and a set of
 :class:`Capabilities` flags describing the NumPy conveniences the
@@ -22,9 +22,9 @@ Contracts:
   off. It exists so the portable (array-API-clean) branches run under
   plain pytest with no optional dependency installed -- the conformance
   suite pins them bitwise-or-tolerance against the reference, per kernel.
-* ``"array_api_strict"`` / ``"cupy"`` / ``"jax"`` are detected from
-  installed packages; cross-backend comparisons are tolerance-checked
-  (different FFT implementations, different reduction associativity).
+* ``"array_api_strict"`` is available when the package is installed;
+  cross-backend comparisons are tolerance-checked (different FFT
+  implementations, different reduction associativity).
 
 Randomness is deliberately **not** portable: every kernel keeps drawing
 from ``numpy.random.Generator`` streams (the worker-invariance and
@@ -52,13 +52,7 @@ from repro.errors import ConfigurationError
 ENV_VAR = "REPRO_BACKEND"
 """Environment variable naming the default backend (worker-inheritable)."""
 
-BACKEND_CHOICES = (
-    "numpy",
-    "numpy_portable",
-    "array_api_strict",
-    "cupy",
-    "jax",
-)
+BACKEND_CHOICES = ("numpy", "numpy_portable", "array_api_strict")
 """Registry names, in the order the CLI advertises them."""
 
 
@@ -93,10 +87,10 @@ class Backend:
     """One array namespace plus the plumbing the kernels need around it.
 
     Attributes:
-        name: Registry name (``"numpy"``, ``"cupy"``, ...).
+        name: Registry name (``"numpy"``, ``"array_api_strict"``, ...).
         xp: The array namespace module/object.
         caps: The namespace's :class:`Capabilities`.
-        device: Human-readable device label (``"cpu"``, ``"cuda:0"``).
+        device: Human-readable device label (``"cpu"``).
     """
 
     def __init__(
@@ -105,16 +99,12 @@ class Backend:
         xp: Any,
         caps: Capabilities,
         device: str = "cpu",
-        device_obj: Any = None,
-        to_numpy_fn=None,
         module_roots: Tuple[str, ...] = ("numpy",),
     ):
         self.name = name
         self.xp = xp
         self.caps = caps
         self.device = device
-        self._device_obj = device_obj
-        self._to_numpy = to_numpy_fn
         self._module_roots = module_roots
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -138,11 +128,7 @@ class Backend:
             return np.asarray(values, dtype=dtype)
         if not isinstance(values, np.ndarray):
             values = np.asarray(values)
-        kwargs = {} if self._device_obj is None else {
-            "device": self._device_obj
-        }
-        if dtype is not None:
-            kwargs["dtype"] = dtype
+        kwargs = {} if dtype is None else {"dtype": dtype}
         return self.xp.asarray(values, **kwargs)
 
     def owns(self, array) -> bool:
@@ -162,8 +148,6 @@ class Backend:
         """Materialize a namespace array as a NumPy array (device -> host)."""
         if isinstance(array, np.ndarray):
             return array
-        if self._to_numpy is not None:
-            return self._to_numpy(array)
         try:
             return np.asarray(array)
         except (TypeError, ValueError):
@@ -186,7 +170,7 @@ class Backend:
                 continue
             try:
                 np_dtype = np.dtype(str(dtype))
-            except TypeError:  # non-numpy dtype objects (strict, jax)
+            except TypeError:  # non-numpy dtype objects (array_api_strict)
                 continue
             if np_dtype.kind not in "fc":
                 continue
@@ -298,46 +282,10 @@ def _build_array_api_strict() -> Backend:
     )
 
 
-def _build_cupy() -> Backend:
-    import cupy
-
-    if cupy.cuda.runtime.getDeviceCount() < 1:  # pragma: no cover - GPU only
-        raise RuntimeError("cupy is importable but no CUDA device is visible")
-    device = f"cuda:{cupy.cuda.runtime.getDevice()}"
-    return Backend(
-        "cupy",
-        cupy,
-        # cupy supports fancy assignment but not ufunc ``where=`` kwargs
-        # (so no inplace_out: kernels take their portable branches) nor
-        # ufunc.at.
-        Capabilities(inplace_out=False, ufunc_at=False, index_update=True),
-        device=device,
-        to_numpy_fn=lambda array: array.get(),
-        module_roots=("cupy",),
-    )
-
-
-def _build_jax() -> Backend:
-    import jax
-    import jax.numpy as jnp
-
-    device = str(jax.devices()[0])
-    return Backend(
-        "jax",
-        jnp,
-        PORTABLE_CAPS,
-        device=device,
-        to_numpy_fn=lambda array: np.asarray(array),
-        module_roots=("jax", "jaxlib"),
-    )
-
-
 _FACTORIES = {
     "numpy": _build_numpy,
     "numpy_portable": _build_numpy_portable,
     "array_api_strict": _build_array_api_strict,
-    "cupy": _build_cupy,
-    "jax": _build_jax,
 }
 
 
@@ -450,10 +398,6 @@ def get_namespace(obj: Any = None) -> Backend:
         )
     module = type(obj).__module__ or ""
     root = module.split(".")[0]
-    if root == "cupy":
-        return _backend_by_name("cupy")
-    if root in ("jax", "jaxlib"):
-        return _backend_by_name("jax")
     if root == "array_api_strict":
         return _backend_by_name("array_api_strict")
     raise ConfigurationError(

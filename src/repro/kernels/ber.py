@@ -119,8 +119,8 @@ def ber_block(
 ) -> Dict[str, int]:
     """Per-scheme bit-error counts for words ``[start, start + count)``.
 
-    Bit-identical to ``repro.experiments.ber._word_errors_chunk`` for any
-    chunking: per-word generators come from the same
+    Bit-identical to the per-word reference chunk in ``tests/reference/``
+    for any chunking: per-word generators come from the same
     ``spawn_rngs(seed, n_words)`` list and each word's draws (bits, FM0
     noise, per-Miller noise, averaged-FM0 noise) happen in the legacy
     order, with the multi-period noise taken in one C-order call.

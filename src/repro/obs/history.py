@@ -25,7 +25,6 @@ interpret while :func:`validate_history_entry` rejects versions newer
 than the library.
 """
 
-import hashlib
 import json
 import os
 import sys
@@ -33,6 +32,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
+
+from repro.hashing import stable_digest
 
 HISTORY_SCHEMA_VERSION = 1
 
@@ -66,9 +67,8 @@ def env_fingerprint(workers: Optional[int] = None) -> Dict[str, Any]:
     Rows whose fingerprints differ (new interpreter, different box,
     different array backend) are excluded from each other's baselines
     rather than averaged together. The backend key keeps the sentinel
-    from ever mixing NumPy baselines with CuPy/JAX rows; the device key
-    joins it whenever the backend is not on the CPU (so two different
-    GPUs never share a baseline either).
+    from ever mixing reference-NumPy baselines with rows timed on another
+    array backend.
     """
     import numpy as np
 
@@ -81,8 +81,6 @@ def env_fingerprint(workers: Optional[int] = None) -> Dict[str, Any]:
         "cpu_count": os.cpu_count(),
         "backend": backend.name,
     }
-    if backend.device != "cpu":
-        env["device"] = backend.device
     if workers is not None:
         env["workers"] = int(workers)
     return env
@@ -90,8 +88,7 @@ def env_fingerprint(workers: Optional[int] = None) -> Dict[str, Any]:
 
 def fingerprint_hash(env: Dict[str, Any]) -> str:
     """Short stable hash of an environment fingerprint dict."""
-    blob = json.dumps(env, sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
+    return stable_digest(env, 12)
 
 
 def history_entry(

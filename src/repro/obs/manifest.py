@@ -10,7 +10,7 @@ command and, because the runtime is bit-identical across worker counts,
 regenerate the same numbers.
 
 The schema is intentionally flat JSON -- no custom types -- validated by
-:func:`validate_manifest` (also used by ``tools/check_trace_schema.py`` and
+:func:`validate_manifest` (also used by ``tools/check_obs_schema.py`` and
 the test suite).
 """
 

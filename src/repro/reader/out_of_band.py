@@ -9,7 +9,7 @@ and coherently averages one capture per CIB period.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from repro.constants import (
 from repro.em.channel import BlindChannel
 from repro.errors import ConfigurationError
 from repro.gen2.decoder import DecodeResult, decode_fm0_response
-from repro.reader.averaging import coherent_average
 from repro.reader.jamming import JammingEstimate
 from repro.rf.receiver import AnalogToDigitalConverter, ReceiveChain, SawFilter
 
@@ -139,8 +138,8 @@ class OutOfBandReader:
         Each period's capture passes through the receive chain (SAW, noise,
         ADC) with the residual jam injected out-of-band; the periods are
         then coherently averaged. The per-period math runs through the
-        batched kernel; :meth:`capture_response_scalar` keeps the original
-        loop as the pinned bit-identical reference.
+        batched kernel, pinned bit for bit to the original per-period loop
+        in ``tests/reference/``.
         """
         from repro.kernels import capture_batch
 
@@ -155,44 +154,6 @@ class OutOfBandReader:
             jam_amplitude_v=jam_amplitude,
             beamformer_frequency_hz=beamformer_frequency_hz,
         )
-        return self._finish_capture(averaged, amplitude_v, n_periods)
-
-    def capture_response_scalar(
-        self,
-        response_waveform: np.ndarray,
-        amplitude_v: float,
-        n_periods: int,
-        rng: np.random.Generator,
-        jamming: Optional[JammingEstimate] = None,
-        beamformer_frequency_hz: float = 915e6,
-    ) -> ReaderCapture:
-        """Reference implementation of :meth:`capture_response`.
-
-        One receive-chain pass per period, exactly as the batched kernel
-        must reproduce bit-for-bit -- parity tests pin the two together.
-        """
-        signal, jam_amplitude = self._capture_inputs(
-            response_waveform, amplitude_v, n_periods, jamming
-        )
-        template_size = signal.size
-        captures: List[np.ndarray] = []
-        for _ in range(n_periods):
-            jam = None
-            if jam_amplitude > 0:
-                # The jam is a CW-like interferer with a random phase and
-                # slow envelope; within one response window treat it flat.
-                phase = rng.uniform(0.0, 2.0 * math.pi)
-                jam = jam_amplitude * np.exp(1j * phase) * np.ones(
-                    template_size, dtype=complex
-                )
-            received = self.chain.receive(
-                signal,
-                rng,
-                out_of_band=jam,
-                out_of_band_frequency_hz=beamformer_frequency_hz,
-            )
-            captures.append(np.real(received))
-        averaged = coherent_average(captures)
         return self._finish_capture(averaged, amplitude_v, n_periods)
 
     def _capture_inputs(

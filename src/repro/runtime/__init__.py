@@ -20,7 +20,7 @@ the production trial engine the experiment drivers share instead:
   (:class:`MeanTracker` / :class:`ProportionTracker`), and stops each
   point once its half-width meets the :class:`AdaptiveConfig` target --
   bitwise identical to a fixed run of the same trial count.
-* :mod:`repro.runtime.cache` -- **plan caching**: an in-memory + on-disk
+* :mod:`repro.runtime.cache` -- **plan caching**: an in-memory + SQLite
   cache for :class:`~repro.core.optimizer.FrequencyOptimizer` search
   results, keyed by a hash of the full search configuration, so repeated
   benches stop re-running the multi-second Eq. 10 search.

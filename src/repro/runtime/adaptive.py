@@ -39,8 +39,6 @@ only the stop decision, never the returned samples, so their
 floating-point roundoff cannot perturb results.
 """
 
-import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
@@ -50,6 +48,7 @@ from repro.analysis.stats import (
     OnlineMoments,
     wilson_half_width,
 )
+from repro.hashing import stable_digest
 from repro.obs.context import current_obs
 from repro.runtime.runner import TrialRunner
 
@@ -141,8 +140,7 @@ class AdaptiveConfig:
 
     def cache_token(self) -> str:
         """Stable short hash of the policy, for plan-cache keying."""
-        canonical = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return stable_digest(asdict(self), 16)
 
 
 @dataclass(frozen=True)

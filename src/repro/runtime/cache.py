@@ -4,8 +4,9 @@ The randomized :class:`~repro.core.optimizer.FrequencyOptimizer` search
 takes seconds and is repeated with identical inputs by the scheduler, the
 ablations, and the benchmark suite. :class:`PlanCache` memoizes
 :class:`~repro.core.optimizer.OptimizationResult` objects under a hash of
-the full search configuration, in memory and (optionally) as JSON files on
-disk so results survive across processes.
+the full search configuration, in memory and (optionally) in a durable
+SQLite :class:`~repro.serve.store.PlanStore` so results survive across
+processes.
 
 The module-level helpers :func:`optimized_plan` /
 :func:`optimized_conduction_plan` are the supported entry points. Each one
@@ -13,19 +14,18 @@ constructs a **fresh** optimizer per uncached call: an optimizer's internal
 generator advances as it searches, so skipping a cached ``optimize()`` on a
 shared instance would silently shift every later draw from that instance.
 
-Disk caching is off by default (memory only); set the ``REPRO_CACHE_DIR``
-environment variable or call :func:`configure_plan_cache` to enable it.
+Durable caching is off by default (memory only); set the
+``REPRO_CACHE_DIR`` environment variable (the store lives at
+``$REPRO_CACHE_DIR/plans.sqlite``) or call :func:`configure_plan_cache`
+with a ``store_path`` to enable it.
 Cache keys include the seed and every search parameter, so a hit is exactly
 the result the search would have produced.
 """
 
-import hashlib
-import json
 import os
-import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.constants import CIB_CENTER_FREQUENCY_HZ
 from repro.core.constraints import FlatnessConstraint
@@ -36,6 +36,7 @@ from repro.core.optimizer import (
     OptimizationResult,
 )
 from repro.core.plan import CarrierPlan
+from repro.hashing import stable_digest
 from repro.obs.context import current_obs
 
 _ENV_CACHE_DIR = "REPRO_CACHE_DIR"
@@ -85,8 +86,8 @@ def get_search_defaults() -> Dict[str, object]:
 def result_to_json(result: OptimizationResult) -> dict:
     """JSON-serializable form of an :class:`OptimizationResult`.
 
-    The wire/storage format shared by the disk tier, the SQLite plan store
-    (:mod:`repro.serve.store`), and the serve responses: round-tripping
+    The wire/storage format shared by the SQLite plan store
+    (:mod:`repro.serve.store`) and the serve responses: round-tripping
     through :func:`result_from_json` reconstructs a bit-identical result
     (floats survive JSON exactly via ``repr`` round-tripping).
     """
@@ -131,15 +132,9 @@ def result_from_json(payload: dict) -> OptimizationResult:
     )
 
 
-# Backwards-compatible aliases for the pre-serve private names.
-_result_to_json = result_to_json
-_result_from_json = result_from_json
-
-
 def plan_key(**config) -> str:
     """Deterministic hex key for a search configuration."""
-    canonical = json.dumps(config, sort_keys=True, default=repr)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:24]
+    return stable_digest(config, 24)
 
 
 def _active_backend_token() -> Optional[str]:
@@ -159,7 +154,9 @@ def _active_backend_token() -> Optional[str]:
     return f"{backend.name}@{backend.device}"
 
 
-def peak_plan_key(
+def _search_key(
+    kind: str,
+    threshold: Optional[float],
     *,
     n_antennas: int,
     alpha: float,
@@ -168,12 +165,43 @@ def peak_plan_key(
     n_draws: int = 48,
     grid_size: int = DEFAULT_GRID_SIZE,
     seed: int = 0,
-    n_candidates: int = 120,
-    refine_rounds: int = 2,
+    n_candidates: int,
+    refine_rounds: int,
     refine_steps: Tuple[int, ...] = (1, 2, 5, 10, 20),
     islands: int = 1,
     fault_token: Optional[str] = None,
     adaptive_token: str = "none",
+) -> str:
+    """The one key function behind :func:`peak_plan_key` and
+    :func:`conduction_plan_key`; ``threshold`` enters the key only for
+    the conduction search."""
+    config = dict(
+        kind=kind,
+        n_antennas=n_antennas,
+        alpha=alpha,
+        query_duration_s=query_duration_s,
+        center_frequency_hz=center_frequency_hz,
+        n_draws=n_draws,
+        grid_size=grid_size,
+        seed=seed,
+        n_candidates=n_candidates,
+        refine_rounds=refine_rounds,
+        refine_steps=tuple(refine_steps),
+        islands=islands,
+        search_rev=SEARCH_REV,
+        fault_token=fault_token or "none",
+        adaptive_token=adaptive_token,
+    )
+    if threshold is not None:
+        config["threshold"] = threshold
+    backend_token = _active_backend_token()
+    if backend_token is not None:
+        config["backend"] = backend_token
+    return plan_key(**config)
+
+
+def peak_plan_key(
+    *, n_candidates: int = 120, refine_rounds: int = 2, **params
 ) -> str:
     """The cache key :func:`optimized_plan` uses for these parameters.
 
@@ -184,95 +212,50 @@ def peak_plan_key(
     (results are bit-identical for any fan-out). A non-reference array
     backend adds its own token (see :func:`_active_backend_token`);
     reference NumPy keys are byte-stable with earlier revisions. Exposed
-    publicly so the serve layer can address every cache tier -- memory,
-    legacy disk JSON, and the SQLite store -- by exactly the key the
-    search would compute.
+    publicly so the serve layer can address every cache tier -- memory
+    and the SQLite store -- by exactly the key the search would compute.
     """
-    extra = {}
-    backend_token = _active_backend_token()
-    if backend_token is not None:
-        extra["backend"] = backend_token
-    return plan_key(
-        kind="peak",
-        n_antennas=n_antennas,
-        alpha=alpha,
-        query_duration_s=query_duration_s,
-        center_frequency_hz=center_frequency_hz,
-        n_draws=n_draws,
-        grid_size=grid_size,
-        seed=seed,
+    return _search_key(
+        "peak",
+        None,
         n_candidates=n_candidates,
         refine_rounds=refine_rounds,
-        refine_steps=tuple(refine_steps),
-        islands=islands,
-        search_rev=SEARCH_REV,
-        fault_token=fault_token or "none",
-        adaptive_token=adaptive_token,
-        **extra,
+        **params,
     )
 
 
 def conduction_plan_key(
     *,
-    n_antennas: int,
     threshold: float,
-    alpha: float,
-    query_duration_s: float,
-    center_frequency_hz: float = CIB_CENTER_FREQUENCY_HZ,
-    n_draws: int = 48,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    seed: int = 0,
     n_candidates: int = 60,
     refine_rounds: int = 1,
-    refine_steps: Tuple[int, ...] = (1, 2, 5, 10, 20),
-    islands: int = 1,
-    fault_token: Optional[str] = None,
-    adaptive_token: str = "none",
+    **params,
 ) -> str:
     """The cache key :func:`optimized_conduction_plan` uses (see
     :func:`peak_plan_key` for the hygiene rules)."""
-    extra = {}
-    backend_token = _active_backend_token()
-    if backend_token is not None:
-        extra["backend"] = backend_token
-    return plan_key(
-        kind="conduction",
-        n_antennas=n_antennas,
-        threshold=threshold,
-        alpha=alpha,
-        query_duration_s=query_duration_s,
-        center_frequency_hz=center_frequency_hz,
-        n_draws=n_draws,
-        grid_size=grid_size,
-        seed=seed,
+    return _search_key(
+        "conduction",
+        threshold,
         n_candidates=n_candidates,
         refine_rounds=refine_rounds,
-        refine_steps=tuple(refine_steps),
-        islands=islands,
-        search_rev=SEARCH_REV,
-        fault_token=fault_token or "none",
-        adaptive_token=adaptive_token,
-        **extra,
+        **params,
     )
 
 
 class PlanCache:
-    """Tiered (memory + optional disk/backing-store) cache of results.
+    """Tiered (memory + optional durable backing store) cache of results.
 
     Attributes:
-        directory: On-disk location for legacy JSON entries, or None.
         backing: Optional durable store (duck-typed ``get(key)`` /
             ``put(key, result)``, e.g. :class:`repro.serve.store.PlanStore`)
-            consulted between the memory and JSON-file tiers; hits are
-            promoted into memory.
+            consulted after the memory tier; hits are promoted into memory.
         enabled: When False every lookup misses and nothing is stored.
         max_entries: Cap on the in-memory layer; storing past it evicts
-            the least-recently-used entry (None = unbounded). Disk entries
-            are never evicted here (the backing store prunes itself).
+            the least-recently-used entry (None = unbounded). The backing
+            store prunes itself.
         hits / misses / evictions: Lookup/eviction counters, mirrored into
             the current observability context's metrics registry
-            (``plan_cache.hits`` / ``.misses`` / ``.evictions``; corrupt
-            disk entries count under ``plan_cache.corrupt``) so cache
+            (``plan_cache.hits`` / ``.misses`` / ``.evictions``) so cache
             effectiveness shows up in ``--timings`` and ``--metrics-out``.
 
     Thread safety: the memory tier is guarded by a lock, so a serving
@@ -281,21 +264,18 @@ class PlanCache:
 
     def __init__(
         self,
-        directory: Optional[os.PathLike] = None,
         enabled: bool = True,
         max_entries: Optional[int] = None,
         backing: Optional[Any] = None,
     ):
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.directory = None if directory is None else Path(directory)
         self.enabled = bool(enabled)
         self.max_entries = max_entries
         self.backing = backing
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.corrupt = 0
         self._lock = threading.Lock()
         self._memory: Dict[str, OptimizationResult] = {}
 
@@ -307,11 +287,6 @@ class PlanCache:
         self.misses += 1
         current_obs().metrics.counter("plan_cache.misses").inc()
 
-    def _path(self, key: str) -> Optional[Path]:
-        if self.directory is None:
-            return None
-        return self.directory / f"plan_{key}.json"
-
     def lookup(self, key: str) -> Optional[OptimizationResult]:
         """Cached result for ``key``, or None on a miss."""
         return self.lookup_tiered(key)[0]
@@ -322,9 +297,9 @@ class PlanCache:
         """Cached result plus the tier that answered.
 
         Returns ``(result, tier)`` with tier one of ``"memory"``,
-        ``"store"`` (the backing store), ``"disk"`` (legacy JSON files),
-        or ``"miss"``. The serve layer surfaces the tier as the
-        response's ``source`` field and as ``serve.store_hit`` spans.
+        ``"store"`` (the backing store), or ``"miss"``. The serve layer
+        surfaces the tier as the response's ``source`` field and as
+        ``serve.store_hit`` spans.
         """
         if not self.enabled:
             self._miss()
@@ -345,22 +320,6 @@ class PlanCache:
                     self._remember(key, result)
                 self._hit()
                 return result, "store"
-        path = self._path(key)
-        if path is not None and path.is_file():
-            try:
-                payload = json.loads(path.read_text())
-                result = result_from_json(payload)
-            except (ValueError, KeyError, TypeError):
-                # A corrupt or stale entry is a miss, not an error; count
-                # it so garbage rows are visible instead of silent.
-                result = None
-                self.corrupt += 1
-                current_obs().metrics.counter("plan_cache.corrupt").inc()
-            if result is not None:
-                with self._lock:
-                    self._remember(key, result)
-                self._hit()
-                return result, "disk"
         self._miss()
         return None, "miss"
 
@@ -387,55 +346,40 @@ class PlanCache:
             self._remember(key, result)
         if self.backing is not None:
             self.backing.put(key, result)
-        path = self._path(key)
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic write so a concurrent reader never sees a partial file.
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=path.parent, suffix=".tmp", delete=False
-        )
-        try:
-            with handle:
-                json.dump(result_to_json(result), handle)
-            os.replace(handle.name, path)
-        except OSError:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
 
     def clear(self) -> None:
-        """Drop the in-memory layer (durable tiers are left alone)."""
+        """Drop the in-memory layer (the backing store is left alone)."""
         with self._lock:
             self._memory.clear()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.corrupt = 0
 
 
-def _default_cache() -> PlanCache:
-    directory = os.environ.get(_ENV_CACHE_DIR)
-    return PlanCache(directory=directory or None)
-
-
-_GLOBAL = _default_cache()
+_GLOBAL: Optional[PlanCache] = None
 
 
 def get_plan_cache() -> PlanCache:
-    """The process-wide plan cache used by the helpers below."""
+    """The process-wide plan cache used by the helpers below.
+
+    Built on first use: memory only, plus the SQLite store at
+    ``$REPRO_CACHE_DIR/plans.sqlite`` when that variable is set.
+    """
+    if _GLOBAL is None:
+        directory = os.environ.get(_ENV_CACHE_DIR)
+        configure_plan_cache(
+            store_path=Path(directory) / "plans.sqlite" if directory else None
+        )
     return _GLOBAL
 
 
 def configure_plan_cache(
-    directory: Optional[os.PathLike] = None,
     enabled: bool = True,
     max_entries: Optional[int] = None,
     store_path: Optional[os.PathLike] = None,
     store_max_entries: Optional[int] = None,
 ) -> PlanCache:
-    """Replace the global cache (e.g. to enable disk storage or disable).
+    """Replace the global cache (e.g. to attach a store or disable it).
 
     ``store_path`` attaches a durable SQLite
     :class:`repro.serve.store.PlanStore` as the backing tier (pruned to
@@ -450,7 +394,6 @@ def configure_plan_cache(
 
         backing = PlanStore(store_path, max_entries=store_max_entries)
     _GLOBAL = PlanCache(
-        directory=directory,
         enabled=enabled,
         max_entries=max_entries,
         backing=backing,
@@ -458,15 +401,18 @@ def configure_plan_cache(
     return _GLOBAL
 
 
-def optimized_plan(
+def _cached_search(
+    kind: str,
+    threshold: Optional[float],
     n_antennas: int,
     constraint: Optional[FlatnessConstraint] = None,
+    *,
     center_frequency_hz: float = CIB_CENTER_FREQUENCY_HZ,
     n_draws: int = 48,
     grid_size: int = DEFAULT_GRID_SIZE,
     seed: int = 0,
-    n_candidates: int = 120,
-    refine_rounds: int = 2,
+    n_candidates: int,
+    refine_rounds: int,
     refine_steps: Tuple[int, ...] = (1, 2, 5, 10, 20),
     cache: Optional[PlanCache] = None,
     islands: Optional[int] = None,
@@ -475,7 +421,80 @@ def optimized_plan(
     adaptive_token: Optional[str] = None,
     batch_scorer: Optional[Callable] = None,
 ) -> OptimizationResult:
+    """The one cached search behind :func:`optimized_plan` and
+    :func:`optimized_conduction_plan`: key, look up, else run a fresh
+    optimizer's ``optimize`` (peak) or ``optimize_conduction`` and store."""
+    constraint = constraint if constraint is not None else FlatnessConstraint()
+    cache = cache if cache is not None else get_plan_cache()
+    islands = _SEARCH_DEFAULTS["islands"] if islands is None else islands
+    workers = _SEARCH_DEFAULTS["workers"] if workers is None else workers
+    if adaptive_token is None:
+        adaptive_token = str(_SEARCH_DEFAULTS["adaptive_token"])
+    refine_steps = tuple(refine_steps)
+    key = _search_key(
+        kind,
+        threshold,
+        n_antennas=n_antennas,
+        alpha=constraint.alpha,
+        query_duration_s=constraint.query_duration_s,
+        center_frequency_hz=center_frequency_hz,
+        n_draws=n_draws,
+        grid_size=grid_size,
+        seed=seed,
+        n_candidates=n_candidates,
+        refine_rounds=refine_rounds,
+        refine_steps=refine_steps,
+        islands=islands,
+        fault_token=fault_token,
+        adaptive_token=adaptive_token,
+    )
+    obs = current_obs()
+    with obs.tracer.span("plan_cache.lookup", kind=kind, key=key) as span:
+        result = cache.lookup(key)
+        span.attrs["hit"] = result is not None
+    if result is not None:
+        return result
+    with obs.stage_span(f"plan_search.{kind}", kind=kind, key=key):
+        optimizer = FrequencyOptimizer(
+            n_antennas,
+            constraint,
+            center_frequency_hz=center_frequency_hz,
+            n_draws=n_draws,
+            grid_size=grid_size,
+            seed=seed,
+        )
+        if batch_scorer is not None and islands == 1:
+            optimizer.batch_scorer = batch_scorer
+        search = dict(
+            n_candidates=n_candidates,
+            refine_rounds=refine_rounds,
+            refine_steps=refine_steps,
+            islands=islands,
+            workers=workers,
+        )
+        if threshold is None:
+            result = optimizer.optimize(**search)
+        else:
+            result = optimizer.optimize_conduction(threshold, **search)
+    cache.store(key, result)
+    return result
+
+
+def optimized_plan(
+    n_antennas: int,
+    constraint: Optional[FlatnessConstraint] = None,
+    *,
+    n_candidates: int = 120,
+    refine_rounds: int = 2,
+    **search,
+) -> OptimizationResult:
     """Cached equivalent of ``FrequencyOptimizer(...).optimize(...)``.
+
+    Keyword arguments: the optimizer's ``center_frequency_hz``,
+    ``n_draws``, ``grid_size`` and ``seed``; the search's
+    ``refine_steps``; and ``cache`` (default: :func:`get_plan_cache`),
+    ``islands``, ``workers``, ``fault_token``, ``adaptive_token`` and
+    ``batch_scorer``.
 
     ``islands`` / ``workers`` default to :func:`configure_search` settings;
     the island count is part of the cache key (it changes which candidate
@@ -491,126 +510,37 @@ def optimized_plan(
     the fresh optimizer (value-neutral, so it is *not* part of the key);
     it only applies to in-process searches (``islands == 1``).
     """
-    constraint = constraint if constraint is not None else FlatnessConstraint()
-    cache = cache if cache is not None else get_plan_cache()
-    islands = _SEARCH_DEFAULTS["islands"] if islands is None else islands
-    workers = _SEARCH_DEFAULTS["workers"] if workers is None else workers
-    if adaptive_token is None:
-        adaptive_token = str(_SEARCH_DEFAULTS["adaptive_token"])
-    key = peak_plan_key(
-        n_antennas=n_antennas,
-        alpha=constraint.alpha,
-        query_duration_s=constraint.query_duration_s,
-        center_frequency_hz=center_frequency_hz,
-        n_draws=n_draws,
-        grid_size=grid_size,
-        seed=seed,
+    return _cached_search(
+        "peak",
+        None,
+        n_antennas,
+        constraint,
         n_candidates=n_candidates,
         refine_rounds=refine_rounds,
-        refine_steps=tuple(refine_steps),
-        islands=islands,
-        fault_token=fault_token,
-        adaptive_token=adaptive_token,
+        **search,
     )
-    obs = current_obs()
-    with obs.tracer.span("plan_cache.lookup", kind="peak", key=key) as span:
-        result = cache.lookup(key)
-        span.attrs["hit"] = result is not None
-    if result is not None:
-        return result
-    with obs.stage_span("plan_search.peak", kind="peak", key=key):
-        optimizer = FrequencyOptimizer(
-            n_antennas,
-            constraint,
-            center_frequency_hz=center_frequency_hz,
-            n_draws=n_draws,
-            grid_size=grid_size,
-            seed=seed,
-        )
-        if batch_scorer is not None and islands == 1:
-            optimizer.batch_scorer = batch_scorer
-        result = optimizer.optimize(
-            n_candidates=n_candidates,
-            refine_rounds=refine_rounds,
-            refine_steps=tuple(refine_steps),
-            islands=islands,
-            workers=workers,
-        )
-    cache.store(key, result)
-    return result
 
 
 def optimized_conduction_plan(
     n_antennas: int,
     threshold: float,
     constraint: Optional[FlatnessConstraint] = None,
-    center_frequency_hz: float = CIB_CENTER_FREQUENCY_HZ,
-    n_draws: int = 48,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    seed: int = 0,
+    *,
     n_candidates: int = 60,
     refine_rounds: int = 1,
-    refine_steps: Tuple[int, ...] = (1, 2, 5, 10, 20),
-    cache: Optional[PlanCache] = None,
-    islands: Optional[int] = None,
-    workers: Optional[int] = None,
-    fault_token: Optional[str] = None,
-    adaptive_token: Optional[str] = None,
-    batch_scorer: Optional[Callable] = None,
+    **search,
 ) -> OptimizationResult:
     """Cached ``FrequencyOptimizer(...).optimize_conduction(threshold, ...)``.
 
-    ``fault_token``, ``adaptive_token``, and ``batch_scorer`` behave
-    exactly as in :func:`optimized_plan`.
+    Takes the same keyword arguments as :func:`optimized_plan`, with the
+    same meaning.
     """
-    constraint = constraint if constraint is not None else FlatnessConstraint()
-    cache = cache if cache is not None else get_plan_cache()
-    islands = _SEARCH_DEFAULTS["islands"] if islands is None else islands
-    workers = _SEARCH_DEFAULTS["workers"] if workers is None else workers
-    if adaptive_token is None:
-        adaptive_token = str(_SEARCH_DEFAULTS["adaptive_token"])
-    key = conduction_plan_key(
-        n_antennas=n_antennas,
-        threshold=threshold,
-        alpha=constraint.alpha,
-        query_duration_s=constraint.query_duration_s,
-        center_frequency_hz=center_frequency_hz,
-        n_draws=n_draws,
-        grid_size=grid_size,
-        seed=seed,
+    return _cached_search(
+        "conduction",
+        threshold,
+        n_antennas,
+        constraint,
         n_candidates=n_candidates,
         refine_rounds=refine_rounds,
-        refine_steps=tuple(refine_steps),
-        islands=islands,
-        fault_token=fault_token,
-        adaptive_token=adaptive_token,
+        **search,
     )
-    obs = current_obs()
-    with obs.tracer.span(
-        "plan_cache.lookup", kind="conduction", key=key
-    ) as span:
-        result = cache.lookup(key)
-        span.attrs["hit"] = result is not None
-    if result is not None:
-        return result
-    with obs.stage_span("plan_search.conduction", kind="conduction", key=key):
-        optimizer = FrequencyOptimizer(
-            n_antennas,
-            constraint,
-            center_frequency_hz=center_frequency_hz,
-            n_draws=n_draws,
-            grid_size=grid_size,
-            seed=seed,
-        )
-        if batch_scorer is not None and islands == 1:
-            optimizer.batch_scorer = batch_scorer
-        result = optimizer.optimize_conduction(
-            threshold,
-            n_candidates=n_candidates,
-            refine_rounds=refine_rounds,
-            refine_steps=tuple(refine_steps),
-            islands=islands,
-            workers=workers,
-        )
-    cache.store(key, result)
-    return result

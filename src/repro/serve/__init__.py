@@ -13,7 +13,7 @@ Layering (DESIGN.md section 13)::
     service.py  request schema, tiered cache lookup, in-flight dedup,
                 batch execution, power-at-depth answers
     batcher.py  micro-batching window + cross-request stacked scoring
-    store.py    durable SQLite plan store (the disk tier of PlanCache)
+    store.py    durable SQLite plan store (the backing tier of PlanCache)
 
 Determinism contract: a request's plan is bit-identical no matter what it
 was co-batched with, which worker count served it, and whether it was

@@ -9,8 +9,8 @@ runtime. One request's life:
    ``conduction_plan_key``) -- so every tier is addressed by exactly the
    key a cold search would store under.
 2. The tiered :class:`~repro.runtime.cache.PlanCache` answers memory /
-   SQLite-store / legacy-disk hits immediately (``serve.store_hit`` spans
-   mark durable-tier hits).
+   SQLite-store hits immediately (``serve.store_hit`` spans mark
+   store hits).
 3. Misses dedup against in-flight computations of the same key, then park
    in the :class:`~repro.serve.batcher.MicroBatcher`. A flushed batch runs
    on a worker thread: same-key requests collapse into one search, and
@@ -507,7 +507,7 @@ class PlanService:
         batched computation."""
         result, tier = self.cache.lookup_tiered(key)
         if result is not None:
-            if tier in ("store", "disk"):
+            if tier == "store":
                 with obs.tracer.span(
                     "serve.store_hit", key=key, tier=tier
                 ):
@@ -732,7 +732,6 @@ class PlanService:
                 "hits": self.cache.hits,
                 "misses": self.cache.misses,
                 "evictions": self.cache.evictions,
-                "corrupt": self.cache.corrupt,
             },
             "batcher": self.batcher.stats(),
             "store": None if self.store is None else self.store.stats(),

@@ -2,21 +2,23 @@
 
 The batched pipeline (stacked IFFTs, coarse shortlisting, steepest-ascent
 neighborhood batching, search islands) must select *bit-identical* plans to
-the per-candidate sequential loop under common random numbers -- these
-tests pin that contract for ``optimize``, ``optimize_conduction`` and
+scoring every candidate row on its own under common random numbers --
+these tests pin that contract for ``optimize``, ``optimize_conduction`` and
 ``rank_random_sets``, plus the shared sparse-spectrum builder's validation
 and the per-search evaluation accounting.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.optimizer import (
     DEFAULT_GRID_SIZE,
-    SEARCH_MODES,
     FrequencyOptimizer,
     build_sparse_spectrum,
     envelope_series_fft,
+    evaluate_stacked_specs,
     peak_amplitudes_fft,
     validate_offset_bins,
 )
@@ -30,6 +32,25 @@ def _pair(n_antennas, seed, n_draws=16):
         FrequencyOptimizer(n_antennas, n_draws=n_draws, seed=seed),
         FrequencyOptimizer(n_antennas, n_draws=n_draws, seed=seed),
     )
+
+
+def _row_by_row(spec):
+    """Score a stacked call one candidate row at a time."""
+    return np.array(
+        [
+            evaluate_stacked_specs(
+                [replace(spec, scatter=spec.scatter[row : row + 1])]
+            )[0][0]
+            for row in range(spec.n_candidates)
+        ]
+    )
+
+
+def _batched_and_sequential(n_antennas, seed):
+    """A batched optimizer and a twin that scores every row on its own."""
+    batched, sequential = _pair(n_antennas, seed)
+    sequential.batch_scorer = _row_by_row
+    return batched, sequential
 
 
 class TestSparseSpectrumBuilder:
@@ -78,19 +99,13 @@ class TestBatchedScoring:
         optimizer = FrequencyOptimizer(3, n_draws=4, seed=0)
         with pytest.raises(ValueError):
             optimizer.score_candidates([(0, 4, 4)])
-        with pytest.raises(ValueError):
-            optimizer.score_candidates([(0, 1, 2)], mode="nonsense")
 
     def test_coarse_values_lower_bound_fine_peaks(self):
         optimizer = FrequencyOptimizer(5, n_draws=8, seed=9)
         assert optimizer.coarse_grid_size is not None
         candidates = optimizer.random_candidates(12)
-        coarse = optimizer._score_matrix(
-            candidates, "coarse", "peak", 0.0, "batched"
-        )
-        fine = optimizer._score_matrix(
-            candidates, "fine", "peak", 0.0, "batched"
-        )
+        coarse = optimizer._score_matrix(candidates, "coarse", "peak", 0.0)
+        fine = optimizer._score_matrix(candidates, "fine", "peak", 0.0)
         # Coarse time samples are a subset of the fine grid, so coarse
         # peaks cannot exceed fine peaks (up to single-precision noise,
         # after undoing the coarse path's skipped 1/M rescale).
@@ -119,37 +134,32 @@ class TestBatchedScoring:
 class TestModeEquivalence:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_optimize_modes_bit_identical(self, seed):
-        batched, sequential = _pair(5, seed)
-        a = batched.optimize(30, 1, mode="batched")
-        b = sequential.optimize(30, 1, mode="sequential")
+        batched, sequential = _batched_and_sequential(5, seed)
+        a = batched.optimize(30, 1)
+        b = sequential.optimize(30, 1)
         assert a.plan.offsets_hz == b.plan.offsets_hz
         assert a.expected_peak == b.expected_peak
         assert a.history == b.history
         assert a.n_evaluations == b.n_evaluations
 
     def test_optimize_conduction_modes_bit_identical(self):
-        batched, sequential = _pair(5, 7)
-        a = batched.optimize_conduction(2.0, 15, 1, mode="batched")
-        b = sequential.optimize_conduction(2.0, 15, 1, mode="sequential")
+        batched, sequential = _batched_and_sequential(5, 7)
+        a = batched.optimize_conduction(2.0, 15, 1)
+        b = sequential.optimize_conduction(2.0, 15, 1)
         assert a.plan.offsets_hz == b.plan.offsets_hz
         assert a.expected_peak == b.expected_peak
         assert a.history == b.history
 
     def test_rank_random_sets_modes_bit_identical(self):
-        batched, sequential = _pair(6, 2)
-        assert batched.rank_random_sets(20, mode="batched") == (
-            sequential.rank_random_sets(20, mode="sequential")
-        )
+        batched, sequential = _batched_and_sequential(6, 2)
+        assert batched.rank_random_sets(20) == sequential.rank_random_sets(20)
 
     def test_zero_refinement_budget(self):
-        batched, sequential = _pair(4, 5)
-        a = batched.optimize(10, 0, mode="batched")
-        b = sequential.optimize(10, 0, mode="sequential")
+        batched, sequential = _batched_and_sequential(4, 5)
+        a = batched.optimize(10, 0)
+        b = sequential.optimize(10, 0)
         assert a.plan.offsets_hz == b.plan.offsets_hz
         assert a.expected_peak == b.expected_peak
-
-    def test_modes_cover_both_kernels(self):
-        assert SEARCH_MODES == ("batched", "sequential")
 
 
 class TestSearchIslands:

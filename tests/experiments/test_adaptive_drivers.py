@@ -140,13 +140,6 @@ class TestWakeupParity:
         )
         assert streamed.rows == fixed.rows
 
-    def test_requires_kernel_path(self):
-        config = wakeup_latency.WakeupConfig(
-            use_kernels=False, adaptive=AdaptiveConfig()
-        )
-        with pytest.raises(ValueError, match="use_kernels=True"):
-            wakeup_latency.run(config)
-
 
 class TestBerParity:
     @pytest.mark.parametrize("workers", [1, 2])

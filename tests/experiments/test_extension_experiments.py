@@ -6,6 +6,7 @@ import pytest
 from repro.em.phantoms import HeadPhantom
 from repro.errors import ConfigurationError
 from repro.experiments import inventory_throughput, optogenetics
+from tests.reference.inventory import run_reference
 
 
 class TestHeadPhantom:
@@ -119,12 +120,12 @@ class TestThroughputFleetPort:
             populations=(1, 4, 16)
         )
         ported = inventory_throughput.run(config)
-        legacy = inventory_throughput.run_reference(config)
+        legacy = run_reference(config)
         assert ported.rows == legacy.rows
 
     def test_port_matches_legacy_default_grid(self):
         config = inventory_throughput.ThroughputConfig()
         assert (
             inventory_throughput.run(config).rows
-            == inventory_throughput.run_reference(config).rows
+            == run_reference(config).rows
         )

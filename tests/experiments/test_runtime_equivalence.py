@@ -22,14 +22,16 @@ from repro.em.phantoms import WaterTankPhantom
 from repro.experiments.common import (
     TankChannelFactory,
     measure_gain_trials,
-    measure_gain_trials_scalar,
     measure_strategy_gains,
-    measure_strategy_gains_scalar,
     power_up_probability,
-    power_up_probability_scalar,
 )
 from repro.experiments import ber
 from repro.sensors.tags import standard_tag_spec
+from tests.reference.measurement import (
+    measure_gain_trials_scalar,
+    measure_strategy_gains_scalar,
+    power_up_probability_scalar,
+)
 
 N_TRIALS = 12
 SEED = 2026

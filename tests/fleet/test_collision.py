@@ -11,12 +11,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults.plan import bit_corruption
-from repro.fleet.collision import (
-    CaptureModel,
-    run_inventory,
-    run_inventory_reference,
-)
+from repro.fleet.collision import CaptureModel, run_inventory
 from repro.fleet.population import FleetConfig, TagSet, generate_shard
+from tests.reference.fleet import run_inventory_reference
 
 FLEET = FleetConfig(n_tags=16, n_shards=1, initial_q=3, seed=7)
 

@@ -6,7 +6,7 @@ AGC); ``numpy_portable`` runs the portable array-API-dialect branches on
 the same NumPy namespace with every capability flag off.  Because both
 sides evaluate on NumPy, the portable branches are pinned **bitwise**
 against the references here -- the strongest statement the local
-toolchain can make without CuPy/JAX installed.  ``array_api_strict``
+toolchain can make with no other namespace installed.  ``array_api_strict``
 conformance (tolerance-checked, different namespace) runs in CI via
 ``tools/check_backend_parity.py`` and the importorskip-gated class at
 the bottom.

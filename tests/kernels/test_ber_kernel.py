@@ -5,6 +5,7 @@ import pytest
 
 from repro.experiments import ber
 from repro.kernels import ber_block
+from tests.reference.ber import word_errors_chunk
 
 _KW = dict(
     seed=54,
@@ -19,7 +20,7 @@ class TestChunkParity:
     @pytest.mark.parametrize("noise_std", [0.2, 0.9, 1.4])
     def test_full_range_equal(self, noise_std):
         kernel = ber_block(0, 30, noise_std=noise_std, **_KW)
-        scalar = ber._word_errors_chunk(0, 30, noise_std=noise_std, **_KW)
+        scalar = word_errors_chunk(0, 30, noise_std=noise_std, **_KW)
         assert kernel == scalar
 
     def test_split_invariance(self):
@@ -37,14 +38,11 @@ class TestChunkParity:
 
 
 class TestExperimentParity:
-    def test_kernel_run_matches_scalar_run(self):
+    def test_kernel_run_matches_scalar_run(self, monkeypatch):
         config = ber.BerConfig.fast()
-        scalar_config = ber.BerConfig(
-            snr_db_points=config.snr_db_points,
-            n_words=config.n_words,
-            use_kernels=False,
-        )
-        assert ber.run(config).curves == ber.run(scalar_config).curves
+        kernel = ber.run(config).curves
+        monkeypatch.setattr(ber, "ber_block", word_errors_chunk)
+        assert ber.run(config).curves == kernel
 
     def test_worker_count_invariance(self):
         base = ber.BerConfig(snr_db_points=(-6.0,), n_words=24)

@@ -7,6 +7,7 @@ from repro.faults.plan import FaultPlan, bit_corruption
 from repro.kernels import capture_batch
 from repro.reader.jamming import JammingEstimate
 from repro.reader.out_of_band import OutOfBandReader
+from tests.reference.kernels import capture_response_scalar
 
 _TEMPLATE = np.tile([1.0, -1.0], 230)
 _JAM = JammingEstimate(
@@ -31,8 +32,8 @@ class TestCaptureParity:
         kernel = kernel_reader.capture_response(
             _TEMPLATE, 2e-4, n_periods, rng_k
         )
-        scalar = scalar_reader.capture_response_scalar(
-            _TEMPLATE, 2e-4, n_periods, rng_s
+        scalar = capture_response_scalar(
+            scalar_reader, _TEMPLATE, 2e-4, n_periods, rng_s
         )
         assert np.array_equal(kernel.waveform, scalar.waveform)
         assert kernel.single_period_snr == scalar.single_period_snr
@@ -44,8 +45,8 @@ class TestCaptureParity:
         kernel = kernel_reader.capture_response(
             _TEMPLATE, 2e-4, n_periods, rng_k, jamming=_JAM
         )
-        scalar = scalar_reader.capture_response_scalar(
-            _TEMPLATE, 2e-4, n_periods, rng_s, jamming=_JAM
+        scalar = capture_response_scalar(
+            scalar_reader, _TEMPLATE, 2e-4, n_periods, rng_s, jamming=_JAM
         )
         assert np.array_equal(kernel.waveform, scalar.waveform)
 
@@ -88,8 +89,8 @@ class TestCaptureParity:
         plan = FaultPlan(events=bit_corruption(0.8, probability=1.0).events)
         kernel_reader, scalar_reader, rng_k, rng_s = _pair(13)
         kernel = kernel_reader.capture_response(_TEMPLATE, 2e-4, 5, rng_k)
-        scalar = scalar_reader.capture_response_scalar(
-            _TEMPLATE, 2e-4, 5, rng_s
+        scalar = capture_response_scalar(
+            scalar_reader, _TEMPLATE, 2e-4, 5, rng_s
         )
         from repro.faults.inject import FaultInjector
 

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.harvester.storage import PowerManager
 from repro.kernels import hysteresis_mask_batch
+from tests.reference.kernels import powered_mask_scalar
 
 
 def _scalar_rows(traces, operate, brownout):
@@ -13,7 +14,7 @@ def _scalar_rows(traces, operate, brownout):
         operate_voltage_v=operate, brownout_voltage_v=brownout
     )
     return np.vstack(
-        [manager.powered_mask_scalar(row) for row in np.atleast_2d(traces)]
+        [powered_mask_scalar(manager, row) for row in np.atleast_2d(traces)]
     )
 
 
@@ -31,7 +32,7 @@ class TestParity:
         trace = rng.uniform(0.0, 2.5, 600)
         manager = PowerManager()
         assert np.array_equal(
-            manager.powered_mask(trace), manager.powered_mask_scalar(trace)
+            manager.powered_mask(trace), powered_mask_scalar(manager, trace)
         )
 
     def test_one_dimensional_shape_round_trips(self):

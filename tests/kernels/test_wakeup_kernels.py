@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import wakeup_latency as wl
+from tests.reference.wakeup import run_reference
 from repro.faults.plan import (
     EMPTY_PLAN,
     FaultPlan,
@@ -24,7 +25,7 @@ _FAULTS = FaultPlan(
 class TestHealthyParity:
     def test_kernel_rows_match_legacy(self):
         kernel = wl.run(wl.WakeupConfig(**_BASE))
-        legacy = wl.run(wl.WakeupConfig(**_BASE, use_kernels=False))
+        legacy = run_reference(wl.WakeupConfig(**_BASE))
         assert kernel.rows == legacy.rows
 
     def test_worker_count_invariance(self):
@@ -35,32 +36,11 @@ class TestHealthyParity:
     def test_chunking_invariance(self):
         # Chunks that straddle the depth boundary must still reproduce the
         # per-depth generator streams.
-        import functools
-
         from repro.core.plan import paper_plan
-        from repro.em.media import WATER
-        from repro.runtime import engine
-        from repro.sensors.tags import standard_tag_spec
 
         config = wl.WakeupConfig(**_BASE)
         plan = paper_plan().subset(config.n_antennas)
-        fn = functools.partial(
-            engine.wakeup_latency_chunk,
-            plan=plan,
-            depths_m=config.depths_m,
-            n_trials_per_depth=config.n_trials,
-            channel_factory=functools.partial(
-                wl._tank_channel,
-                n_antennas=config.n_antennas,
-                center_frequency_hz=plan.center_frequency_hz,
-            ),
-            eirp_per_branch_w=config.eirp_per_branch_w,
-            tag_spec=standard_tag_spec(),
-            medium_at_tag=WATER,
-            envelope_rate_hz=config.envelope_rate_hz,
-            max_periods=config.max_periods,
-            seed=config.seed,
-        )
+        fn = wl._chunk_fn(config, plan, config.depths_m, config.n_trials)
         whole = fn(0, 6)
         pieces = np.concatenate([fn(0, 2), fn(2, 2), fn(4, 2)])
         assert np.array_equal(whole, pieces, equal_nan=True)
@@ -69,9 +49,7 @@ class TestHealthyParity:
 class TestFaultParity:
     def test_faulted_rows_match_legacy(self):
         kernel = wl.run(wl.WakeupConfig(**_BASE, fault_plan=_FAULTS))
-        legacy = wl.run(
-            wl.WakeupConfig(**_BASE, fault_plan=_FAULTS, use_kernels=False)
-        )
+        legacy = run_reference(wl.WakeupConfig(**_BASE, fault_plan=_FAULTS))
         assert kernel.rows == legacy.rows
 
     def test_empty_plan_matches_none(self):

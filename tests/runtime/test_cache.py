@@ -1,7 +1,5 @@
 """Unit tests for the frequency-search plan cache."""
 
-import json
-
 import pytest
 
 from repro.core.optimizer import FrequencyOptimizer
@@ -125,26 +123,16 @@ class TestPlanCache:
         assert again is result
         assert cache.hits == 1 and cache.misses == 1
 
-    def test_disk_round_trip(self, tmp_path):
-        writer = PlanCache(directory=tmp_path)
-        result = optimized_plan(
-            3, n_draws=8, n_candidates=4, refine_rounds=0, cache=writer
-        )
-        reader = PlanCache(directory=tmp_path)
-        cached = optimized_plan(
-            3, n_draws=8, n_candidates=4, refine_rounds=0, cache=reader
-        )
-        assert reader.hits == 1
-        assert cached.plan == result.plan
-        assert cached.expected_peak == result.expected_peak
-        assert cached.history == result.history
+    def test_cache_dir_env_attaches_sqlite_store(self, tmp_path, monkeypatch):
+        from repro.runtime import cache as cache_mod
+        from repro.serve.store import PlanStore
 
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        cache = PlanCache(directory=tmp_path)
-        key = "deadbeef"
-        (tmp_path / f"plan_{key}.json").write_text("{not json")
-        assert cache.lookup(key) is None
-        assert cache.misses == 1
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cache_mod, "_GLOBAL", None)
+        cache = cache_mod.get_plan_cache()
+        assert isinstance(cache.backing, PlanStore)
+        assert cache.backing.path == tmp_path / "plans.sqlite"
+        cache.backing.close()
 
     def test_disabled_cache_never_hits(self):
         cache = PlanCache(enabled=False)

@@ -71,3 +71,77 @@ def test_experiment_modules_have_run():
     ):
         module = getattr(experiments, name)
         assert callable(getattr(module, "run"))
+
+
+# Oracles moved to tests/reference/ and switches deleted from src/: each
+# (module, dotted attribute) must no longer resolve.
+REMOVED_NAMES = (
+    ("repro.experiments.common", "measure_gain_trials_scalar"),
+    ("repro.experiments.common", "power_up_probability_scalar"),
+    ("repro.experiments.common", "measure_strategy_gains_scalar"),
+    ("repro.harvester.storage", "PowerManager.powered_mask_scalar"),
+    ("repro.reader.out_of_band", "OutOfBandReader.capture_response_scalar"),
+    ("repro.fleet", "run_inventory_reference"),
+    ("repro.fleet.collision", "run_inventory_reference"),
+    ("repro.fleet.collision", "_scalar_decode_attempt"),
+    ("repro.experiments.inventory_throughput", "run_reference"),
+    ("repro.experiments.ber", "_word_errors_chunk"),
+    ("repro.experiments.wakeup_latency", "_trial_latency"),
+    ("repro.core.optimizer", "SEARCH_MODES"),
+    ("repro.runtime.cache", "_result_to_json"),
+    ("repro.runtime.cache", "_result_from_json"),
+)
+
+
+@pytest.mark.parametrize("module_name, dotted", REMOVED_NAMES)
+def test_removed_names_do_not_resolve(module_name, dotted):
+    obj = importlib.import_module(module_name)
+    *owners, last = dotted.split(".")
+    for owner in owners:
+        obj = getattr(obj, owner)
+    assert not hasattr(obj, last), f"{module_name}.{dotted} still exists"
+
+
+def test_no_implementation_switches():
+    import dataclasses
+
+    from repro.core.optimizer import FrequencyOptimizer
+    from repro.experiments.ber import BerConfig
+    from repro.experiments.wakeup_latency import WakeupConfig
+    from repro.kernels.backend import BACKEND_CHOICES
+    from repro.runtime.cache import PlanCache, configure_plan_cache
+
+    for config in (BerConfig, WakeupConfig):
+        names = {field.name for field in dataclasses.fields(config)}
+        assert "use_kernels" not in names, config.__name__
+    for method in (
+        FrequencyOptimizer.optimize,
+        FrequencyOptimizer.optimize_conduction,
+        FrequencyOptimizer.rank_random_sets,
+        FrequencyOptimizer.score_candidates,
+    ):
+        assert "mode" not in inspect.signature(method).parameters
+    assert not hasattr(PlanCache(), "directory")
+    assert "directory" not in inspect.signature(PlanCache).parameters
+    assert "directory" not in inspect.signature(configure_plan_cache).parameters
+    assert BACKEND_CHOICES == ("numpy", "numpy_portable", "array_api_strict")
+
+
+def test_src_never_imports_tests():
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    offenders = []
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "tests" or m.startswith("tests.") for m in modules):
+                offenders.append(str(path))
+    assert not offenders, offenders

@@ -9,9 +9,9 @@ Runs every ported kernel (rectifier integration, hysteresis masks,
 multi-period capture, BER block decode), the backend helper primitives
 (row scatter-add, integer cumulative max), and the stacked-IFFT scoring
 path on each target backend, comparing against the pinned NumPy
-reference: NumPy-namespace backends must match **bitwise**; off-namespace
-backends (``array_api_strict``, ``cupy``, ``jax``) are held to a
-tolerance instead (DESIGN section 15).  The single-precision stacked
+reference: NumPy-namespace backends must match **bitwise**; the
+off-namespace ``array_api_strict`` backend is held to a tolerance instead
+(DESIGN section 15).  The single-precision stacked
 path is tolerance-only everywhere but the reference itself: it swaps the
 scipy complex64 IFFT for the namespace FFT.
 

@@ -8,11 +8,10 @@ Usage::
         [--history BENCH_history.jsonl] [--collapsed STACKS.collapsed]
         [--store PLANS.sqlite] [--serve]
 
-The successor of ``check_trace_schema.py`` (which remains as a thin
-positional-argument wrapper): traces, metrics, manifests, the benchmark
-history JSONL, and collapsed-stack exports are all versioned schemas, and
-CI runs this against freshly written artifacts so drift fails the build
-instead of surfacing downstream.
+Traces, metrics, manifests, the benchmark history JSONL, and
+collapsed-stack exports are all versioned schemas, and CI runs this
+against freshly written artifacts so drift fails the build instead of
+surfacing downstream.
 
 Versioning: each schema carries its own ``*_SCHEMA_VERSION`` constant
 (``repro.obs.trace.TRACE_SCHEMA_VERSION``,
@@ -227,7 +226,7 @@ def check_store(path: Path) -> List[str]:
     return problems
 
 
-_SERVE_SOURCES = {"memory", "store", "disk", "coalesced", "computed", "error"}
+_SERVE_SOURCES = {"memory", "store", "coalesced", "computed", "error"}
 
 
 def check_serve_trace(path: Path) -> List[str]:
@@ -283,7 +282,7 @@ def check_serve_trace(path: Path) -> List[str]:
                     )
             elif name == "serve.store_hit":
                 store_hits += 1
-                if attrs.get("tier") not in ("store", "disk"):
+                if attrs.get("tier") != "store":
                     problems.append(
                         f"line {lineno}: serve.store_hit tier "
                         f"{attrs.get('tier')!r} invalid"
