@@ -69,7 +69,9 @@ class MultipathProfile:
         """
         amplitudes, delays = self.sample_taps(rng)
         total = complex(1.0, 0.0)
-        for amplitude, delay in zip(amplitudes, delays):
+        # Python floats: the same IEEE double arithmetic as numpy scalars,
+        # without the per-operation scalar overhead.
+        for amplitude, delay in zip(amplitudes.tolist(), delays.tolist()):
             reflection_phase = rng.uniform(0.0, 2.0 * np.pi)
             total += amplitude * cmath.exp(
                 -1j * (2.0 * np.pi * frequency_hz * delay + reflection_phase)

@@ -14,7 +14,7 @@ Paper outcomes to reproduce:
 """
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np

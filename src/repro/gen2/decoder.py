@@ -68,18 +68,15 @@ def correlate_preamble(
     n_positions = data.size - template.size + 1
     # Normalized cross-correlation via cumulative sums for the local energy.
     squared = np.concatenate([[0.0], np.cumsum(data**2)])
-    best_value = 0.0
-    best_offset = 0
+    local_energy = squared[template.size :] - squared[:n_positions]
     dots = np.correlate(data, template, mode="valid")
-    for offset in range(n_positions):
-        local_energy = squared[offset + template.size] - squared[offset]
-        if local_energy <= 0:
-            continue
-        value = abs(dots[offset]) / (template_energy * np.sqrt(local_energy))
-        if value > best_value:
-            best_value = value
-            best_offset = offset
-    return float(best_value), int(best_offset)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.abs(dots) / (template_energy * np.sqrt(local_energy))
+    # Offsets without energy, and NaN correlations, never win; argmax takes
+    # the first maximum, and offset 0 with value 0 when nothing correlates.
+    values[~(local_energy > 0) | np.isnan(values)] = 0.0
+    best_offset = int(np.argmax(values))
+    return float(values[best_offset]), best_offset
 
 
 def decode_fm0_response(

@@ -13,17 +13,19 @@ One :meth:`IvnLink.run_trial` call simulates a complete interaction:
    Sec. 6.2 correlation rule (success above 0.8).
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.stats import dbm_to_watts
 from repro.core import waveform as waveform_mod
+from repro.core.optimizer import envelope_series_fft
 from repro.core.plan import CarrierPlan
 from repro.em.channel import BlindChannel
-from repro.em.media import AIR, Medium
+from repro.em.media import Medium
 from repro.errors import ConfigurationError
 from repro.gen2.commands import Query
 from repro.gen2.decoder import DecodeResult
@@ -37,6 +39,11 @@ from repro.sensors.tags import TagSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.faults.inject import FaultInjector
+
+DEFAULT_EPC_BITS: Tuple[int, ...] = tuple(
+    int(b) for b in np.tile((1, 0, 1, 1, 0, 0, 1, 0), 12)
+)
+"""Sensor identity used when a trial is given no EPC (96 bits)."""
 
 
 def branch_eirp_w(
@@ -53,6 +60,51 @@ def branch_eirp_w(
     out = pa.amplify(np.array([complex(drive, 0.0)]))
     power_w = float(np.abs(out[0])) ** 2 / (2.0 * pa.load_ohms)
     return power_w * antenna.gain_linear
+
+
+@functools.lru_cache(maxsize=64)
+def pie_command_envelope(
+    bits: Tuple[int, ...], sample_rate_hz: float
+) -> np.ndarray:
+    """PIE envelope of one downlink frame at the reader's sample rate.
+
+    Cached and read-only: every link sending the same command at the same
+    rate shares one array instead of re-encoding it.
+    """
+    encoder = PIEEncoder(timing=PIETiming(), sample_rate_hz=sample_rate_hz)
+    envelope = encoder.encode(bits)
+    envelope.setflags(write=False)
+    return envelope
+
+
+def cib_peak(
+    offsets_hz: np.ndarray,
+    betas: np.ndarray,
+    amplitudes: np.ndarray,
+) -> Tuple[float, float]:
+    """Peak field envelope over one CIB period and the time it occurs.
+
+    Same grid and ``argmax`` as :func:`repro.core.waveform.peak_envelope`.
+    When every carrier sits on an integer bin of that grid the envelope is
+    one inverse FFT of the sparse spectrum (agreeing with the direct sum to
+    about 1e-13 relative); otherwise -- fault-perturbed, fractional
+    offsets -- it falls back to the direct sum, as the runtime engine's
+    ``"auto"`` tier does. The two pick the same grid sample unless the
+    envelope repeats within the period (offsets sharing a common step),
+    where either may pick another, equally high repeat.
+
+    Returns:
+        ``(peak_value, t_peak)``.
+    """
+    t = waveform_mod.time_grid(offsets_hz, 1.0)
+    try:
+        y = envelope_series_fft(offsets_hz, betas, t.size, 1.0, amplitudes)[0]
+    except ValueError:
+        return waveform_mod.peak_envelope(
+            offsets_hz, betas, duration_s=1.0, amplitudes=amplitudes
+        )
+    index = int(np.argmax(y))
+    return float(y[index]), float(t[index])
 
 
 @dataclass
@@ -128,8 +180,14 @@ class IvnLink:
         if eirp_per_branch_w is not None and eirp_per_branch_w <= 0:
             raise ConfigurationError("EIRP override must be positive")
         self._eirp_override_w = eirp_per_branch_w
-        self._pie = PIEEncoder(
-            timing=PIETiming(), sample_rate_hz=self.reader.sample_rate_hz
+        # Per-link constants: the plan, query, reader and tag are fixed
+        # after construction, so every trial reuses these.
+        self._command_envelope = pie_command_envelope(
+            self.query.to_bits(), self.reader.sample_rate_hz
+        )
+        self._jamming = self.jamming_estimate()
+        self._tag_aperture_m2 = self.tag_spec.antenna.effective_aperture_m2(
+            self.reader.carrier_frequency_hz
         )
 
     # -- budgets ------------------------------------------------------------------
@@ -177,7 +235,7 @@ class IvnLink:
             trial_index: Absolute trial index keying the fault streams.
         """
         if epc_bits is None:
-            epc_bits = tuple(int(b) for b in np.tile((1, 0, 1, 1, 0, 0, 1, 0), 12))
+            epc_bits = DEFAULT_EPC_BITS
         sensor = BatteryFreeSensor(self.tag_spec, epc_bits, rng)
 
         # 1. CIB envelope at the sensor. --------------------------------------
@@ -204,9 +262,7 @@ class IvnLink:
             betas = perturbed.betas
             amplitudes = perturbed.amplitudes
             voltage_scale = perturbed.voltage_scale
-        peak_field, t_peak = waveform_mod.peak_envelope(
-            offsets, betas, duration_s=1.0, amplitudes=amplitudes
-        )
+        peak_field, t_peak = cib_peak(offsets, betas, amplitudes)
         peak_vs = voltage_scale * sensor.input_voltage_from_field(
             peak_field, medium_at_tag, self.plan.center_frequency_hz
         )
@@ -225,7 +281,7 @@ class IvnLink:
             )
 
         # 3. Query decode at the envelope peak. ---------------------------------
-        command_envelope = self._pie.encode(self.query.to_bits())
+        command_envelope = self._command_envelope
         n_samples = command_envelope.size
         dt = 1.0 / self.reader.sample_rate_hz
         window = t_peak + (np.arange(n_samples) - n_samples / 2.0) * dt
@@ -269,9 +325,7 @@ class IvnLink:
         response = sensor.backscatter_waveform(reply, samples_per_chip)
         amplitude = self.reader.backscatter_amplitude_v(
             tag_channel=channel,
-            tag_aperture_m2=self.tag_spec.antenna.effective_aperture_m2(
-                self.reader.carrier_frequency_hz
-            ),
+            tag_aperture_m2=self._tag_aperture_m2,
             modulation_depth=self.tag_spec.modulation_depth,
             rng=rng,
         )
@@ -280,7 +334,7 @@ class IvnLink:
             amplitude_v=amplitude,
             n_periods=self.n_averaging_periods,
             rng=rng,
-            jamming=self.jamming_estimate(),
+            jamming=self._jamming,
             beamformer_frequency_hz=self.plan.center_frequency_hz,
         )
         decode = self.reader.decode(

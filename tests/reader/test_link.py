@@ -1,13 +1,20 @@
 """Tests for repro.reader.link (the end-to-end system)."""
 
+import math
+from functools import reduce
+
 import numpy as np
 import pytest
 
+from repro.core import waveform
 from repro.core.plan import paper_plan, single_antenna_plan
 from repro.em.media import AIR, WATER
 from repro.em.phantoms import WaterTankPhantom
 from repro.errors import ConfigurationError
-from repro.reader.link import IvnLink, branch_eirp_w
+from repro.faults.inject import FaultInjector
+from repro.faults.plan import reference_holdover
+from repro.gen2.pie import PIEEncoder, PIETiming
+from repro.reader.link import IvnLink, branch_eirp_w, cib_peak
 from repro.sensors.tags import miniature_tag_spec, standard_tag_spec
 
 
@@ -95,3 +102,80 @@ class TestLinkTrial:
             IvnLink(paper_plan(), standard_tag_spec(), reader_distance_m=0)
         with pytest.raises(ConfigurationError):
             IvnLink(paper_plan(), standard_tag_spec(), eirp_per_branch_w=-1.0)
+
+
+def integer_plans(rng, count):
+    """Random integer-offset plans whose envelope does not repeat in 1 s.
+
+    Offsets sharing a common step make the envelope periodic, so its peak
+    recurs on the grid and either search may pick an equally high repeat.
+    """
+    plans = []
+    while len(plans) < count:
+        n = int(rng.integers(2, 16))
+        offsets = np.sort(rng.choice(int(rng.choice([150, 400, 1000])), n, False))
+        if reduce(math.gcd, (int(d) for d in offsets - offsets[0])) == 1:
+            plans.append(offsets.astype(float))
+    return plans
+
+
+class TestCibPeak:
+    def test_matches_direct_peak_search(self):
+        rng = np.random.default_rng(13)
+        paper = paper_plan().offsets_array()
+        plans = [paper, paper[:8]] * 50 + integer_plans(rng, 300)
+        for offsets in plans:
+            betas = rng.uniform(0.0, 2.0 * np.pi, offsets.size)
+            amplitudes = rng.uniform(0.1, 3.0, offsets.size)
+            value, t_peak = cib_peak(offsets, betas, amplitudes)
+            ref_value, ref_t = waveform.peak_envelope(
+                offsets, betas, duration_s=1.0, amplitudes=amplitudes
+            )
+            assert t_peak == ref_t
+            assert value == pytest.approx(ref_value, rel=1e-12)
+
+
+class TestTrialPeakTier:
+    @pytest.fixture
+    def direct_calls(self, monkeypatch):
+        calls = []
+        direct = waveform.peak_envelope
+
+        def spy(*args, **kwargs):
+            calls.append(direct(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(waveform, "peak_envelope", spy)
+        return calls
+
+    def test_healthy_trial_uses_fft(self, air_tank, direct_calls):
+        rng = np.random.default_rng(5)
+        link = IvnLink(paper_plan(), standard_tag_spec())
+        result = link.run_trial(air_tank.channel(10, 0.0, 915e6, rng=rng), AIR, rng)
+        assert result.success
+        assert direct_calls == []
+
+    def test_fractional_fault_offsets_take_direct_path(self, air_tank, direct_calls):
+        rng = np.random.default_rng(5)
+        link = IvnLink(paper_plan(), standard_tag_spec())
+        channel = air_tank.channel(10, 0.0, 915e6, rng=rng)
+        faults = FaultInjector(reference_holdover(1.0), 3)
+        result = link.run_trial(channel, AIR, rng, faults=faults, trial_index=4)
+        assert len(direct_calls) == 1
+        assert result.peak_field_v_per_m == direct_calls[0][0]
+
+
+class TestLinkConstants:
+    def test_constants_match_fresh_computation(self):
+        link = IvnLink(paper_plan(), standard_tag_spec(), reader_distance_m=1.3)
+        fresh = PIEEncoder(
+            timing=PIETiming(), sample_rate_hz=link.reader.sample_rate_hz
+        ).encode(link.query.to_bits())
+        np.testing.assert_array_equal(link._command_envelope, fresh)
+        assert not link._command_envelope.flags.writeable
+        assert link._jamming == link.jamming_estimate()
+        assert link._tag_aperture_m2 == (
+            link.tag_spec.antenna.effective_aperture_m2(
+                link.reader.carrier_frequency_hz
+            )
+        )
