@@ -29,9 +29,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.report import runtime_table
+from repro.obs.context import obs_context
 from repro.obs.history import env_fingerprint, fingerprint_hash
 from repro.obs.manifest import git_revision
-from repro.runtime import get_instrumentation
 
 _RUNTIME_ROWS = []
 _ENV = env_fingerprint()
@@ -39,16 +40,10 @@ _FINGERPRINT = fingerprint_hash(_ENV)
 _GIT_REV = git_revision()
 
 
-def _engine_trials() -> int:
-    """Total trials the runtime instrumentation has seen so far."""
-    return sum(row[3] for row in get_instrumentation().rows())
-
-
-def _search_candidates() -> int:
-    """Total candidate sets the frequency-search pipeline has scored."""
-    from repro.obs.context import current_obs
-
-    return int(current_obs().metrics.counter("search.candidates_scored").value)
+def _engine_trials(obs) -> int:
+    """Total trials of the ``--timings`` stage rows ``obs`` recorded."""
+    table = runtime_table(obs.tracer.to_dicts())
+    return sum(table.column("trials")[:-1])  # the last row is TOTAL
 
 
 _KERNEL_COUNTERS = (
@@ -59,45 +54,16 @@ _KERNEL_COUNTERS = (
 )
 
 
-def _kernel_samples() -> int:
-    """Total samples the vectorized time-domain kernels have processed."""
-    from repro.obs.context import current_obs
-
-    metrics = current_obs().metrics
-    return int(sum(metrics.counter(name).value for name in _KERNEL_COUNTERS))
-
-
-def _serve_plans() -> int:
-    """Total plans the serving layer has answered."""
-    from repro.obs.context import current_obs
-
-    return int(current_obs().metrics.counter("serve.plans").value)
-
-
-def _fleet_tags() -> int:
-    """Total tags the fleet resolver has inventoried (vectorized path)."""
-    from repro.obs.context import current_obs
-
-    return int(current_obs().metrics.counter("fleet.tags_inventoried").value)
-
-
-def _adaptive_counters() -> tuple:
-    """(trials run, trials saved) by the streaming adaptive allocator."""
-    from repro.obs.context import current_obs
-
-    metrics = current_obs().metrics
-    return (
-        int(metrics.counter("adaptive.trials_run").value),
-        int(metrics.counter("adaptive.trials_saved").value),
-    )
-
-
 def run_once(benchmark, fn, row_extra=None):
     """Execute ``fn`` exactly once under the benchmark timer.
 
     The experiments are monte-carlo sweeps, not microbenchmarks; one round
     gives the wall-clock cost of regenerating the figure while keeping the
     suite fast.
+
+    ``fn`` runs under a fresh, unbounded ``obs_context`` so the row's
+    counts are exactly what ``fn`` recorded: ``engine_trials`` sums the
+    ``trials`` of its stage spans, the other counts read its metrics.
 
     Counters a bench never touches are omitted from its row entirely --
     a row without ``engine_trials`` means "not a trial workload", which
@@ -107,15 +73,10 @@ def run_once(benchmark, fn, row_extra=None):
     evaluated after the run) merges extra fields into the recorded row --
     how ``bench_serve`` attaches latency quantiles and batch occupancy.
     """
-    trials_before = _engine_trials()
-    candidates_before = _search_candidates()
-    kernel_before = _kernel_samples()
-    serve_before = _serve_plans()
-    fleet_before = _fleet_tags()
-    adaptive_before = _adaptive_counters()
-    start = time.perf_counter()
-    result = benchmark.pedantic(fn, iterations=1, rounds=1)
-    wall_s = time.perf_counter() - start
+    with obs_context() as obs:
+        start = time.perf_counter()
+        result = benchmark.pedantic(fn, iterations=1, rounds=1)
+        wall_s = time.perf_counter() - start
     from repro.kernels.backend import default_backend
 
     row = {
@@ -125,29 +86,33 @@ def run_once(benchmark, fn, row_extra=None):
         "fingerprint": _FINGERPRINT,
         "backend": default_backend().name,
     }
-    deltas = (
-        ("engine_trials", "trials_per_s", _engine_trials() - trials_before),
+    counters = obs.metrics.counters()
+    counts = (
+        ("engine_trials", "trials_per_s", _engine_trials(obs)),
         (
             "search_candidates",
             "search_candidates_per_s",
-            _search_candidates() - candidates_before,
+            counters.get("search.candidates_scored", 0),
         ),
         (
             "kernel_samples",
             "kernel_samples_per_s",
-            _kernel_samples() - kernel_before,
+            sum(counters.get(name, 0) for name in _KERNEL_COUNTERS),
         ),
-        ("serve_plans", "plans_per_s", _serve_plans() - serve_before),
-        ("fleet_tags", "fleet_tags_per_s", _fleet_tags() - fleet_before),
+        ("serve_plans", "plans_per_s", counters.get("serve.plans", 0)),
+        (
+            "fleet_tags",
+            "fleet_tags_per_s",
+            counters.get("fleet.tags_inventoried", 0),
+        ),
     )
-    for count_key, rate_key, delta in deltas:
-        if not delta:
+    for count_key, rate_key, count in counts:
+        if not count:
             continue
-        row[count_key] = delta
-        row[rate_key] = round(delta / wall_s, 1) if wall_s > 0 else 0.0
-    adaptive_after = _adaptive_counters()
-    adaptive_run = adaptive_after[0] - adaptive_before[0]
-    adaptive_saved = adaptive_after[1] - adaptive_before[1]
+        row[count_key] = int(count)
+        row[rate_key] = round(count / wall_s, 1) if wall_s > 0 else 0.0
+    adaptive_run = int(counters.get("adaptive.trials_run", 0))
+    adaptive_saved = int(counters.get("adaptive.trials_saved", 0))
     if adaptive_run or adaptive_saved:
         row["adaptive_trials_run"] = adaptive_run
         row["adaptive_trials_saved"] = adaptive_saved

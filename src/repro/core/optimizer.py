@@ -1049,8 +1049,8 @@ class FrequencyOptimizer:
             )
         obs = current_obs()
         began = time.perf_counter()
-        with obs.tracer.span(
-            "optimizer.search",
+        with obs.stage_span(
+            f"search.{kind}",
             kind=kind,
             islands=islands,
             n_antennas=self.n_antennas,
@@ -1079,6 +1079,7 @@ class FrequencyOptimizer:
                 )
             wall_s = time.perf_counter() - began
             rate = outcome.n_evaluations / wall_s if wall_s > 0 else 0.0
+            span.attrs["trials"] = outcome.n_evaluations
             span.attrs["evaluations"] = outcome.n_evaluations
             span.attrs["candidates_per_s"] = round(rate, 1)
         obs.metrics.counter("search.candidates_scored").inc(
@@ -1089,9 +1090,6 @@ class FrequencyOptimizer:
         )
         obs.metrics.counter("search.fine_evals").inc(outcome.fine_evaluations)
         obs.metrics.gauge("search.candidates_per_s").set(rate)
-        obs.instrumentation.add(
-            f"search.{kind}", wall_s, trials=outcome.n_evaluations
-        )
         self.n_evaluations += outcome.n_evaluations
         return outcome
 

@@ -642,7 +642,7 @@ def main(argv=None) -> int:
 
             counters = obs.metrics.counters()
             print()
-            print(runtime_table(obs.instrumentation).render())
+            print(runtime_table(obs.tracer.to_dicts()).render())
             print(
                 "plan cache: "
                 f"{int(counters.get('plan_cache.hits', 0))} hits, "

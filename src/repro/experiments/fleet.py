@@ -10,7 +10,7 @@ array size) cell: how many tags powered up, how many were read, the
 missed-tag fraction, the Gen2 airtime, and the read rate.
 
 Results serialize via ``to_json_dict`` into the versioned fleet schema,
-which ``--tables-out`` exports and ``tools/check_fleet_schema.py``
+which ``--tables-out`` exports and ``tools/check_obs_schema.py --tables``
 validates in CI. Tables are bit-identical for any ``--workers`` value.
 """
 

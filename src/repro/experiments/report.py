@@ -7,6 +7,8 @@ so each bench regenerates the same rows/series the paper's figure shows.
 from dataclasses import dataclass, field
 from typing import Any, List, Sequence
 
+from repro.obs.analyze import SpanAggregate, aggregate_spans, build_span_tree
+
 
 @dataclass
 class Table:
@@ -77,22 +79,36 @@ class Table:
         return [row[index] for row in self.rows]
 
 
-def runtime_table(instrumentation) -> Table:
+def _aggregates_by_name(span_dicts: Sequence[dict]) -> List[SpanAggregate]:
+    """:func:`aggregate_spans` over exported span dicts, sorted by name."""
+    roots, _ = build_span_tree(span_dicts)
+    return sorted(aggregate_spans(roots), key=lambda a: a.name)
+
+
+def runtime_table(span_dicts: Sequence[dict]) -> Table:
     """Per-stage wall-clock/throughput table for the Monte-Carlo runtime.
 
     Args:
-        instrumentation: A :class:`repro.runtime.instrument.Instrumentation`
-            (typically ``current_obs().instrumentation``); formatting lives
-            here so the runtime package stays free of experiment-layer
-            imports.
+        span_dicts: Exported span dicts (``Tracer.to_dicts()``).  Only the
+            stage spans count -- those opened by
+            :meth:`repro.obs.context.ObsContext.stage_span`, which carry
+            ``stage: true`` and a ``trials`` attribute.
     """
+    stages = [
+        span for span in span_dicts if (span.get("attrs") or {}).get("stage")
+    ]
     table = Table(
         title="Runtime -- per-stage wall clock and trial throughput",
         headers=("stage", "wall (s)", "calls", "trials", "trials/s"),
     )
-    for name, wall_s, calls, trials, trials_per_s in instrumentation.rows():
-        table.add_row(name, wall_s, calls, trials, trials_per_s)
-    table.add_row("TOTAL", instrumentation.total_wall_s(), "", "", "")
+    total_s = 0.0
+    for entry in _aggregates_by_name(stages):
+        rate = entry.trials / entry.total_s if entry.total_s > 0.0 else 0.0
+        table.add_row(
+            entry.name, entry.total_s, entry.count, entry.trials, rate
+        )
+        total_s += entry.total_s
+    table.add_row("TOTAL", total_s, "", "", "")
     return table
 
 
@@ -100,32 +116,17 @@ def trace_summary_table(span_dicts: Sequence[dict]) -> Table:
     """Aggregate a span list (e.g. a JSONL trace) into a per-name table.
 
     Args:
-        span_dicts: Exported span dicts (``repro.obs.trace`` schema:
-            ``name`` / ``duration_s`` / ``parent_id`` / ``attrs``), as
+        span_dicts: Exported span dicts (``repro.obs.trace`` schema), as
             returned by :func:`repro.obs.read_jsonl` or
             ``Tracer.to_dicts()``.
     """
-    aggregated: dict = {}
-    for span in span_dicts:
-        entry = aggregated.setdefault(
-            span["name"], {"count": 0, "total": 0.0, "max": 0.0}
-        )
-        duration = float(span.get("duration_s") or 0.0)
-        entry["count"] += 1
-        entry["total"] += duration
-        entry["max"] = max(entry["max"], duration)
     table = Table(
         title="Trace -- spans aggregated by name",
         headers=("span", "count", "total (s)", "mean (s)", "max (s)"),
     )
-    for name in sorted(aggregated):
-        entry = aggregated[name]
+    for entry in _aggregates_by_name(span_dicts):
         table.add_row(
-            name,
-            entry["count"],
-            entry["total"],
-            entry["total"] / entry["count"],
-            entry["max"],
+            entry.name, entry.count, entry.total_s, entry.mean_s, entry.max_s
         )
     return table
 

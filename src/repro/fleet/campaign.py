@@ -17,7 +17,7 @@ scaling argument, quantified: tags read, missed-tag fraction (never
 powered or never decoded), inventory airtime from the Gen2 primitive
 timings, and the read rate in tags per second of airtime. Tables
 serialize to a versioned JSON payload (:data:`FLEET_SCHEMA_VERSION`)
-checked by :func:`validate_fleet_dict` and ``tools/check_fleet_schema.py``
+checked by :func:`validate_fleet_dict` and ``tools/check_obs_schema.py``
 -- the CI fleet smoke asserts against it.
 """
 

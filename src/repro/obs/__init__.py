@@ -1,10 +1,13 @@
 """Observability for the Monte-Carlo runtime: traces, metrics, manifests.
 
-Three complementary surfaces, all scoped to an :class:`ObsContext` (a
+Complementary surfaces, all scoped to an :class:`ObsContext` (a
 ``contextvars``-backed provider) instead of process globals:
 
 * :mod:`repro.obs.trace` -- nested span tracing with monotonic timestamps
   and JSONL export; answers *where did the time go inside one run*.
+  Spans are the only timing record: the runtime's hot stages are stage
+  spans (:meth:`ObsContext.stage_span`), and the CLI's ``--timings``
+  table is a view over them.
 * :mod:`repro.obs.metrics` -- counters / gauges / fixed-bucket histograms
   with worker-to-parent merging; answers *how much work happened* (trials,
   cache hits, chunk wall-times, envelope-peak distribution).

@@ -8,7 +8,8 @@ the time went*.  It consumes exported span dicts (``Tracer.to_dicts()`` or
   spans whose parent was dropped by the retention cap become roots, so a
   truncated trace still analyzes instead of erroring;
 * **per-name aggregates** (:func:`aggregate_spans`) -- call count, total
-  (inclusive) time, *self* time (total minus direct children), mean/max;
+  (inclusive) time, *self* time (total minus direct children), mean/max,
+  and the summed ``trials`` attribute;
 * the **critical path** (:func:`critical_path`) -- the chain of heaviest
   spans from the heaviest root down, i.e. the minimum wall-clock the run
   could take with infinite parallelism elsewhere;
@@ -81,6 +82,8 @@ class SpanAggregate:
     total_s: float = 0.0
     self_s: float = 0.0
     max_s: float = 0.0
+    trials: int = 0
+    """Sum of the spans' ``trials`` attribute (0 where absent)."""
 
     @property
     def mean_s(self) -> float:
@@ -200,6 +203,7 @@ def aggregate_spans(roots: Sequence[SpanNode]) -> List[SpanAggregate]:
         entry.total_s += node.duration_s
         entry.self_s += node.self_s
         entry.max_s = max(entry.max_s, node.duration_s)
+        entry.trials += int(node.attrs.get("trials") or 0)
     return sorted(
         by_name.values(), key=lambda a: (-a.self_s, -a.total_s, a.name)
     )

@@ -1,19 +1,22 @@
 """Context-scoped observability provider.
 
-One :class:`ObsContext` bundles the three telemetry surfaces of a run --
-a :class:`~repro.obs.trace.Tracer`, a
-:class:`~repro.obs.metrics.MetricsRegistry`, and the per-stage wall-clock
-:class:`~repro.runtime.instrument.Instrumentation` -- behind a
+One :class:`ObsContext` bundles the two telemetry surfaces of a run -- a
+:class:`~repro.obs.trace.Tracer` and a
+:class:`~repro.obs.metrics.MetricsRegistry` -- behind a
 ``contextvars.ContextVar``.  The runtime reads whatever context is current
 (:func:`current_obs`); the CLI and tests open a fresh scope with
 :func:`obs_context`, so concurrent or back-to-back runs never
-cross-contaminate, which the old process-global ``Instrumentation``
-singleton could not guarantee.
+cross-contaminate.
+
+Spans are the only timing record.  :meth:`ObsContext.stage_span` marks a
+span as a runtime *stage* (``stage`` and ``trials`` attributes); the
+``--timings`` table is a view over those spans
+(:func:`repro.experiments.report.runtime_table`).
 
 A lazily created process-default context backs :func:`current_obs` when no
-scope is active, preserving the historical "just call
-``get_instrumentation()``" workflow for benchmarks and ad-hoc scripts.  Its
-tracer is capped so an un-scoped long session cannot grow without bound.
+scope is active, for ad-hoc scripts.  Its tracer is capped so an un-scoped
+long session cannot grow without bound, so anything that counts spans
+should run under its own :func:`obs_context`.
 
 Worker processes get a fresh context per chunk
 (:func:`repro.runtime.runner` wraps chunk functions); the context's
@@ -21,9 +24,8 @@ Worker processes get a fresh context per chunk
 the wire format that carries worker telemetry back over the pool-result
 path for merging in the parent.
 
-This module deliberately imports nothing from :mod:`repro.runtime` at
-module scope (only lazily, inside functions) so `repro.obs` and
-`repro.runtime` can instrument each other without import cycles.
+This module imports nothing from :mod:`repro.runtime`, so the runtime can
+record into it without import cycles.
 """
 
 from contextlib import contextmanager
@@ -37,13 +39,13 @@ from repro.obs.trace import Tracer
 DEFAULT_MAX_SPANS = 4096
 """Span-retention cap of the process-default (un-scoped) tracer."""
 
-STATE_VERSION = 1
+STATE_VERSION = 2
 """Version tag of the worker -> parent telemetry payload."""
 
 
 @dataclass
 class ObsContext:
-    """One run's tracer + metrics registry + stage instrumentation.
+    """One run's tracer + metrics registry.
 
     ``profile`` opts the runtime into its pool-profiling hooks (dispatch
     latency, queue wait, chunk skew, serialization overhead -- see
@@ -53,29 +55,25 @@ class ObsContext:
 
     tracer: Tracer
     metrics: MetricsRegistry
-    instrumentation: Any  # repro.runtime.instrument.Instrumentation
     profile: bool = False
 
     @contextmanager
     def stage_span(self, name: str, trials: int = 0, **attrs: Any) -> Iterator[Any]:
-        """Time a block as both a named stage and a trace span.
+        """Time a block as a stage span: ``stage=True`` plus ``trials``.
 
-        The stage feeds the ``--timings`` table
-        (:meth:`Instrumentation.stage` semantics); the span carries the
-        same name plus ``attrs`` into the trace. Yields the span so the
-        block can attach result attributes.
+        The ``stage`` marker is what puts the span in the ``--timings``
+        table; plain spans that happen to carry ``trials`` stay out of it.
+        Yields the span so the block can attach result attributes.
         """
-        if trials:
-            attrs.setdefault("trials", trials)
-        with self.instrumentation.stage(name, trials=trials):
-            with self.tracer.span(name, **attrs) as span:
-                yield span
+        with self.tracer.span(
+            name, stage=True, trials=trials, **attrs
+        ) as span:
+            yield span
 
     def export_state(self) -> Dict[str, Any]:
         """Picklable/JSON-able snapshot for the pool-result path."""
         return {
             "version": STATE_VERSION,
-            "stages": self.instrumentation.snapshot(),
             "metrics": self.metrics.to_dict(),
             "spans": self.tracer.to_dicts(),
         }
@@ -86,7 +84,6 @@ class ObsContext:
         extra_attrs: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Merge a worker context's :meth:`export_state` into this one."""
-        self.instrumentation.merge_rows(payload.get("stages") or [])
         self.metrics.merge_dict(payload.get("metrics") or {})
         self.tracer.absorb(payload.get("spans") or [], extra_attrs=extra_attrs)
 
@@ -94,14 +91,9 @@ class ObsContext:
 def _new_context(
     max_spans: Optional[int] = None, profile: bool = False
 ) -> ObsContext:
-    # Lazy import: repro.runtime.instrument's get_instrumentation() shim
-    # reaches back into this module, so the class is resolved at call time.
-    from repro.runtime.instrument import Instrumentation
-
     return ObsContext(
         tracer=Tracer(max_spans=max_spans),
         metrics=MetricsRegistry(),
-        instrumentation=Instrumentation(),
         profile=profile,
     )
 
@@ -134,8 +126,8 @@ def obs_context(
 ) -> Iterator[ObsContext]:
     """Run a block under a fresh (or supplied) observability context.
 
-    Everything the runtime records inside the block -- spans, metrics,
-    stage timings, worker payload merges -- lands in the yielded context
+    Everything the runtime records inside the block -- spans (stage spans
+    included), metrics, worker payload merges -- lands in the yielded context
     and nowhere else.  ``profile=True`` turns on the runtime's
     pool-profiling hooks for the scope.
     """

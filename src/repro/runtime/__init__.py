@@ -24,15 +24,14 @@ the production trial engine the experiment drivers share instead:
   cache for :class:`~repro.core.optimizer.FrequencyOptimizer` search
   results, keyed by a hash of the full search configuration, so repeated
   benches stop re-running the multi-second Eq. 10 search.
-* :mod:`repro.runtime.instrument` -- per-stage wall-clock and trial
-  counters, surfaced as a table through
-  :func:`repro.experiments.report.runtime_table`.
 
-Telemetry (stage timings, trace spans, metric counters/histograms) is
-scoped to the current :class:`repro.obs.context.ObsContext` rather than
-process globals; worker processes export their context back over the
-pool-result path and the parent merges it, so ``--timings`` and
-``--metrics-out`` stay complete under ``--workers N``. See
+Telemetry (trace spans, metric counters/histograms) is scoped to the
+current :class:`repro.obs.context.ObsContext` rather than process globals;
+worker processes export their context back over the pool-result path and
+the parent merges it, so ``--timings`` and ``--metrics-out`` stay complete
+under ``--workers N``.  Hot stages are timed as stage spans
+(:meth:`repro.obs.context.ObsContext.stage_span`); the ``--timings`` table
+is :func:`repro.experiments.report.runtime_table` over them.  See
 :mod:`repro.obs` for the tracer / metrics / manifest subsystem.
 """
 
@@ -58,14 +57,12 @@ from repro.runtime.engine import (
     peak_amplitudes,
     resolve_engine,
 )
-from repro.runtime.instrument import Instrumentation, get_instrumentation
 from repro.runtime.runner import TrialRunner
 
 __all__ = [
     "ENGINES",
     "AdaptiveConfig",
     "AdaptiveOutcome",
-    "Instrumentation",
     "MeanTracker",
     "PlanCache",
     "ProportionTracker",
@@ -74,7 +71,6 @@ __all__ = [
     "configure_plan_cache",
     "configure_search",
     "fft_compatible",
-    "get_instrumentation",
     "get_plan_cache",
     "get_search_defaults",
     "optimized_conduction_plan",

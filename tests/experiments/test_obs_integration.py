@@ -17,10 +17,12 @@ import pytest
 from repro.experiments import fig09
 from repro.experiments.cli import main
 from repro.experiments.common import TankChannelFactory, measure_gain_trials
+from repro.experiments.report import runtime_table
 from repro.constants import TANK_STANDOFF_POWER_GAIN_M
 from repro.core.plan import paper_plan
 from repro.em.phantoms import WaterTankPhantom
 from repro.obs import obs_context, read_jsonl, validate_manifest, validate_span_dict
+from repro.runtime import cache as cache_mod
 from repro.runtime.cache import PlanCache, optimized_plan
 
 
@@ -52,7 +54,8 @@ class TestWorkerTelemetryMerge:
 
     def test_worker_stage_stats_merge_into_parent(self, pooled):
         obs, _, _ = pooled
-        stages = {row[0]: row for row in obs.instrumentation.rows()}
+        table = runtime_table(obs.tracer.to_dicts())
+        stages = {row[0]: row for row in table.rows}
         assert stages["gain_trials.realize"][3] == 8  # trials
         assert stages["gain_trials.evaluate"][1] > 0.0  # wall clock
         assert stages["gain_trials.evaluate"][2] == 2  # one per chunk
@@ -214,3 +217,61 @@ class TestCliArtifacts:
 
     def test_obs_report_without_inputs_errors(self, capsys):
         assert main(["obs-report"]) == 2
+
+
+def _timings_rows(out):
+    """``{stage: (calls, trials)}`` parsed from a ``--timings`` table."""
+    lines = out.splitlines()
+    start = lines.index(
+        "Runtime -- per-stage wall clock and trial throughput"
+    )
+    rows = {}
+    for line in lines[start + 3:]:
+        parts = line.split()
+        if parts[0] == "TOTAL":
+            return rows
+        rows[parts[0]] = (int(parts[2]), int(parts[3]))
+    raise AssertionError("--timings table has no TOTAL row")
+
+
+class TestTimingsAcrossWorkers:
+    def test_ablations_rows_agree_across_worker_counts(
+        self, capsys, monkeypatch
+    ):
+        # The CLI reconfigures the process-wide plan cache and search
+        # defaults; restore both when the test ends.
+        monkeypatch.setattr(cache_mod, "_GLOBAL", None)
+        monkeypatch.setattr(
+            cache_mod, "_SEARCH_DEFAULTS", dict(cache_mod._SEARCH_DEFAULTS)
+        )
+        by_workers = {}
+        for workers in ("1", "2"):
+            code = main(
+                [
+                    "ablations",
+                    "--fast",
+                    "--no-plan-cache",
+                    "--timings",
+                    "--workers",
+                    workers,
+                ]
+            )
+            assert code == 0
+            by_workers[workers] = _timings_rows(capsys.readouterr().out)
+        one, two = by_workers["1"], by_workers["2"]
+        assert sorted(one) == sorted(two)
+        # Trial counts never depend on the worker count.
+        assert {k: v[1] for k, v in one.items()} == {
+            k: v[1] for k, v in two.items()
+        }
+        # Searches run once per call whatever the pool size; chunked
+        # Monte-Carlo stages run once per chunk, so only their calls move.
+        searches = {
+            name: row
+            for name, row in one.items()
+            if name.startswith(("search.", "plan_search."))
+        }
+        assert {"search.peak", "search.conduction"} <= set(searches)
+        assert all(searches[name] == two[name] for name in searches)
+        assert one["search.peak"][1] > 0
+        assert one["search.conduction"][1] > 0

@@ -1,7 +1,18 @@
-"""Tests for the context-scoped observability provider and its shims."""
+"""Tests for the context-scoped observability provider."""
 
-from repro.obs.context import current_obs, default_obs, obs_context
-from repro.runtime.instrument import get_instrumentation
+from repro.experiments.report import runtime_table
+from repro.obs.context import (
+    STATE_VERSION,
+    current_obs,
+    default_obs,
+    obs_context,
+)
+
+
+def stage_rows(obs):
+    """``{stage: (calls, trials)}`` of ``obs``'s ``--timings`` table."""
+    table = runtime_table(obs.tracer.to_dicts())
+    return {row[0]: (row[2], row[3]) for row in table.rows[:-1]}
 
 
 class TestScoping:
@@ -14,11 +25,13 @@ class TestScoping:
         with obs_context() as obs:
             assert current_obs() is obs
             assert obs is not outside
-            obs.instrumentation.add("stage", 1.0)
+            with obs.stage_span("stage", trials=1):
+                pass
             obs.metrics.counter("c").inc()
+            assert stage_rows(obs) == {"stage": (1, 1)}
         assert current_obs() is outside
         # Nothing leaked into the default context.
-        assert all(row[0] != "stage" for row in outside.instrumentation.rows())
+        assert "stage" not in stage_rows(outside)
         assert outside.metrics.counter("c").value == 0
 
     def test_nested_scopes_restore_in_order(self):
@@ -27,56 +40,49 @@ class TestScoping:
                 assert current_obs() is inner
             assert current_obs() is outer
 
-    def test_deprecated_alias_tracks_the_current_scope(self):
-        assert get_instrumentation() is default_obs().instrumentation
-        with obs_context() as obs:
-            assert get_instrumentation() is obs.instrumentation
-        assert get_instrumentation() is default_obs().instrumentation
-
 
 class TestStageSpan:
     def test_records_stage_and_span_together(self):
         with obs_context() as obs:
             with obs.stage_span("engine.evaluate", trials=5, tier="fft"):
                 pass
-            rows = obs.instrumentation.rows()
-            assert rows[0][0] == "engine.evaluate"
-            assert rows[0][3] == 5
-            span = obs.tracer.spans[0]
+            assert stage_rows(obs) == {"engine.evaluate": (1, 5)}
+            (span,) = obs.tracer.spans
             assert span.name == "engine.evaluate"
-            assert span.attrs["tier"] == "fft"
-            assert span.attrs["trials"] == 5
+            assert span.attrs == {"stage": True, "trials": 5, "tier": "fft"}
 
 
 class TestWorkerStateRoundTrip:
     def test_export_then_absorb_merges_everything(self):
         with obs_context() as worker:
-            worker.instrumentation.add("gain.evaluate", 0.5, trials=10)
+            with worker.stage_span("gain.evaluate", trials=10):
+                pass
             worker.metrics.counter("trials.processed").inc(10)
             worker.metrics.histogram("wall", edges=(0.1, 1.0)).observe(0.5)
             with worker.tracer.span("runner.chunk", start=0):
                 pass
             payload = worker.export_state()
+        assert set(payload) == {"version", "metrics", "spans"}
+        assert payload["version"] == STATE_VERSION == 2
 
         with obs_context() as parent:
-            parent.instrumentation.add("gain.evaluate", 0.25, trials=5)
+            with parent.stage_span("gain.evaluate", trials=5):
+                pass
             parent.absorb_state(payload, extra_attrs={"subprocess": True})
-            (name, wall_s, calls, trials, _) = parent.instrumentation.rows()[0]
-            assert name == "gain.evaluate"
-            assert wall_s == 0.75
-            assert calls == 2
-            assert trials == 15
+            assert stage_rows(parent) == {"gain.evaluate": (2, 15)}
             assert parent.metrics.counter("trials.processed").value == 10
             assert parent.metrics.histogram("wall").count == 1
-            span = parent.tracer.spans[0]
-            assert span.name == "runner.chunk"
-            assert span.attrs["subprocess"] is True
+            (chunk,) = [
+                s for s in parent.tracer.spans if s.name == "runner.chunk"
+            ]
+            assert chunk.attrs["subprocess"] is True
 
     def test_payload_is_json_safe(self):
         import json
 
         with obs_context() as obs:
-            obs.instrumentation.add("s", 0.1, trials=1)
+            with obs.stage_span("s", trials=1):
+                pass
             obs.metrics.counter("c").inc()
             with obs.tracer.span("x"):
                 pass

@@ -6,20 +6,27 @@ Usage::
     python tools/check_obs_schema.py [--trace TRACE.jsonl]
         [--metrics METRICS.json] [--manifest MANIFEST.json]
         [--history BENCH_history.jsonl] [--collapsed STACKS.collapsed]
-        [--store PLANS.sqlite] [--serve]
+        [--store PLANS.sqlite] [--serve] [--tables TABLES.json]
 
-Traces, metrics, manifests, the benchmark history JSONL, and
-collapsed-stack exports are all versioned schemas, and CI runs this
-against freshly written artifacts so drift fails the build instead of
-surfacing downstream.
+Traces, metrics, manifests, the benchmark history JSONL, collapsed-stack
+exports, and the experiments CLI's ``--tables-out`` payloads are all
+versioned schemas, and CI runs this against freshly written artifacts so
+drift fails the build instead of surfacing downstream.
+
+``--tables`` checks every experiment of :data:`TABLE_CHECKERS` the payload
+holds (``fleet``: schema plus one row per configured cell;
+``degradation``: the four fault tables plus the antenna-dropout N-1 law),
+and fails when it holds none of them.
 
 Versioning: each schema carries its own ``*_SCHEMA_VERSION`` constant
 (``repro.obs.trace.TRACE_SCHEMA_VERSION``,
 ``repro.obs.manifest.MANIFEST_SCHEMA_VERSION``,
-``repro.obs.history.HISTORY_SCHEMA_VERSION``).  The bump path is: additive
-fields keep the version; renamed/removed fields or changed semantics bump
-it, the validator here learns both forms, and writers emit only the
-current one.
+``repro.obs.history.HISTORY_SCHEMA_VERSION``,
+``repro.fleet.campaign.FLEET_SCHEMA_VERSION``,
+``repro.faults.campaign.DEGRADATION_SCHEMA_VERSION``).  The bump path
+is: additive fields keep the version; renamed/removed fields or changed
+semantics bump it, the validator here learns both forms, and writers emit
+only the current one.
 
 Exits non-zero if any requested artifact has problems, printing each.
 Needs ``src`` on ``PYTHONPATH`` (or the package installed); the script
@@ -31,12 +38,14 @@ import json
 import re
 import sys
 from pathlib import Path
-from typing import List
+from typing import Callable, Dict, List
 
 _REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 if _REPO_SRC.is_dir() and str(_REPO_SRC) not in sys.path:
     sys.path.insert(0, str(_REPO_SRC))
 
+from repro.faults.campaign import validate_degradation_dict  # noqa: E402
+from repro.fleet.campaign import validate_fleet_dict  # noqa: E402
 from repro.obs import read_manifest, validate_manifest  # noqa: E402
 from repro.obs.history import (  # noqa: E402
     read_history,
@@ -45,6 +54,14 @@ from repro.obs.history import (  # noqa: E402
 from repro.obs.trace import validate_span_dict  # noqa: E402
 
 _COLLAPSED_LINE = re.compile(r"^\S.* (\d+)$")
+
+DEGRADATION_TABLES = (
+    "antenna_dropout",
+    "pll_relock",
+    "tag_detuning",
+    "bit_corruption",
+)
+N_MINUS_ONE_TOLERANCE = 1e-6
 
 
 def check_trace(path: Path) -> List[str]:
@@ -297,6 +314,98 @@ def check_serve_trace(path: Path) -> List[str]:
     return problems
 
 
+def check_fleet_tables(fleet: dict) -> List[str]:
+    """The ``fleet`` entry: schema, and one row per configured cell."""
+    try:
+        validate_fleet_dict(fleet)
+    except ValueError as exc:
+        return [str(exc)]
+    config = fleet["config"]
+    expected = (
+        len(config["populations"])
+        * len(config["depth_bands"])
+        * len(config["array_sizes"])
+    )
+    rows = fleet["rows"]
+    if len(rows) != expected:
+        return [
+            f"expected {expected} cell rows "
+            f"(populations x depth bands x array sizes), got {len(rows)}"
+        ]
+    return []
+
+
+def check_n_minus_one(table: dict) -> List[str]:
+    """The dropout table must match (N - k)/N at every severity.
+
+    Losing k of N antenna branches lands at exactly (N - k)/N of the
+    healthy aligned peak.
+    """
+    problems = []
+    baseline = table.get("baseline", 0.0)
+    if baseline <= 0.0:
+        return ["antenna_dropout: non-positive baseline"]
+    n = round(baseline)  # aligned peak of N unit branches is exactly N
+    for severity, value in zip(table["severities"], table["values"]):
+        k = round(severity)
+        expected = (n - k) / n
+        relative = value / baseline
+        if abs(relative - expected) > N_MINUS_ONE_TOLERANCE:
+            problems.append(
+                f"antenna_dropout: k={k} relative peak {relative:.6f} "
+                f"!= (N-k)/N = {expected:.6f}"
+            )
+    return problems
+
+
+def check_degradation_tables(entry: dict) -> List[str]:
+    """The ``degradation`` entry: the four fault tables and the N-1 law."""
+    tables = entry.get("tables") if isinstance(entry, dict) else None
+    if not isinstance(tables, dict):
+        return ["degradation entry has no tables object"]
+    problems = []
+    for name in DEGRADATION_TABLES:
+        if name not in tables:
+            problems.append(f"missing table {name!r}")
+            continue
+        try:
+            validate_degradation_dict(tables[name])
+        except ValueError as exc:
+            problems.append(f"table {name!r}: {exc}")
+        else:
+            if name == "antenna_dropout":
+                problems.extend(check_n_minus_one(tables[name]))
+    return problems
+
+
+TABLE_CHECKERS: Dict[str, Callable[[dict], List[str]]] = {
+    "degradation": check_degradation_tables,
+    "fleet": check_fleet_tables,
+}
+"""``--tables-out`` experiment name -> checker of its payload entry."""
+
+
+def check_tables(path: Path) -> List[str]:
+    """Problems found in an experiments CLI ``--tables-out`` payload."""
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        return [f"unreadable tables file: {exc}"]
+    if not isinstance(payload, dict) or not isinstance(
+        payload.get("experiments"), dict
+    ):
+        return ["payload has no experiments object"]
+    experiments = payload["experiments"]
+    kinds = [kind for kind in TABLE_CHECKERS if kind in experiments]
+    if not kinds:
+        return [f"payload holds none of {sorted(TABLE_CHECKERS)}"]
+    return [
+        f"{kind}: {problem}"
+        for kind in kinds
+        for problem in TABLE_CHECKERS[kind](experiments[kind])
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trace", type=Path, help="span trace JSONL file")
@@ -317,6 +426,12 @@ def main(argv=None) -> int:
         help="additionally require valid serve-layer spans in --trace "
         "(serve.request sources, serve.batch occupancy, store hits)",
     )
+    parser.add_argument(
+        "--tables",
+        type=Path,
+        help="experiments --tables-out JSON file "
+        f"(checks {', '.join(sorted(TABLE_CHECKERS))})",
+    )
     args = parser.parse_args(argv)
     if not any(
         (
@@ -326,11 +441,12 @@ def main(argv=None) -> int:
             args.history,
             args.collapsed,
             args.store,
+            args.tables,
         )
     ):
         parser.error(
             "nothing to check: pass --trace/--metrics/--manifest/"
-            "--history/--collapsed/--store"
+            "--history/--collapsed/--store/--tables"
         )
     if args.serve and not args.trace:
         parser.error("--serve needs --trace")
@@ -355,6 +471,7 @@ def main(argv=None) -> int:
             "collapsed",
             check_collapsed(args.collapsed) if args.collapsed else [],
         ),
+        ("tables", check_tables(args.tables) if args.tables else []),
     ):
         for problem in problems:
             print(f"{label}: {problem}", file=sys.stderr)
