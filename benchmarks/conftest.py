@@ -15,12 +15,9 @@ the same rows as one entry to the append-only ``BENCH_history.jsonl`` so
 ``tools/bench_sentinel.py`` can hold a trend baseline against them.
 
 Every row is stamped with the git revision and a short environment
-fingerprint (python/numpy versions, CPU count, array backend and --
-off-CPU -- its device; see :func:`repro.obs.history.env_fingerprint`);
-rows from different environments never silently merge into one
-baseline. Rows additionally carry the backend that was the process
-default while they ran, so a session that sweeps several backends
-(``bench_backend``) stays legible row by row.
+fingerprint (python/numpy versions, CPU count; see
+:func:`repro.obs.history.env_fingerprint`); rows from different
+environments never silently merge into one baseline.
 """
 
 import json
@@ -77,14 +74,11 @@ def run_once(benchmark, fn, row_extra=None):
         start = time.perf_counter()
         result = benchmark.pedantic(fn, iterations=1, rounds=1)
         wall_s = time.perf_counter() - start
-    from repro.kernels.backend import default_backend
-
     row = {
         "bench": benchmark.name,
         "wall_s": round(wall_s, 4),
         "git_rev": None if _GIT_REV is None else _GIT_REV[:12],
         "fingerprint": _FINGERPRINT,
-        "backend": default_backend().name,
     }
     counters = obs.metrics.counters()
     counts = (

@@ -128,28 +128,17 @@ class StackedScoreSpec:
 
 
 def _reduce_stacked_magnitude(
-    spec: StackedScoreSpec, magnitude, be=None
+    spec: StackedScoreSpec, magnitude: np.ndarray
 ) -> float:
     """One candidate's objective from its (draws, grid) envelope block."""
-    if be is None or be.is_numpy_namespace:
-        if spec.kind == "peak":
-            return float(np.mean(np.max(magnitude, axis=1)))
-        above = np.count_nonzero(magnitude > spec.cutoff)
-        return float(above / (spec.n_draws * spec.grid_size))
-    xp = be.xp
     if spec.kind == "peak":
-        return float(be.to_numpy(xp.mean(xp.max(magnitude, axis=1))))
-    above = int(
-        be.to_numpy(
-            xp.sum(xp.astype(magnitude > spec.cutoff, xp.int64))
-        )
-    )
+        return float(np.mean(np.max(magnitude, axis=1)))
+    above = np.count_nonzero(magnitude > spec.cutoff)
     return float(above / (spec.n_draws * spec.grid_size))
 
 
 def evaluate_stacked_specs(
     specs: Sequence[StackedScoreSpec],
-    backend=None,
 ) -> List[np.ndarray]:
     """Score many specs, co-stacking compatible ones into shared IFFTs.
 
@@ -161,19 +150,9 @@ def evaluate_stacked_specs(
     bit-identical to evaluating its spec alone -- the determinism contract
     the serve batcher relies on.
 
-    ``backend`` (name, :class:`repro.kernels.backend.Backend`, or
-    ``None`` for the process default) selects where the stacked IFFT and
-    reductions run. The NumPy reference backend keeps the pre-port path
-    (including the scipy complex64 coarse IFFT) bit for bit; other
-    namespaces run their own ``xp.fft.ifft`` and are tolerance-
-    comparable only.
-
     Returns:
         One ``(C_i,)`` float array per input spec, in input order.
     """
-    from repro.kernels.backend import get_namespace
-
-    be = get_namespace(backend)
     results: List[Optional[np.ndarray]] = [None] * len(specs)
     groups: Dict[Tuple[int, bool], List[int]] = {}
     for index, spec in enumerate(specs):
@@ -184,7 +163,7 @@ def evaluate_stacked_specs(
         for position, values in zip(
             indices,
             _evaluate_spec_group(
-                [specs[i] for i in indices], grid_size, single, be
+                [specs[i] for i in indices], grid_size, single
             ),
         ):
             results[position] = values
@@ -192,77 +171,39 @@ def evaluate_stacked_specs(
 
 
 def _evaluate_spec_group(
-    group: Sequence[StackedScoreSpec], grid_size: int, single: bool, be=None
+    group: Sequence[StackedScoreSpec], grid_size: int, single: bool
 ) -> List[np.ndarray]:
     """Score one compatible group of specs through chunked shared IFFTs."""
-    if be is None:
-        from repro.kernels.backend import get_namespace
-
-        be = get_namespace(None)
-    xp = be.xp
     dtype = np.complex64 if single else complex
     values = [np.empty(spec.n_candidates) for spec in group]
     row_budget = max(1, FFT_ROW_CHUNK_ELEMENTS // grid_size)
     pending: List[Tuple[int, int]] = []  # (spec position, candidate index)
     pending_rows = 0
-    # Device-resident phasor blocks, shipped once per spec, for
-    # namespaces that support integer fancy assignment in place.
-    device_scatter = not be.is_numpy_namespace and be.caps.index_update
-    phasors_dev = (
-        [be.asarray(spec.phasors) for spec in group]
-        if device_scatter
-        else None
-    )
 
     def flush() -> None:
         nonlocal pending, pending_rows
         if not pending:
             return
-        if device_scatter:
-            stacked = xp.zeros(
-                (pending_rows, grid_size),
-                dtype=be.complex_for(xp.float32 if single else xp.float64),
-            )
-            offset = 0
-            for position, candidate in pending:
-                spec = group[position]
-                draws = spec.n_draws
-                stacked[
-                    offset : offset + draws,
-                    be.asarray(spec.scatter[candidate]),
-                ] = phasors_dev[position]
-                offset += draws
+        spectrum = np.zeros((pending_rows, grid_size), dtype=dtype)
+        offset = 0
+        for position, candidate in pending:
+            spec = group[position]
+            draws = spec.n_draws
+            spectrum[
+                offset : offset + draws, spec.scatter[candidate]
+            ] = spec.phasors
+            offset += draws
+        if single:
+            signal = _coarse_ifft(spectrum, axis=1)
         else:
-            # Sparse scatter staged in NumPy (bitwise reference path);
-            # shipped whole when the namespace is not NumPy.
-            spectrum = np.zeros((pending_rows, grid_size), dtype=dtype)
-            offset = 0
-            for position, candidate in pending:
-                spec = group[position]
-                draws = spec.n_draws
-                spectrum[
-                    offset : offset + draws, spec.scatter[candidate]
-                ] = spec.phasors
-                offset += draws
-            stacked = (
-                spectrum if be.is_numpy_namespace else be.asarray(spectrum)
-            )
-        if be.is_reference:
-            if single:
-                signal = _coarse_ifft(stacked, axis=1)
-            else:
-                signal = np.fft.ifft(stacked, axis=1) * grid_size
-        else:
-            signal = xp.fft.ifft(stacked, axis=1)
-            if not single:
-                signal = signal * grid_size
-        magnitude = xp.abs(signal)
+            signal = np.fft.ifft(spectrum, axis=1) * grid_size
+        magnitude = np.abs(signal)
         offset = 0
         for position, candidate in pending:
             spec = group[position]
             draws = spec.n_draws
             values[position][candidate] = _reduce_stacked_magnitude(
-                spec, magnitude[offset : offset + draws], be
+                spec, magnitude[offset : offset + draws]
             )
             offset += draws
         pending = []

@@ -52,7 +52,6 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional
 
-from repro.kernels.backend import BACKEND_CHOICES
 from repro.experiments import (
     ablations,
     ber,
@@ -208,15 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes for Monte-Carlo trial chunks (default 1; "
         "results are identical for any value)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        metavar="NAME",
-        help="array backend for the vectorized kernels and stacked scoring "
-        f"({', '.join(BACKEND_CHOICES)}; default: $REPRO_BACKEND or "
-        "'numpy', the pinned bitwise reference). Worker processes inherit "
-        "the selection via REPRO_BACKEND.",
     )
     parser.add_argument(
         "--search-islands",
@@ -558,15 +548,6 @@ def _serve(args, parser) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    if args.backend:
-        from repro.errors import ConfigurationError
-        from repro.kernels.backend import set_default_backend
-
-        try:
-            set_default_backend(args.backend)
-        except ConfigurationError as exc:
-            parser.error(str(exc))
 
     if args.experiment == "list":
         for name in sorted(EXPERIMENTS):

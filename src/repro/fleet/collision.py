@@ -58,7 +58,6 @@ from repro.faults.plan import EMPTY_PLAN, FaultPlan
 from repro.gen2.fm0 import encode_chips_block
 from repro.gen2.inventory import QAlgorithm
 from repro.kernels import capture_block, fm0_block_errors
-from repro.kernels.backend import get_namespace
 from repro.obs.context import current_obs
 from repro.fleet.population import TagSet
 
@@ -286,7 +285,6 @@ def run_inventory(
     seed: int = 0,
     shard_index: int = 0,
     fault_plan: FaultPlan = EMPTY_PLAN,
-    backend=None,
 ) -> ShardInventoryResult:
     """Inventory one shard with vectorized slot resolution.
 
@@ -295,10 +293,7 @@ def run_inventory(
     fed the raw reply counts) -- the mode the ported throughput
     experiment pins against its legacy loop. With a
     :class:`CaptureModel` every occupied slot becomes a physical decode
-    attempt as described in the module docstring; its stacked waveform
-    math runs on ``backend`` (name, :class:`Backend`, or ``None`` for
-    the process default). MAC draws, slot bookkeeping, and Q adaptation
-    stay NumPy/host-side regardless of backend.
+    attempt as described in the module docstring.
     """
     del session  # one inventoried flag per run; kept for API symmetry.
     obs = current_obs()
@@ -388,7 +383,6 @@ def run_inventory(
                     shard_index,
                     round_index,
                     max_rounds,
-                    backend,
                 )
 
             winners = np.full(n_slots, -1, dtype=np.int64)
@@ -449,12 +443,9 @@ def _vectorized_decode(
     shard_index: int,
     round_index: int,
     max_rounds: int,
-    backend=None,
 ) -> np.ndarray:
     """Stacked decode attempts of one round; returns per-slot success."""
     obs = current_obs()
-    be = get_namespace(backend)
-    xp = be.xp
     spc = capture.samples_per_chip
     n_samples = RN16_CHIPS * spc
 
@@ -472,21 +463,19 @@ def _vectorized_decode(
         return decoded
 
     # Composite waveforms: every replier of an attempted slot adds its
-    # amplitude-weighted FM0 RN16, accumulated in global tag order (on
-    # the reference backend the scatter is np.add.at, whose repeated-
-    # index additions apply sequentially, so the summation order matches
-    # the reference's per-tag loop; portable backends accumulate by
-    # one-hot matmul, tolerance-equal).
+    # amplitude-weighted FM0 RN16, accumulated in global tag order
+    # (np.add.at applies repeated-index additions sequentially, so the
+    # summation order matches the reference's per-tag loop).
     row_of_slot = np.full(n_slots, -1, dtype=np.int64)
     row_of_slot[attempt_slots] = np.arange(attempt_slots.size)
     repliers = np.flatnonzero(row_of_slot[slots] >= 0)
     chips = encode_chips_block(rn16s[repliers])
     waveforms = np.repeat(np.where(chips == 1, 1.0, -1.0), spc, axis=1)
-    composites = be.scatter_add_rows(
-        (attempt_slots.size, n_samples),
-        row_of_slot[slots[repliers]],
-        be.asarray(amps[repliers, None] * waveforms),
+    weighted = amps[repliers, None] * waveforms
+    composites = np.zeros(
+        (attempt_slots.size, n_samples), dtype=weighted.dtype
     )
+    np.add.at(composites, row_of_slot[slots[repliers]], weighted)
 
     # Receive the whole round's attempts through the reader chain in one
     # stacked call (attempts x periods), then DC-block per attempt --
@@ -496,32 +485,20 @@ def _vectorized_decode(
         _decode_rng(seed_material, seed, shard_index, round_index, int(slot))
         for slot in attempt_slots
     ]
-    averaged = capture_block(
-        reader.chain,
-        be.to_numpy(composites),
-        capture.n_periods,
-        rngs,
-        backend=be,
-    )
-    averaged = averaged - xp.mean(averaged, axis=1, keepdims=True)
+    averaged = capture_block(reader.chain, composites, capture.n_periods, rngs)
+    averaged = averaged - np.mean(averaged, axis=1, keepdims=True)
     if injector.active:
-        # Fault corruption is per-row host-side mutation; round-trip
-        # through NumPy (a no-op on the NumPy backends).
-        host = be.to_numpy(averaged)
         for a, slot in enumerate(attempt_slots):
-            host[a] = injector.corrupt_waveform(
+            averaged[a] = injector.corrupt_waveform(
                 _decode_trial_index(
                     shard_index, round_index, int(slot), max_rounds
                 ),
-                host[a],
+                averaged[a],
                 spc,
             )
-        averaged = be.ensure(host)
 
     tx_bits = rn16s[attempt_rows]
-    errors = be.to_numpy(
-        fm0_block_errors(tx_bits, averaged, spc, backend=be)
-    )
+    errors = fm0_block_errors(tx_bits, averaged, spc)
     decoded[attempt_slots[errors == 0]] = True
     obs.metrics.counter("fleet.decode_attempts").inc(attempt_rows.size)
     return decoded

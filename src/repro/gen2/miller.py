@@ -6,7 +6,8 @@ subcarrier with M cycles per bit. Readers trade data rate for robustness
 by asking tags for higher M -- useful at the low SNRs of deep-tissue links.
 """
 
-from typing import Dict, List, Sequence, Tuple
+import functools
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -126,9 +127,7 @@ def _decode_with_polarity(
                 halfbits = (start_level, start_level ^ 1)
             else:
                 halfbits = (start_level, start_level)
-            # The greedy trellis is host-side NumPy regardless of the
-            # process default backend (DESIGN section 15).
-            template = _halfbits_to_samples(halfbits, m, spc, backend="numpy")
+            template = _halfbits_to_samples(halfbits, m, spc)
             scores[hypothesis] = polarity * float(np.dot(segment, template))
             end_levels[hypothesis] = halfbits[-1]
         decided = 1 if scores[1] >= scores[0] else 0
@@ -139,18 +138,9 @@ def _decode_with_polarity(
     return tuple(bits), total_score
 
 
-_TEMPLATE_CACHE: Dict[Tuple[Tuple[int, ...], int, int, str], np.ndarray] = {}
-"""Decoder template arrays keyed by ``(halfbits, m, spc, backend name)``.
-
-An ``lru_cache`` keyed on the arguments alone would hand the same NumPy
-array to every backend; keying on the backend name keeps one read-only
-template per namespace (the greedy decoder itself is NumPy-only, but the
-cache is shared with any future namespace-resident correlator).
-"""
-
-
+@functools.lru_cache(maxsize=None)
 def _halfbits_to_samples(
-    halfbits: Tuple[int, ...], m: int, spc: int, backend=None
+    halfbits: Tuple[int, ...], m: int, spc: int
 ) -> np.ndarray:
     """Expand two half-bits into +/-1 samples with the running subcarrier.
 
@@ -158,26 +148,14 @@ def _halfbits_to_samples(
     rebuilds one for every bit hypothesis, so the templates are cached
     (read-only arrays) instead of reallocated per call.
     """
-    from repro.kernels.backend import get_namespace
-
-    be = get_namespace(backend)
-    key = (tuple(halfbits), int(m), int(spc), be.name)
-    cached = _TEMPLATE_CACHE.get(key)
-    if cached is not None:
-        return cached
     # Subcarrier phase is continuous across bits: each bit consumes 2*m
     # half-cycles, an even count, so each bit starts at phase 0.
     levels = np.repeat(np.asarray(halfbits, dtype=int), m)
     subcarrier = np.arange(levels.size) % 2
     chips = levels ^ subcarrier
     samples = np.repeat(np.where(chips == 1, 1.0, -1.0), spc)
-    if be.is_numpy_namespace:
-        samples.setflags(write=False)
-        template = samples
-    else:
-        template = be.asarray(samples)
-    _TEMPLATE_CACHE[key] = template
-    return template
+    samples.setflags(write=False)
+    return samples
 
 
 def bit_duration_s(blf_hz: float, m: int) -> float:

@@ -15,42 +15,18 @@ Kernels sit below the domain packages in the import graph (they depend on
 ``harvester.storage`` and ``reader.out_of_band`` can delegate to them
 without cycles. Each kernel reports its throughput via the
 ``kernels.*_samples`` observability counters.
-
-Every kernel accepts a ``backend`` argument (a name, a
-:class:`~repro.kernels.backend.Backend`, or ``None`` for the process
-default) selecting the array namespace it evaluates on -- NumPy is the
-pinned bitwise reference; see :mod:`repro.kernels.backend` and DESIGN
-section 15 for the portability rules.
 """
 
-from repro.kernels.backend import (
-    BACKEND_CHOICES,
-    Backend,
-    Capabilities,
-    available_backends,
-    default_backend,
-    get_namespace,
-    set_default_backend,
-    use_backend,
-)
 from repro.kernels.ber import ber_block, fm0_block_errors
 from repro.kernels.capture import capture_batch, capture_block
 from repro.kernels.hysteresis import hysteresis_mask_batch
 from repro.kernels.rectifier import rectifier_batch
 
 __all__ = [
-    "BACKEND_CHOICES",
-    "Backend",
-    "Capabilities",
-    "available_backends",
     "ber_block",
     "capture_batch",
     "capture_block",
-    "default_backend",
     "fm0_block_errors",
-    "get_namespace",
     "hysteresis_mask_batch",
     "rectifier_batch",
-    "set_default_backend",
-    "use_backend",
 ]

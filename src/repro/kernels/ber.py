@@ -14,13 +14,7 @@ preamble match (direct or globally inverted), the boundary-inversion rule
 on every data pair, and the trailing dummy-1 check; any failure scores the
 word as all bits wrong, like the scalar trial's ``except`` clause. Miller
 decoding is a sequential per-word trellis (its greedy state walk has no
-batch form), so those trials reuse the reference decoder unchanged and
-stay NumPy-only (DESIGN section 15).
-
-Backend portability: the FM0 block decoder is written in the array-API
-dialect once -- every operation it uses maps to the identical NumPy call
-on the NumPy backends, so no capability branch is needed and the NumPy
-output stays bit-identical to the pre-port code.
+batch form), so those trials reuse the reference decoder unchanged.
 """
 
 from typing import Dict, Tuple
@@ -30,7 +24,6 @@ import numpy as np
 from repro.analysis.mc import spawn_rngs
 from repro.gen2.fm0 import PREAMBLE_CHIPS, chips_to_waveform, encode_chips
 from repro.gen2.miller import decode_waveform, encode_waveform
-from repro.kernels.backend import get_namespace
 from repro.obs.context import current_obs
 
 _PREAMBLE = np.asarray(PREAMBLE_CHIPS, dtype=np.int64)
@@ -41,7 +34,6 @@ def fm0_block_errors(
     tx_bits: np.ndarray,
     waveforms: np.ndarray,
     samples_per_chip: int,
-    backend=None,
 ) -> np.ndarray:
     """Per-word bit-error counts of a block of FM0 waveforms.
 
@@ -54,55 +46,47 @@ def fm0_block_errors(
     Args:
         tx_bits: Transmitted data bits, shape ``(W, n_bits)``.
         waveforms: Received waveforms, shape ``(W, T)`` with
-            ``T = (preamble + 2 * (n_bits + 1)) * samples_per_chip``; a
-            NumPy array or an array already in the backend's namespace.
+            ``T = (preamble + 2 * (n_bits + 1)) * samples_per_chip``.
         samples_per_chip: Oversampling factor.
-        backend: Array backend to evaluate on (name, :class:`Backend`,
-            or ``None`` for the process default).
 
     Returns:
-        Shape ``(W,)`` integer error counts in the backend's namespace;
-        a word that fails preamble, boundary, or dummy-bit checks counts
-        every bit as wrong.
+        Shape ``(W,)`` integer error counts; a word that fails preamble,
+        boundary, or dummy-bit checks counts every bit as wrong.
     """
-    be = get_namespace(backend)
-    xp = be.xp
-    tx_staged = np.asarray(tx_bits, dtype=np.int64)
-    n_words, n_bits = tx_staged.shape
-    tx = be.asarray(tx_staged)
-    waves = be.ensure(waveforms)
+    tx = np.asarray(tx_bits, dtype=np.int64)
+    n_words, n_bits = tx.shape
+    waves = np.asarray(waveforms)
     n_chips = waves.shape[1] // samples_per_chip
     trimmed = waves[:, : n_chips * samples_per_chip]
-    means = xp.mean(
-        xp.reshape(trimmed, (n_words, n_chips, samples_per_chip)), axis=2
+    means = np.mean(
+        trimmed.reshape(n_words, n_chips, samples_per_chip), axis=2
     )
-    chips = xp.astype(means > 0.0, xp.int64)
+    chips = (means > 0.0).astype(np.int64)
 
-    pre = be.asarray(_PREAMBLE)
     preamble = chips[:, :_PREAMBLE_LEN]
-    direct = xp.all(preamble == pre, axis=1)
-    inverted = xp.all(preamble == 1 - pre, axis=1)
-    stream = xp.where(inverted[:, None], 1 - chips, chips)
+    direct = np.all(preamble == _PREAMBLE, axis=1)
+    inverted = np.all(preamble == 1 - _PREAMBLE, axis=1)
+    stream = np.where(inverted[:, None], 1 - chips, chips)
 
     firsts = stream[:, _PREAMBLE_LEN::2]
     seconds = stream[:, _PREAMBLE_LEN + 1 :: 2]
     # The level entering each pair: the preamble's last chip, then the
     # previous pair's second chip.
-    levels = xp.concat(
+    levels = np.concatenate(
         [stream[:, _PREAMBLE_LEN - 1 : _PREAMBLE_LEN], seconds[:, :-1]],
         axis=1,
     )
-    violation = xp.any(firsts == levels, axis=1)
-    decoded = xp.astype(seconds == firsts, xp.int64)  # (W, n_bits + 1)
+    violation = np.any(firsts == levels, axis=1)
+    decoded = (seconds == firsts).astype(np.int64)  # (W, n_bits + 1)
     failed = (
         ~(direct | inverted) | violation | (decoded[:, -1] != 1)
     )
-    mismatches = xp.sum(
-        xp.astype(decoded[:, :n_bits] != tx, xp.int64), axis=1
+    mismatches = np.sum(
+        (decoded[:, :n_bits] != tx).astype(np.int64), axis=1
     )
-    current_obs().metrics.counter("kernels.ber_chips").inc(be.size(chips))
-    return xp.where(
-        failed, xp.asarray(n_bits, dtype=mismatches.dtype), mismatches
+    current_obs().metrics.counter("kernels.ber_chips").inc(chips.size)
+    return np.where(
+        failed, np.asarray(n_bits, dtype=mismatches.dtype), mismatches
     )
 
 
@@ -115,7 +99,6 @@ def ber_block(
     samples_per_chip: int,
     miller_orders: Tuple[int, ...],
     averaging_periods: int,
-    backend=None,
 ) -> Dict[str, int]:
     """Per-scheme bit-error counts for words ``[start, start + count)``.
 
@@ -125,7 +108,6 @@ def ber_block(
     noise, per-Miller noise, averaged-FM0 noise) happen in the legacy
     order, with the multi-period noise taken in one C-order call.
     """
-    be = get_namespace(backend)
     errors: Dict[str, int] = {"FM0": 0}
     for m in miller_orders:
         errors[f"Miller-{m}"] = 0
@@ -163,19 +145,9 @@ def ber_block(
         averaged[index] = np.mean(clean[None, :] + period_noise, axis=0)
 
     errors["FM0"] = int(
-        np.sum(
-            be.to_numpy(
-                fm0_block_errors(tx_bits, plain, samples_per_chip, backend=be)
-            )
-        )
+        np.sum(fm0_block_errors(tx_bits, plain, samples_per_chip))
     )
     errors[avg_key] = int(
-        np.sum(
-            be.to_numpy(
-                fm0_block_errors(
-                    tx_bits, averaged, samples_per_chip, backend=be
-                )
-            )
-        )
+        np.sum(fm0_block_errors(tx_bits, averaged, samples_per_chip))
     )
     return errors

@@ -26,29 +26,23 @@ a period with zero peak is passed to the quantizer unscaled, which the
 batched path reproduces with a gain of exactly ``1.0`` (multiplying and
 dividing by 1.0 are exact in IEEE-754).
 
-Backend portability: randomness always comes from the caller's NumPy
-generators (the draw-order contracts above are keyed to them) and is
-shipped to the namespace with :meth:`Backend.asarray`; the stacked
-arithmetic then runs in the namespace. The reference NumPy path keeps
-the pre-port ``np.divide(..., out=, where=)`` AGC; the portable branch
-uses a ``where``-guarded division that performs the identical IEEE-754
-division at every scalable period (and an exact 1.0 elsewhere), so both
-branches are bit-identical on NumPy.
+All randomness comes from the caller's NumPy generators, drawn in the
+legacy order above; the worker-invariance and fault-injection contracts
+are keyed to those streams.
 """
 
 import math
 
 import numpy as np
 
-from repro.kernels.backend import get_namespace
 from repro.obs.context import current_obs
 
 
 def _complex_staged(signal: np.ndarray) -> np.ndarray:
-    """Coerce to a complex NumPy staging array, preserving precision.
+    """Coerce to a complex array, preserving precision.
 
     complex64 (or float32) inputs stay single precision; everything else
-    lands on complex128 exactly as the pre-port ``dtype=complex`` did.
+    lands on complex128, as the scalar loop's ``dtype=complex`` does.
     """
     staged = np.asarray(signal)
     if staged.dtype == np.complex64:
@@ -58,40 +52,26 @@ def _complex_staged(signal: np.ndarray) -> np.ndarray:
     return staged.astype(np.complex128)
 
 
-def _agc_gains(be, peaks, agc_target: float, full_scale: float):
+def _agc_gains(peaks, agc_target: float, full_scale: float):
     """Per-period AGC gains: ``target * full_scale / peak``, 1.0 if flat."""
-    xp = be.xp
-    ones = xp.ones(peaks.shape, dtype=peaks.dtype)
+    gains = np.ones(peaks.shape, dtype=peaks.dtype)
     if agc_target <= 0:
-        return ones
-    scalable = peaks > 0
-    if be.caps.inplace_out:
-        gains = ones
-        np.divide(
-            agc_target * full_scale, peaks,
-            out=gains, where=scalable,
-        )
         return gains
-    safe = xp.where(scalable, peaks, ones)
-    return xp.where(scalable, (agc_target * full_scale) / safe, ones)
+    np.divide(
+        agc_target * full_scale, peaks,
+        out=gains, where=peaks > 0,
+    )
+    return gains
 
 
-def _quantize_scaled(be, in_phase, column, adc):
+def _quantize_scaled(in_phase, column, adc):
     """``quantize(in_phase * gain) / gain`` with two-rounding division.
 
     The scalar loop divides a *complex* array by the real gain, and
     numpy's complex division (Smith's algorithm) computes that as
     ``a * (1/gain)`` -- two roundings, not one. Match it exactly.
     """
-    xp = be.xp
-    scaled = in_phase * column
-    if be.is_numpy_namespace:
-        quantized = adc.quantize_real(scaled)
-    else:
-        levels = 2 ** (adc.n_bits - 1)
-        codes = xp.clip(xp.round(scaled / adc.step), -levels, levels - 1)
-        quantized = codes * adc.step
-    return quantized * (1.0 / column)
+    return adc.quantize_real(in_phase * column) * (1.0 / column)
 
 
 def capture_batch(
@@ -102,7 +82,6 @@ def capture_batch(
     jam_amplitude_v: float = 0.0,
     beamformer_frequency_hz: float = 915e6,
     agc_target: float = 0.5,
-    backend=None,
 ) -> np.ndarray:
     """Coherently averaged real waveform of ``n_periods`` receptions.
 
@@ -118,18 +97,13 @@ def capture_batch(
         jam_amplitude_v: Pre-filter jam amplitude; 0 disables jamming.
         beamformer_frequency_hz: Carrier of the jam, for the SAW stopband.
         agc_target: Per-period AGC target (see ``ReceiveChain.receive``).
-        backend: Array backend to evaluate on (name, :class:`Backend`,
-            or ``None`` for the process default).
 
     Returns:
         The ``(T,)`` mean of the per-period real parts -- the scalar
-        loop's ``coherent_average`` output, before any DC blocking -- in
-        the backend's namespace.
+        loop's ``coherent_average`` output, before any DC blocking.
     """
     if n_periods < 1:
         raise ValueError(f"need >= 1 period, got {n_periods}")
-    be = get_namespace(backend)
-    xp = be.xp
     staged = _complex_staged(signal)
     if staged.ndim != 1 or staged.size == 0:
         raise ValueError("signal must be non-empty 1-D")
@@ -138,13 +112,12 @@ def capture_batch(
         np.float32 if staged.dtype == np.complex64 else np.float64
     )
     base = staged * chain.saw.amplitude_response(chain.tuned_frequency_hz)
-    base_i = be.asarray(np.ascontiguousarray(base.real))
-    base_q = be.asarray(np.ascontiguousarray(base.imag))
+    base_i = np.ascontiguousarray(base.real)
+    base_q = np.ascontiguousarray(base.imag)
 
     if jam_amplitude_v > 0:
         # Per-period draw order is uniform phase, then the two noise
-        # components; replicate it draw for draw (NumPy generators,
-        # regardless of backend).
+        # components; replicate it draw for draw.
         phases = np.empty(n_periods)
         draws = np.empty((n_periods, 2, n_samples))
         for period in range(n_periods):
@@ -154,16 +127,16 @@ def capture_batch(
         jam_values = (jam_amplitude_v * np.exp(1j * phases)) * (
             chain.saw.amplitude_response(beamformer_frequency_hz)
         )
-        jam_i = be.asarray(jam_values.real.astype(real_dtype, copy=False))
-        jam_q = be.asarray(jam_values.imag.astype(real_dtype, copy=False))
-        xdraws = be.asarray(draws.astype(real_dtype, copy=False))
+        jam_i = jam_values.real.astype(real_dtype, copy=False)
+        jam_q = jam_values.imag.astype(real_dtype, copy=False)
+        xdraws = draws.astype(real_dtype, copy=False)
         in_phase = base_i[None, :] + jam_i[:, None]
         quadrature = base_q[None, :] + jam_q[:, None]
     else:
         draws = rng.normal(size=(n_periods, 2, n_samples))
-        xdraws = be.asarray(draws.astype(real_dtype, copy=False))
-        in_phase = xp.broadcast_to(base_i, (n_periods, n_samples))
-        quadrature = xp.broadcast_to(base_q, (n_periods, n_samples))
+        xdraws = draws.astype(real_dtype, copy=False)
+        in_phase = np.broadcast_to(base_i, (n_periods, n_samples))
+        quadrature = np.broadcast_to(base_q, (n_periods, n_samples))
 
     factor = chain.noise_std() / math.sqrt(2.0)
     in_phase = in_phase + factor * xdraws[:, 0, :]
@@ -171,14 +144,14 @@ def capture_batch(
 
     adc = getattr(chain, "adc", None)
     if adc is not None:
-        peaks = xp.maximum(
-            xp.max(xp.abs(in_phase), axis=1),
-            xp.max(xp.abs(quadrature), axis=1),
+        peaks = np.maximum(
+            np.max(np.abs(in_phase), axis=1),
+            np.max(np.abs(quadrature), axis=1),
         )
-        gains = _agc_gains(be, peaks, agc_target, adc.full_scale)
-        in_phase = _quantize_scaled(be, in_phase, gains[:, None], adc)
+        gains = _agc_gains(peaks, agc_target, adc.full_scale)
+        in_phase = _quantize_scaled(in_phase, gains[:, None], adc)
 
-    averaged = xp.mean(in_phase, axis=0)
+    averaged = np.mean(in_phase, axis=0)
     current_obs().metrics.counter("kernels.capture_samples").inc(
         n_periods * n_samples
     )
@@ -191,7 +164,6 @@ def capture_block(
     n_periods: int,
     rngs,
     agc_target: float = 0.5,
-    backend=None,
 ) -> np.ndarray:
     """Coherently averaged captures of ``A`` independent signals at once.
 
@@ -214,17 +186,13 @@ def capture_block(
         n_periods: Periods to receive and average per signal.
         rngs: Sequence of ``A`` NumPy generators, one per signal.
         agc_target: Per-period AGC target (see ``ReceiveChain.receive``).
-        backend: Array backend to evaluate on (name, :class:`Backend`,
-            or ``None`` for the process default).
 
     Returns:
         The ``(A, T)`` per-signal means of the per-period real parts,
-        before any DC blocking, in the backend's namespace.
+        before any DC blocking.
     """
     if n_periods < 1:
         raise ValueError(f"need >= 1 period, got {n_periods}")
-    be = get_namespace(backend)
-    xp = be.xp
     staged = _complex_staged(signals)
     if staged.ndim != 2 or staged.size == 0:
         raise ValueError("signals must be non-empty (A, T)")
@@ -235,13 +203,13 @@ def capture_block(
         np.float32 if staged.dtype == np.complex64 else np.float64
     )
     base = staged * chain.saw.amplitude_response(chain.tuned_frequency_hz)
-    base_i = be.asarray(np.ascontiguousarray(base.real))
-    base_q = be.asarray(np.ascontiguousarray(base.imag))
+    base_i = np.ascontiguousarray(base.real)
+    base_q = np.ascontiguousarray(base.imag)
 
     draws = np.empty((n_signals, n_periods, 2, n_samples))
     for index, rng in enumerate(rngs):
         draws[index] = rng.normal(size=(n_periods, 2, n_samples))
-    xdraws = be.asarray(draws.astype(real_dtype, copy=False))
+    xdraws = draws.astype(real_dtype, copy=False)
 
     factor = chain.noise_std() / math.sqrt(2.0)
     in_phase = base_i[:, None, :] + factor * xdraws[:, :, 0, :]
@@ -249,14 +217,14 @@ def capture_block(
 
     adc = getattr(chain, "adc", None)
     if adc is not None:
-        peaks = xp.maximum(
-            xp.max(xp.abs(in_phase), axis=2),
-            xp.max(xp.abs(quadrature), axis=2),
+        peaks = np.maximum(
+            np.max(np.abs(in_phase), axis=2),
+            np.max(np.abs(quadrature), axis=2),
         )
-        gains = _agc_gains(be, peaks, agc_target, adc.full_scale)
-        in_phase = _quantize_scaled(be, in_phase, gains[:, :, None], adc)
+        gains = _agc_gains(peaks, agc_target, adc.full_scale)
+        in_phase = _quantize_scaled(in_phase, gains[:, :, None], adc)
 
-    averaged = xp.mean(in_phase, axis=1)
+    averaged = np.mean(in_phase, axis=1)
     current_obs().metrics.counter("kernels.capture_samples").inc(
         n_signals * n_periods * n_samples
     )

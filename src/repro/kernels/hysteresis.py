@@ -14,21 +14,13 @@ every sample is one of three kinds:
 
 The mask at sample ``t`` is therefore the kind of the most recent
 *decisive* sample at or before ``t`` (off when none exists: the chip
-starts unpowered). On the reference NumPy backend a forward-fill of
-decisive indices via ``np.maximum.accumulate`` answers that in a handful
-of vector operations, exactly as before the backend port. The portable
-branch has no ufunc methods or ``take_along_axis``, so it folds the kind
-into the fill value instead: decisive samples encode ``2 * index + 1``
-(turn-on) or ``2 * index`` (turn-off), the running integer maximum
-forward-fills them, and the mask is "filled value is a turn-on", i.e.
-non-negative and odd. Integer maxima are exact, so the two branches agree
-bit for bit on NumPy.
+starts unpowered). A forward-fill of decisive indices via
+``np.maximum.accumulate`` answers that in a handful of vector operations.
 """
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.kernels.backend import get_namespace
 from repro.obs.context import current_obs
 
 
@@ -36,7 +28,6 @@ def hysteresis_mask_batch(
     voltage_traces: np.ndarray,
     operate_voltage_v: float,
     brownout_voltage_v: float,
-    backend=None,
 ) -> np.ndarray:
     """Boolean operating mask(s) for storage-voltage trace(s).
 
@@ -47,12 +38,9 @@ def hysteresis_mask_batch(
         operate_voltage_v: Turn-on threshold (inclusive).
         brownout_voltage_v: Stay-on threshold (inclusive); must sit below
             the operate voltage.
-        backend: Array backend to evaluate on (name, :class:`Backend`,
-            or ``None`` for the process default).
 
     Returns:
-        Boolean array of the input shape in the backend's namespace,
-        bit-identical on the NumPy reference backend to running the
+        Boolean array of the input shape, bit-identical to running the
         scalar hysteresis loop over each row.
     """
     if operate_voltage_v <= 0:
@@ -61,8 +49,6 @@ def hysteresis_mask_batch(
         raise ConfigurationError(
             "brownout voltage must be in [0, operate voltage)"
         )
-    be = get_namespace(backend)
-    xp = be.xp
     staged = np.asarray(voltage_traces)
     if staged.dtype.kind != "f":
         staged = staged.astype(np.float64)
@@ -74,33 +60,21 @@ def hysteresis_mask_batch(
     if staged.ndim != 2:
         raise ValueError("voltage traces must be 1-D or 2-D")
     if staged.shape[1] == 0:
-        mask = xp.zeros(staged.shape, dtype=xp.bool)
-        return xp.reshape(mask, (-1,)) if squeeze else mask
+        mask = np.zeros(staged.shape, dtype=bool)
+        return mask.reshape(-1) if squeeze else mask
 
-    trace = be.asarray(staged)
     n_samples = staged.shape[1]
-    turns_on = trace >= operate_voltage_v
-    turns_off = trace < brownout_voltage_v
+    turns_on = staged >= operate_voltage_v
+    turns_off = staged < brownout_voltage_v
     decisive = turns_on | turns_off
-    if be.caps.ufunc_at:
-        indices = np.arange(n_samples)
-        last_decisive = np.maximum.accumulate(
-            np.where(decisive, indices, -1), axis=1
-        )
-        mask = np.take_along_axis(
-            turns_on, np.maximum(last_decisive, 0), axis=1
-        ) & (last_decisive >= 0)
-    else:
-        indices = xp.arange(n_samples)
-        none = xp.asarray(-1, dtype=indices.dtype)
-        encoded = xp.where(
-            decisive,
-            2 * indices + xp.astype(turns_on, indices.dtype),
-            none,
-        )
-        filled = be.cumulative_max_int(encoded)
-        mask = (filled >= 0) & (filled % 2 == 1)
-    current_obs().metrics.counter("kernels.hysteresis_samples").inc(
-        be.size(trace)
+    indices = np.arange(n_samples)
+    last_decisive = np.maximum.accumulate(
+        np.where(decisive, indices, -1), axis=1
     )
-    return xp.reshape(mask, (-1,)) if squeeze else mask
+    mask = np.take_along_axis(
+        turns_on, np.maximum(last_decisive, 0), axis=1
+    ) & (last_decisive >= 0)
+    current_obs().metrics.counter("kernels.hysteresis_samples").inc(
+        staged.size
+    )
+    return mask.reshape(-1) if squeeze else mask

@@ -3,14 +3,10 @@
 :func:`rectifier_batch` integrates the
 :class:`repro.harvester.rectifier.MultiStageRectifier` recurrence over a
 ``(B, T)`` block of envelope traces, looping only over the time axis while
-every per-sample operation runs vectorized across the batch. The
-``"step"`` method replicates the scalar reference loop operation for
-operation, so its output is bit-identical to calling
-``MultiStageRectifier.simulate`` on each row; the ``"scan"`` method solves
-the same first-order affine recurrence in closed form (cumulative
-products/sums per constant-regime segment), which is exact in the
-recurrence but associates the floating-point work differently, so it
-agrees to rounding noise rather than bitwise.
+every per-sample operation runs vectorized across the batch. The loop
+replicates the scalar reference loop operation for operation, so its
+output is bit-identical to calling ``MultiStageRectifier.simulate`` on
+each row.
 
 The recurrence per sample (the pinned reference in
 ``harvester/rectifier.py``)::
@@ -20,40 +16,15 @@ The recurrence per sample (the pinned reference in
     dv     = (charge - load) * dt / C
     v      = v_oc[t]  if dt > Rs*C and v + dv > v_oc[t] > v   (coarse clamp)
              max(0, v + dv)  otherwise
-
-In the fine-step regime (``dt <= Rs*C``) the clamp never fires and the
-update is piecewise affine in ``v``: *charging* (``v_oc > v``) follows
-``v' = a_c v + b_t`` with ``a_c = 1 - dt/(Rs C) - dt/(Rl C)`` and
-``b_t = v_oc[t] dt / (Rs C)``; *discharging* follows ``v' = a_d v`` with
-``a_d = 1 - dt/(Rl C)``. Within a segment of constant regime the solution
-is ``v_k = a^{k+1} (v_0 + sum_j a^{-(j+1)} b_j)``, evaluated blockwise so
-the negative powers never overflow.
-
-Backend portability: the step loop has two bodies. Namespaces with ufunc
-``out=`` support reuse per-step buffers exactly as the pre-port code did
-(the pinned reference path); portable namespaces run the same IEEE-754
-operations in the same order through fresh allocations, so the two bodies
-are bit-identical on NumPy. The ``"scan"`` method is a NumPy-only fast
-path (data-dependent segment walks) and silently falls back to ``"step"``
-on non-NumPy namespaces.
 """
 
-import math
 from typing import Optional, Union
 
 import numpy as np
 
 from repro.constants import DEFAULT_RECTIFIER_STAGES, DIODE_THRESHOLD_V
 from repro.errors import ConfigurationError
-from repro.kernels.backend import get_namespace
 from repro.obs.context import current_obs
-
-METHODS = ("step", "scan")
-"""Recognized integration methods."""
-
-_SCAN_MAX_SEGMENT_FRACTION = 16
-"""Fallback guard: more than ``T / 16`` regime flips means the segment
-bookkeeping costs more than the step loop it replaces."""
 
 
 def _validate(
@@ -87,8 +58,6 @@ def rectifier_batch(
     storage_capacitance_f: float = 100e-12,
     load_resistance_ohms: Optional[float] = 1e6,
     initial_voltage_v: Union[float, np.ndarray] = 0.0,
-    method: str = "step",
-    backend=None,
 ) -> np.ndarray:
     """Storage-capacitor voltage traces for a block of envelope traces.
 
@@ -103,26 +72,14 @@ def rectifier_batch(
             defaults match :class:`~repro.harvester.rectifier.MultiStageRectifier`.
         initial_voltage_v: Capacitor voltage before the first sample;
             scalar or per-row ``(B,)``.
-        method: ``"step"`` (bit-identical to the scalar loop) or
-            ``"scan"`` (affine-scan fast path; falls back to ``"step"``
-            per row outside its regime -- coarse steps, non-positive
-            charging coefficient, or excessive regime flips -- and
-            entirely on non-NumPy namespaces).
-        backend: Array backend to evaluate on (name, :class:`Backend`,
-            or ``None`` for the process default).
 
     Returns:
-        Capacitor voltage after each sample, same shape as the input, in
-        the backend's namespace.
+        Capacitor voltage after each sample, same shape as the input.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     _validate(
         dt_s, n_stages, threshold_v, source_resistance_ohms,
         storage_capacitance_f, load_resistance_ohms,
     )
-    be = get_namespace(backend)
-    xp = be.xp
     env = np.asarray(envelopes_v)
     if env.dtype.kind != "f":
         env = env.astype(np.float64)
@@ -138,118 +95,17 @@ def rectifier_batch(
         np.asarray(initial_voltage_v, dtype=env.dtype), (n_rows,)
     ).copy()
 
-    data = be.asarray(env)
-    zero = xp.asarray(0.0, dtype=data.dtype)
-    v_oc = n_stages * xp.maximum(zero, data - threshold_v)
-    if method == "scan" and be.is_numpy_namespace:
-        trace = _scan(
-            v_oc, v0, dt_s, source_resistance_ohms,
-            storage_capacitance_f, load_resistance_ohms,
-        )
-    elif be.caps.inplace_out:
-        trace = _step(
-            xp, v_oc, be.asarray(v0), dt_s, source_resistance_ohms,
-            storage_capacitance_f, load_resistance_ohms,
-        )
-    else:
-        trace = _step_portable(
-            be, v_oc, be.asarray(v0), dt_s, source_resistance_ohms,
-            storage_capacitance_f, load_resistance_ohms,
-        )
+    zero = np.asarray(0.0, dtype=env.dtype)
+    v_oc = n_stages * np.maximum(zero, env - threshold_v)
+    trace = _step(
+        v_oc, v0, dt_s, source_resistance_ohms,
+        storage_capacitance_f, load_resistance_ohms,
+    )
     current_obs().metrics.counter("kernels.rectifier_samples").inc(env.size)
-    return xp.reshape(trace, (-1,)) if squeeze else trace
+    return trace.reshape(-1) if squeeze else trace
 
 
 def _step(
-    xp,
-    v_oc,
-    v0,
-    dt_s: float,
-    rs: float,
-    c_store: float,
-    rl: Optional[float],
-):
-    """The reference recurrence, vectorized across rows per time step.
-
-    Requires ufunc ``out=`` support (``Capabilities.inplace_out``); this
-    is the pre-port buffer-reusing loop, byte for byte on NumPy.
-    """
-    n_rows, n_samples = v_oc.shape
-    dtype = v_oc.dtype
-    # Time-major layout keeps each step's slice contiguous.
-    voc_t = xp.ascontiguousarray(v_oc.T)
-    trace = xp.empty((n_samples, n_rows), dtype=dtype)
-    v = v0.copy()
-    tau_charge = rs * c_store
-    coarse = dt_s > tau_charge
-    work = xp.empty(n_rows, dtype=dtype)
-    load = xp.empty(n_rows, dtype=dtype)
-    vnew = xp.empty(n_rows, dtype=dtype)
-    for index in range(n_samples):
-        voc = voc_t[index]
-        xp.subtract(voc, v, out=work)
-        xp.maximum(0.0, work, out=work)
-        xp.divide(work, rs, out=work)  # charge current
-        if rl is not None:
-            xp.divide(v, rl, out=load)
-            xp.subtract(work, load, out=work)
-        else:
-            xp.subtract(work, 0.0, out=work)
-        xp.multiply(work, dt_s, out=work)
-        xp.divide(work, c_store, out=work)  # dv
-        xp.add(v, work, out=vnew)
-        if coarse:
-            clamp = (vnew > voc) & (voc > v)
-            xp.maximum(0.0, vnew, out=vnew)
-            xp.copyto(vnew, voc, where=clamp)
-        else:
-            xp.maximum(0.0, vnew, out=vnew)
-        v, vnew = vnew, v
-        trace[index] = v
-    return xp.ascontiguousarray(trace.T)
-
-
-def _step_portable(
-    be,
-    v_oc,
-    v0,
-    dt_s: float,
-    rs: float,
-    c_store: float,
-    rl: Optional[float],
-):
-    """Array-API-clean step loop: same operations, fresh allocations.
-
-    Each step applies the identical IEEE-754 operations in the identical
-    order as :func:`_step` (subtracting an open-circuit load of 0.0 is a
-    bitwise no-op, so it is simply skipped), so the two loops agree bit
-    for bit on the NumPy namespace.
-    """
-    xp = be.xp
-    n_samples = v_oc.shape[1]
-    zero = xp.asarray(0.0, dtype=v_oc.dtype)
-    coarse = dt_s > rs * c_store
-    v = v0
-    columns = []
-    for index in range(n_samples):
-        voc = v_oc[:, index]
-        work = xp.maximum(zero, voc - v) / rs  # charge current
-        if rl is not None:
-            work = work - v / rl
-        work = work * dt_s
-        work = work / c_store  # dv
-        vnew = v + work
-        if coarse:
-            clamp = (vnew > voc) & (voc > v)
-            vnew = xp.where(clamp, voc, xp.maximum(zero, vnew))
-        else:
-            vnew = xp.maximum(zero, vnew)
-        v = vnew
-        columns.append(v)
-    return xp.stack(columns, axis=1)
-
-
-def _scan(
     v_oc: np.ndarray,
     v0: np.ndarray,
     dt_s: float,
@@ -257,110 +113,37 @@ def _scan(
     c_store: float,
     rl: Optional[float],
 ) -> np.ndarray:
-    """Affine-scan rows where the regime allows it, step elsewhere.
-
-    NumPy-only: the segment walk is data-dependent host-side control
-    flow (see DESIGN section 15).
-    """
-    tau_charge = rs * c_store
-    k_charge = dt_s / tau_charge
-    k_load = 0.0 if rl is None else dt_s / (rl * c_store)
-    a_charge = 1.0 - k_charge - k_load
-    a_discharge = 1.0 - k_load
+    """The reference recurrence, vectorized across rows per time step."""
     n_rows, n_samples = v_oc.shape
-    trace = np.empty((n_rows, n_samples), dtype=v_oc.dtype)
-    scan_ok = dt_s <= tau_charge and a_charge > 0.0
-    max_segments = max(4, n_samples // _SCAN_MAX_SEGMENT_FRACTION)
-    for row in range(n_rows):
-        out = None
-        if scan_ok:
-            out = _scan_row(
-                v_oc[row], float(v0[row]), a_charge, a_discharge,
-                k_charge, max_segments,
-            )
-        if out is None:
-            out = _step(
-                np, v_oc[row : row + 1], v0[row : row + 1], dt_s, rs,
-                c_store, rl,
-            )[0]
-        trace[row] = out
-    return trace
-
-
-def _scan_row(
-    voc: np.ndarray,
-    v0: float,
-    a_charge: float,
-    a_discharge: float,
-    k_charge: float,
-    max_segments: int,
-) -> Optional[np.ndarray]:
-    """Closed-form solution of one row, segmented by conduction regime.
-
-    Returns ``None`` when the segment count exceeds the guard, signalling
-    the caller to fall back to the step loop for this row.
-    """
-    n_samples = voc.size
-    b = voc * k_charge
-    out = np.empty(n_samples, dtype=voc.dtype)
-    position = 0
-    v = v0
-    segments = 0
-    while position < n_samples:
-        segments += 1
-        if segments > max_segments:
-            return None
-        charging = voc[position] - v > 0.0
-        remaining = n_samples - position
-        if charging:
-            segment = _affine_solve(a_charge, b[position:], v)
+    dtype = v_oc.dtype
+    # Time-major layout keeps each step's slice contiguous.
+    voc_t = np.ascontiguousarray(v_oc.T)
+    trace = np.empty((n_samples, n_rows), dtype=dtype)
+    v = v0.copy()
+    tau_charge = rs * c_store
+    coarse = dt_s > tau_charge
+    work = np.empty(n_rows, dtype=dtype)
+    load = np.empty(n_rows, dtype=dtype)
+    vnew = np.empty(n_rows, dtype=dtype)
+    for index in range(n_samples):
+        voc = voc_t[index]
+        np.subtract(voc, v, out=work)
+        np.maximum(0.0, work, out=work)
+        np.divide(work, rs, out=work)  # charge current
+        if rl is not None:
+            np.divide(v, rl, out=load)
+            np.subtract(work, load, out=work)
         else:
-            segment = v * _powers(a_discharge, remaining)
-        previous = np.empty(remaining, dtype=voc.dtype)
-        previous[0] = v
-        previous[1:] = segment[:-1]
-        consistent = (voc[position:] - previous > 0.0) == charging
-        flips = np.nonzero(~consistent)[0]
-        length = int(flips[0]) if flips.size else remaining
-        out[position : position + length] = segment[:length]
-        v = float(out[position + length - 1])
-        position += length
-    return out
-
-
-def _powers(a: float, count: int) -> np.ndarray:
-    """``a ** (1..count)`` (gradual underflow to zero is fine here)."""
-    if a == 0.0:
-        powers = np.zeros(count)
-        return powers
-    with np.errstate(under="ignore"):
-        return a ** np.arange(1, count + 1, dtype=float)
-
-
-def _affine_solve(a: float, b: np.ndarray, v0: float) -> np.ndarray:
-    """Solve ``v_k = a v_{k-1} + b_k`` (``v_{-1} = v0``) by cumprod/cumsum.
-
-    ``v_k = a^{k+1} (v0 + sum_{j<=k} a^{-(j+1)} b_j)`` -- evaluated in
-    blocks short enough that ``a^{-L}`` stays finite, carrying the state
-    across block boundaries.
-    """
-    count = b.size
-    out = np.empty(count, dtype=b.dtype)
-    if a < 1.0:
-        # Largest block whose reciprocal powers stay below ~1e280.
-        block = int(280.0 / max(1e-12, -math.log10(a)))
-        block = max(8, min(4096, block))
-    else:
-        block = 4096
-    state = v0
-    for start in range(0, count, block):
-        chunk = b[start : start + block]
-        exponents = np.arange(1, chunk.size + 1, dtype=float)
-        with np.errstate(under="ignore"):
-            pos = a**exponents
-            neg = a**-exponents
-        out[start : start + chunk.size] = pos * (
-            state + np.cumsum(chunk * neg)
-        )
-        state = float(out[start + chunk.size - 1])
-    return out
+            np.subtract(work, 0.0, out=work)
+        np.multiply(work, dt_s, out=work)
+        np.divide(work, c_store, out=work)  # dv
+        np.add(v, work, out=vnew)
+        if coarse:
+            clamp = (vnew > voc) & (voc > v)
+            np.maximum(0.0, vnew, out=vnew)
+            np.copyto(vnew, voc, where=clamp)
+        else:
+            np.maximum(0.0, vnew, out=vnew)
+        v, vnew = vnew, v
+        trace[index] = v
+    return np.ascontiguousarray(trace.T)

@@ -64,22 +64,15 @@ MAD_TO_SIGMA = 1.4826
 def env_fingerprint(workers: Optional[int] = None) -> Dict[str, Any]:
     """The facts that make two bench runs comparable.
 
-    Rows whose fingerprints differ (new interpreter, different box,
-    different array backend) are excluded from each other's baselines
-    rather than averaged together. The backend key keeps the sentinel
-    from ever mixing reference-NumPy baselines with rows timed on another
-    array backend.
+    Rows whose fingerprints differ (new interpreter, different box) are
+    excluded from each other's baselines rather than averaged together.
     """
     import numpy as np
 
-    from repro.kernels.backend import default_backend
-
-    backend = default_backend()
     env: Dict[str, Any] = {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
-        "backend": backend.name,
     }
     if workers is not None:
         env["workers"] = int(workers)

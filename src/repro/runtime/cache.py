@@ -137,23 +137,6 @@ def plan_key(**config) -> str:
     return stable_digest(config, 24)
 
 
-def _active_backend_token() -> Optional[str]:
-    """Cache-key token for the process array backend.
-
-    ``None`` on the pinned bitwise-reference NumPy backend -- its keys
-    must stay byte-stable across this and every earlier revision. Any
-    other backend scores plans to tolerance only, so its plans get their
-    own key space (``name@device``) and can never be served to, or
-    poisoned by, the reference path.
-    """
-    from repro.kernels.backend import default_backend
-
-    backend = default_backend()
-    if backend.is_reference:
-        return None
-    return f"{backend.name}@{backend.device}"
-
-
 def _search_key(
     kind: str,
     threshold: Optional[float],
@@ -194,9 +177,6 @@ def _search_key(
     )
     if threshold is not None:
         config["threshold"] = threshold
-    backend_token = _active_backend_token()
-    if backend_token is not None:
-        config["backend"] = backend_token
     return plan_key(**config)
 
 
@@ -209,9 +189,7 @@ def peak_plan_key(
     rows from an older search algorithm can never be served as current),
     ``fault_token`` / ``adaptive_token`` isolate fault-injected and
     adaptive-allocation plans, and the worker count is **excluded**
-    (results are bit-identical for any fan-out). A non-reference array
-    backend adds its own token (see :func:`_active_backend_token`);
-    reference NumPy keys are byte-stable with earlier revisions. Exposed
+    (results are bit-identical for any fan-out). Exposed
     publicly so the serve layer can address every cache tier -- memory
     and the SQLite store -- by exactly the key the search would compute.
     """

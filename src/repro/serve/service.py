@@ -49,6 +49,7 @@ from repro.core.optimizer import (
     evaluate_stacked_specs,
 )
 from repro.em.media import MEDIA_LIBRARY
+from repro.errors import ConfigurationError
 from repro.em.propagation import tissue_field_amplitude
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.harvester.tag_power import HarvesterFrontEnd
@@ -216,7 +217,9 @@ def _fault_token(payload: Dict[str, Any]) -> str:
                     ),
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except (
+            TypeError, ValueError, OverflowError, ConfigurationError
+        ) as exc:
             raise ServeRequestError(f"bad fault_plan event: {exc}") from exc
     try:
         return FaultPlan(tuple(events)).cache_token()
@@ -240,7 +243,7 @@ def _adaptive_token(payload: Dict[str, Any]) -> str:
             batch_trials=int(raw.get("batch_trials", 32)),
             max_trials=raw.get("max_trials"),
         ).cache_token()
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ServeRequestError(f"bad adaptive policy: {exc}") from exc
 
 
@@ -301,7 +304,7 @@ def parse_request(payload: Any) -> PlanRequest:
     if isinstance(refine_steps, (list, tuple)):
         try:
             refine_steps = tuple(int(step) for step in refine_steps)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ServeRequestError("refine_steps must be integers")
     else:
         raise ServeRequestError("refine_steps must be a list of integers")
@@ -717,9 +720,6 @@ class PlanService:
 
     def stats(self) -> Dict[str, Any]:
         """Live service counters (the GET /stats payload)."""
-        from repro.kernels.backend import default_backend
-
-        backend = default_backend()
         return {
             "uptime_s": round(time.time() - self.started_unix_s, 3),
             "requests": self.requests,
@@ -727,7 +727,6 @@ class PlanService:
             "errors": self.errors,
             "inflight": len(self._inflight),
             "workers": self.config.workers,
-            "backend": {"name": backend.name, "device": backend.device},
             "cache": {
                 "hits": self.cache.hits,
                 "misses": self.cache.misses,

@@ -65,43 +65,7 @@ class TestStepParity:
         assert np.array_equal(batched, _reference_rows(env, 5e-5)[0])
 
 
-class TestScan:
-    def test_smooth_envelope_matches_step_closely(self):
-        # A slow raised sinusoid keeps long constant-regime segments, the
-        # case the affine scan exists for. The scan re-associates the
-        # arithmetic, so it is allclose rather than bitwise.
-        t = np.arange(6000) * 2e-7
-        env = 1.5 + 0.8 * np.sin(2.0 * np.pi * 200.0 * t)
-        env = np.vstack([env, 0.9 * env])
-        step = rectifier_batch(env, 2e-7, method="step")
-        scan = rectifier_batch(env, 2e-7, method="scan")
-        np.testing.assert_allclose(scan, step, rtol=1e-9, atol=1e-12)
-
-    def test_coarse_steps_fall_back_to_step(self):
-        # dt > Rs*C disables the scan regime entirely, so "scan" must
-        # degrade to the bit-identical step path.
-        env = _noisy_block(3, 300)
-        assert np.array_equal(
-            rectifier_batch(env, 5e-5, method="scan"),
-            rectifier_batch(env, 5e-5, method="step"),
-        )
-
-    def test_choppy_envelope_falls_back_per_row(self):
-        # Noise flips the conduction regime nearly every sample; the
-        # segment guard sends those rows to the step loop, so the output
-        # is bit-identical to it.
-        env = _noisy_block(4, 500, scale=1.0)
-        assert np.array_equal(
-            rectifier_batch(env, 2e-7, method="scan"),
-            rectifier_batch(env, 2e-7, method="step"),
-        )
-
-
 class TestValidation:
-    def test_rejects_bad_method(self):
-        with pytest.raises(ValueError, match="method"):
-            rectifier_batch(np.ones(4), 1e-6, method="magic")
-
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError, match="dt"):
             rectifier_batch(np.ones(4), 0.0)

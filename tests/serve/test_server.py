@@ -24,6 +24,17 @@ _PLAN = {
     "depth_m": 0.05,
 }
 
+# Well-formed JSON whose values the request validator must reject as
+# client errors: an unknown fault kind, a NaN probability, and integer
+# fields that overflow (``1e400`` parses as infinity).
+_INVALID_VALUE_BODIES = (
+    b'{"n_antennas":8,"fault_plan":[{"kind":"bogus"}]}',
+    b'{"n_antennas":8,"fault_plan":'
+    b'[{"kind":"antenna_dropout","probability":NaN}]}',
+    b'{"n_antennas":8,"adaptive":{"ci_target":0.1,"min_trials":1e400}}',
+    b'{"n_antennas":8,"refine_steps":[1e400]}',
+)
+
 
 async def _http(port, method, path, payload=None, raw=None):
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -108,14 +119,29 @@ class TestRoutes:
                 b"Content-Length: 5\r\n\r\nhello",
             )
             missing = await _http(port, "POST", "/plan", {})
-            return unknown, not_json, missing
+            invalid_values = [
+                await _http(
+                    port,
+                    "POST",
+                    "/plan",
+                    raw=b"POST /plan HTTP/1.1\r\nHost: t\r\n"
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                    + body,
+                )
+                for body in _INVALID_VALUE_BODIES
+            ]
+            return unknown, not_json, missing, invalid_values
 
-        unknown, not_json, missing = asyncio.run(
+        unknown, not_json, missing, invalid_values = asyncio.run(
             _with_server(ServeConfig(), scenario)
         )
         assert unknown[0] == 400 and "n_antenna" in unknown[1]["error"]
         assert not_json[0] == 400
         assert missing[0] == 400 and "n_antennas" in missing[1]["error"]
+        for body, (status, payload) in zip(
+            _INVALID_VALUE_BODIES, invalid_values
+        ):
+            assert status == 400, (body, payload)
 
     def test_malformed_request_line_gets_400(self):
         async def scenario(port, service):

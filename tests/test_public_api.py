@@ -90,6 +90,16 @@ REMOVED_NAMES = (
     ("repro.core.optimizer", "SEARCH_MODES"),
     ("repro.runtime.cache", "_result_to_json"),
     ("repro.runtime.cache", "_result_from_json"),
+    ("repro.runtime.cache", "_active_backend_token"),
+    ("repro.kernels", "get_namespace"),
+    ("repro.kernels", "use_backend"),
+    ("repro.kernels", "set_default_backend"),
+    ("repro.kernels", "default_backend"),
+    ("repro.kernels", "available_backends"),
+    ("repro.kernels", "Backend"),
+    ("repro.kernels", "Capabilities"),
+    ("repro.kernels", "BACKEND_CHOICES"),
+    ("repro.kernels.rectifier", "METHODS"),
 )
 
 
@@ -107,8 +117,11 @@ def test_no_implementation_switches():
 
     from repro.core.optimizer import FrequencyOptimizer
     from repro.experiments.ber import BerConfig
+    from repro import kernels
+    from repro.core.optimizer import evaluate_stacked_specs
+    from repro.experiments.cli import _build_parser
     from repro.experiments.wakeup_latency import WakeupConfig
-    from repro.kernels.backend import BACKEND_CHOICES
+    from repro.fleet.collision import run_inventory
     from repro.runtime.cache import PlanCache, configure_plan_cache
 
     for config in (BerConfig, WakeupConfig):
@@ -124,7 +137,15 @@ def test_no_implementation_switches():
     assert not hasattr(PlanCache(), "directory")
     assert "directory" not in inspect.signature(PlanCache).parameters
     assert "directory" not in inspect.signature(configure_plan_cache).parameters
-    assert BACKEND_CHOICES == ("numpy", "numpy_portable", "array_api_strict")
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.kernels.backend")
+    kernel_functions = [getattr(kernels, name) for name in kernels.__all__]
+    for function in kernel_functions + [evaluate_stacked_specs, run_inventory]:
+        parameters = inspect.signature(function).parameters
+        assert "backend" not in parameters, function.__name__
+        assert "method" not in parameters, function.__name__
+    with pytest.raises(SystemExit):
+        _build_parser().parse_args(["fig04", "--backend", "numpy"])
 
 
 def test_src_never_imports_tests():
