@@ -3,13 +3,18 @@
 The PR's acceptance gate, executable: at the paper's Fig. 4 trial count the
 batched engine must be at least 5x faster than the per-trial scalar path,
 and every path -- batched, process-pooled, legacy scalar -- must agree
-numerically (``"direct"`` bitwise, ``"fft"`` to floating-point noise).
+numerically (the direct tier bitwise, the FFT tier to floating-point
+noise). The paper plan takes the FFT tier; making ``fft_compatible``
+answer no sends a serial run to the direct tier.
 """
 
 import time
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
+from repro.analysis.mc import spawn_rngs
 from repro.constants import TANK_STANDOFF_POWER_GAIN_M
 from repro.core.plan import paper_plan
 from repro.em.phantoms import WaterTankPhantom
@@ -17,7 +22,10 @@ from repro.experiments import fig04
 from repro.experiments.common import TankChannelFactory, measure_gain_trials
 from repro.experiments.report import Table
 from repro.runtime import engine as engine_mod
-from tests.reference.measurement import measure_gain_trials_scalar
+from tests.reference.measurement import (
+    measure_gain_trials_scalar,
+    peak_amplitudes_scalar,
+)
 from conftest import run_once
 
 PAPER_TRIALS = 500  # Fig. 4 Monte-Carlo phase draws
@@ -35,29 +43,33 @@ def _best_of(fn, repeats=2):
     return result, best
 
 
+@contextmanager
+def _direct_tier():
+    """A block in which every serial evaluation takes the direct tier."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_mod, "fft_compatible", lambda *args: False)
+        yield
+
+
 def test_runtime_engine_speedup_and_equivalence(benchmark, emit):
     offsets = paper_plan().offsets_array()
+    assert engine_mod.fft_compatible(offsets, 1.0)
     betas = np.random.default_rng(0).uniform(
         0.0, 2.0 * np.pi, (PAPER_TRIALS, offsets.size)
     )
     # Warm caches (BLAS/FFT plan setup) outside the timed region.
-    engine_mod.peak_amplitudes(offsets, betas[:8], 1.0, engine="fft")
+    engine_mod.peak_amplitudes(offsets, betas[:8], 1.0)
 
     def timed_comparison():
         scalar, t_scalar = _best_of(
-            lambda: engine_mod.peak_amplitudes(
-                offsets, betas, 1.0, engine="scalar"
-            )
+            lambda: peak_amplitudes_scalar(offsets, betas, 1.0)
         )
-        direct, _ = _best_of(
-            lambda: engine_mod.peak_amplitudes(
-                offsets, betas, 1.0, engine="direct"
+        with _direct_tier():
+            direct, _ = _best_of(
+                lambda: engine_mod.peak_amplitudes(offsets, betas, 1.0)
             )
-        )
         batched, t_batched = _best_of(
-            lambda: engine_mod.peak_amplitudes(
-                offsets, betas, 1.0, engine="fft"
-            )
+            lambda: engine_mod.peak_amplitudes(offsets, betas, 1.0)
         )
         return scalar, direct, batched, t_scalar, t_batched
 
@@ -84,13 +96,21 @@ def test_runtime_engine_speedup_and_equivalence(benchmark, emit):
 
 
 def test_fig04_paths_identical_across_workers(benchmark, emit):
+    offsets = paper_plan().offsets_array()
+
     def all_paths():
-        auto = fig04.peak_factors(PAPER_TRIALS, 4, engine="auto")
-        pooled = fig04.peak_factors(
-            PAPER_TRIALS, 4, engine="auto", workers=4
+        auto = fig04.peak_factors(PAPER_TRIALS, 4)
+        pooled = fig04.peak_factors(PAPER_TRIALS, 4, workers=4)
+        # The per-draw loop over fig04's phase draws.
+        betas = np.vstack(
+            [
+                rng.uniform(0.0, 2.0 * np.pi, offsets.size)
+                for rng in spawn_rngs(4, PAPER_TRIALS)
+            ]
         )
-        scalar = fig04.peak_factors(PAPER_TRIALS, 4, engine="scalar")
-        direct = fig04.peak_factors(PAPER_TRIALS, 4, engine="direct")
+        scalar = peak_amplitudes_scalar(offsets, betas, 1.0)
+        with _direct_tier():
+            direct = fig04.peak_factors(PAPER_TRIALS, 4)
         return auto, pooled, scalar, direct
 
     auto, pooled, scalar, direct = run_once(benchmark, all_paths)
@@ -128,7 +148,7 @@ def test_gain_trials_batched_vs_scalar(benchmark, emit):
         )
         batched, t_batched = _best_of(
             lambda: measure_gain_trials(
-                factory, plan, GAIN_TRIALS, 9, engine="auto"
+                factory, plan, GAIN_TRIALS, 9
             ),
             repeats=1,
         )

@@ -38,7 +38,6 @@ from repro.runtime.cache import optimized_plan
 class AblationConfig:
     n_trials: int = 30
     seed: int = 77
-    engine: str = "auto"
     workers: int = 1
 
     @classmethod
@@ -90,7 +89,6 @@ def beamsteering_across_media(config: AblationConfig = AblationConfig()) -> Tabl
             _BeamsteerFactory(),
             config.n_trials,
             config.seed,
-            engine=config.engine,
             workers=config.workers,
         )
         base_gains = measure_strategy_gains(
@@ -98,7 +96,6 @@ def beamsteering_across_media(config: AblationConfig = AblationConfig()) -> Tabl
             _BlindFactory(plan.n_antennas),
             config.n_trials,
             config.seed + 1,
-            engine=config.engine,
             workers=config.workers,
         )
         cib_gains = measure_strategy_gains(
@@ -106,7 +103,6 @@ def beamsteering_across_media(config: AblationConfig = AblationConfig()) -> Tabl
             _CIBFactory(plan),
             config.n_trials,
             config.seed + 2,
-            engine=config.engine,
             workers=config.workers,
         )
         table.add_row(
@@ -130,7 +126,6 @@ def equal_power_scaling(config: AblationConfig = AblationConfig()) -> Table:
         _CIBFactory(plan),
         config.n_trials,
         config.seed,
-        engine=config.engine,
         workers=config.workers,
     )
     summary = percentile_summary(gains)

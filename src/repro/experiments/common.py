@@ -2,12 +2,15 @@
 
 The public drivers (:func:`measure_gain_trials`,
 :func:`power_up_probability`, :func:`measure_strategy_gains`) run on the
-batched :mod:`repro.runtime` engine: trials are chunked by a
-:class:`~repro.runtime.runner.TrialRunner` (optionally across worker
-processes) and each chunk is evaluated in stacked ``(D, N)`` arrays. The
-original one-trial-per-iteration loops live in ``tests/reference/`` as
-the oracles the regression suite pins the engine to, bit for bit at fixed
-seeds.
+batched :mod:`repro.runtime` engine. A
+:class:`~repro.runtime.runner.TrialRunner` chunks the trials (optionally
+across worker processes) and each chunk is evaluated in stacked
+``(D, N)`` arrays. The carrier offsets pick the envelope tier -- the
+sparse-spectrum FFT for integer-bin plans, the direct sum otherwise -- so
+no driver takes a tier argument. The original one-trial-per-iteration
+loops live in ``tests/reference/`` as the oracles the regression suite
+pins the engine to: the direct tier matches them bit for bit at fixed
+seeds, the FFT tier to ~1e-13 relative.
 """
 
 import math
@@ -98,7 +101,6 @@ def measure_gain_trials(
     seed: int,
     duration_s: float = CAPTURE_DURATION_S,
     include_baseline: bool = True,
-    engine: str = "auto",
     workers: int = 1,
     chunk_size: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
@@ -111,12 +113,12 @@ def measure_gain_trials(
     CIB -- and optionally the blind N-antenna baseline -- against the
     single-antenna reference over a capture window.
 
+    The CIB peaks take the FFT tier for integer-bin plans (within ~1e-13
+    relative of the per-trial reference loop in ``tests/reference/``) and
+    the direct tier otherwise (bit-identical to it); see
+    :mod:`repro.runtime.engine`.
+
     Args:
-        engine: Envelope evaluation tier (see
-            :data:`repro.runtime.engine.ENGINES`). ``"direct"`` and
-            ``"scalar"`` are bit-identical to the per-trial reference loop
-            in ``tests/reference/``; ``"fft"`` (the ``"auto"``
-            choice for integer-bin plans) agrees to ~1e-13 relative.
         workers: Worker processes; results are identical for any count.
         chunk_size: Trials per chunk (default: one chunk per worker).
         fault_plan: Optional fault plan injected into the CIB side of
@@ -140,7 +142,6 @@ def measure_gain_trials(
         n_trials=budget,
         duration_s=duration_s,
         include_baseline=include_baseline,
-        engine=engine,
         fault_plan=fault_plan,
     )
     with current_obs().tracer.span(
@@ -148,7 +149,6 @@ def measure_gain_trials(
         n_trials=n_trials,
         seed=seed,
         workers=workers,
-        engine=engine,
         adaptive=streaming,
     ):
         if streaming:
@@ -239,7 +239,6 @@ def power_up_trials(
     tag_spec: TagSpec,
     n_trials: int,
     seed: int,
-    engine: str = "auto",
     workers: int = 1,
     chunk_size: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
@@ -267,7 +266,6 @@ def power_up_trials(
         tag_spec=tag_spec,
         seed=seed,
         n_trials=budget,
-        engine=engine,
         fault_plan=fault_plan,
     )
     with current_obs().tracer.span(
@@ -275,7 +273,6 @@ def power_up_trials(
         n_trials=n_trials,
         seed=seed,
         workers=workers,
-        engine=engine,
         adaptive=streaming,
     ):
         if streaming:
@@ -310,7 +307,6 @@ def power_up_probability(
     tag_spec: TagSpec,
     n_trials: int,
     seed: int,
-    engine: str = "auto",
     workers: int = 1,
     chunk_size: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
@@ -329,7 +325,6 @@ def power_up_probability(
         tag_spec,
         n_trials,
         seed,
-        engine=engine,
         workers=workers,
         chunk_size=chunk_size,
         fault_plan=fault_plan,
@@ -343,7 +338,6 @@ def measure_strategy_gains(
     n_trials: int,
     seed: int,
     duration_s: float = CAPTURE_DURATION_S,
-    engine: str = "auto",
     workers: int = 1,
     chunk_size: Optional[int] = None,
 ) -> List[float]:
@@ -364,14 +358,12 @@ def measure_strategy_gains(
         seed=seed,
         n_trials=n_trials,
         duration_s=duration_s,
-        engine=engine,
     )
     with current_obs().tracer.span(
         "experiment.measure_strategy_gains",
         n_trials=n_trials,
         seed=seed,
         workers=workers,
-        engine=engine,
     ):
         parts = runner.map_chunks(fn, n_trials)
     return [float(gain) for gain in np.concatenate(parts)]

@@ -54,7 +54,6 @@ class Fig04Config:
         air_distance_m: Source-to-body distance.
         shallow_depth_m / deep_depth_m: The Fig. 4b and 4c tissue depths.
         n_trials: Phase draws in the CIB peak-factor Monte-Carlo study.
-        engine: Envelope evaluation tier for the study.
         workers: Worker processes for the study.
         adaptive: Optional streaming-allocation policy for the study
             (CI over the mean peak factor).
@@ -66,7 +65,6 @@ class Fig04Config:
     deep_depth_m: float = 0.12
     seed: int = 4
     n_trials: int = 500
-    engine: str = "auto"
     workers: int = 1
     adaptive: Optional[AdaptiveConfig] = None
 
@@ -132,7 +130,6 @@ def _peak_factor_chunk(
     offsets: np.ndarray,
     seed: int,
     n_trials: int,
-    engine: str,
 ) -> np.ndarray:
     """Peak factors of phase draws ``[start, start + count)``."""
     obs = current_obs()
@@ -142,13 +139,12 @@ def _peak_factor_chunk(
             [rng.uniform(0.0, 2.0 * np.pi, offsets.size) for rng in rngs]
         )
     with obs.stage_span("peak_factors.evaluate", trials=count):
-        return engine_mod.peak_amplitudes(offsets, betas, 1.0, engine=engine)
+        return engine_mod.peak_amplitudes(offsets, betas, 1.0)
 
 
 def peak_factors(
     n_trials: int,
     seed: int,
-    engine: str = "auto",
     workers: int = 1,
     chunk_size: Optional[int] = None,
     adaptive: Optional[AdaptiveConfig] = None,
@@ -170,7 +166,6 @@ def peak_factors(
         offsets=offsets,
         seed=seed,
         n_trials=budget,
-        engine=engine,
     )
     if streaming:
         tracker = MeanTracker(adaptive.confidence_z)
@@ -221,7 +216,7 @@ def run(config: Fig04Config = Fig04Config()) -> Fig04Result:
 
     # Distribution of the restored voltage over many blind phase draws.
     factors = peak_factors(
-        config.n_trials, config.seed, engine=config.engine,
+        config.n_trials, config.seed,
         workers=config.workers, adaptive=config.adaptive,
     )
     summary = percentile_summary(factors)

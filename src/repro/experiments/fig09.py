@@ -27,7 +27,6 @@ class Fig09Config:
         n_trials: Trials per antenna count (paper: 150 total).
         depth_m: Receive-antenna depth in the tank.
         seed: Experiment seed.
-        engine: Envelope evaluation tier (see repro.runtime.engine).
         workers: Worker processes for the trial chunks.
         adaptive: Optional streaming-allocation policy; each antenna
             count's point stops once the CI on its mean CIB gain is
@@ -38,7 +37,6 @@ class Fig09Config:
     n_trials: int = 50
     depth_m: float = 0.10
     seed: int = 9
-    engine: str = "auto"
     workers: int = 1
     adaptive: Optional[AdaptiveConfig] = None
 
@@ -86,7 +84,6 @@ def run(config: Fig09Config = Fig09Config()) -> Fig09Result:
             n_trials=config.n_trials,
             seed=config.seed + n_antennas,
             include_baseline=False,
-            engine=config.engine,
             workers=config.workers,
             adaptive=config.adaptive,
         )

@@ -28,7 +28,6 @@ class Fig10Config:
                                math.pi, 1.25 * math.pi, 1.5 * math.pi)
     n_trials: int = 30
     seed: int = 10
-    engine: str = "auto"
     workers: int = 1
     adaptive: Optional[AdaptiveConfig] = None
 
@@ -80,7 +79,6 @@ def run(config: Fig10Config = Fig10Config()) -> Fig10Result:
             n_trials=config.n_trials,
             seed=config.seed + int(depth * 1000),
             include_baseline=False,
-            engine=config.engine,
             workers=config.workers,
             adaptive=config.adaptive,
         )
@@ -108,7 +106,6 @@ def run(config: Fig10Config = Fig10Config()) -> Fig10Result:
             n_trials=config.n_trials,
             seed=config.seed + 7919 + int(angle * 1000),
             include_baseline=False,
-            engine=config.engine,
             workers=config.workers,
             adaptive=config.adaptive,
         )

@@ -28,7 +28,6 @@ class Fig11Config:
         depth_m: Sensor depth inside the medium.
         n_trials: Trials per medium (paper: 100 total).
         seed: Experiment seed.
-        engine: Envelope evaluation tier (see repro.runtime.engine).
         workers: Worker processes for the trial chunks.
     """
 
@@ -36,7 +35,6 @@ class Fig11Config:
     depth_m: float = 0.05
     n_trials: int = 40
     seed: int = 11
-    engine: str = "auto"
     workers: int = 1
     adaptive: Optional[AdaptiveConfig] = None
 
@@ -89,7 +87,6 @@ def run(config: Fig11Config = Fig11Config()) -> Fig11Result:
             plan,
             n_trials=config.n_trials,
             seed=config.seed + index,
-            engine=config.engine,
             workers=config.workers,
             adaptive=config.adaptive,
         )

@@ -26,7 +26,6 @@ class Fig12Config:
     n_trials: int = 200
     depth_m: float = 0.10
     seed: int = 12
-    engine: str = "auto"
     workers: int = 1
 
     @classmethod
@@ -79,7 +78,6 @@ def run(config: Fig12Config = Fig12Config()) -> Fig12Result:
         plan,
         n_trials=config.n_trials,
         seed=config.seed,
-        engine=config.engine,
         workers=config.workers,
     )
     return Fig12Result(ratios=np.array([s.ratio for s in samples]))

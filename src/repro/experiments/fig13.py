@@ -41,7 +41,6 @@ class Fig13Config:
             ``eirp_w`` is used directly.
         eirp_w: Per-branch EIRP when calibration is off.
         seed: Experiment seed.
-        engine: Envelope evaluation tier (see repro.runtime.engine).
         workers: Worker processes for the trial chunks.
     """
 
@@ -51,7 +50,6 @@ class Fig13Config:
     calibrate: bool = True
     eirp_w: float = 6.0
     seed: int = 13
-    engine: str = "auto"
     workers: int = 1
     adaptive: Optional[AdaptiveConfig] = None
 
@@ -118,7 +116,7 @@ def _air_range_m(
         )
         probability = power_up_probability(
             plan, factory, AIR, eirp_w, spec, config.n_trials, seed,
-            engine=config.engine, workers=config.workers,
+            workers=config.workers,
             adaptive=config.adaptive,
         )
         return probability >= config.success_fraction
@@ -144,7 +142,7 @@ def _water_depth_m(
         )
         probability = power_up_probability(
             plan, factory, WATER, eirp_w, spec, config.n_trials, seed,
-            engine=config.engine, workers=config.workers,
+            workers=config.workers,
             adaptive=config.adaptive,
         )
         return probability >= config.success_fraction

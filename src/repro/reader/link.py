@@ -88,8 +88,8 @@ def cib_peak(
     When every carrier sits on an integer bin of that grid the envelope is
     one inverse FFT of the sparse spectrum (agreeing with the direct sum to
     about 1e-13 relative); otherwise -- fault-perturbed, fractional
-    offsets -- it falls back to the direct sum, as the runtime engine's
-    ``"auto"`` tier does. The two pick the same grid sample unless the
+    offsets -- it falls back to the direct sum, as
+    :func:`repro.runtime.engine.peak_amplitudes` does. The two pick the same grid sample unless the
     envelope repeats within the period (offsets sharing a common step),
     where either may pick another, equally high repeat.
 

@@ -51,16 +51,10 @@ from repro.runtime.cache import (
     optimized_conduction_plan,
     optimized_plan,
 )
-from repro.runtime.engine import (
-    ENGINES,
-    fft_compatible,
-    peak_amplitudes,
-    resolve_engine,
-)
+from repro.runtime.engine import fft_compatible, peak_amplitudes
 from repro.runtime.runner import TrialRunner
 
 __all__ = [
-    "ENGINES",
     "AdaptiveConfig",
     "AdaptiveOutcome",
     "MeanTracker",
@@ -76,5 +70,4 @@ __all__ = [
     "optimized_conduction_plan",
     "optimized_plan",
     "peak_amplitudes",
-    "resolve_engine",
 ]

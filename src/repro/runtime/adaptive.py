@@ -91,6 +91,18 @@ class AdaptiveConfig:
     max_trials: Optional[int] = None
 
     def __post_init__(self):
+        # NaN and infinity pass every range check below, so rule them out
+        # first; trial counts must also be whole numbers.
+        for name in ("min_trials", "batch_trials", "max_trials"):
+            value = getattr(self, name)
+            if value is not None and not (
+                math.isfinite(value) and value == int(value)
+            ):
+                raise ValueError(f"{name} must be an integer, got {value}")
+        for name in ("ci_target", "ci_relative", "confidence_z"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.min_trials < 1:
             raise ValueError(f"min_trials must be >= 1, got {self.min_trials}")
         if self.batch_trials < 1:

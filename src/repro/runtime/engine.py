@@ -1,27 +1,29 @@
 """Batched Monte-Carlo evaluation kernels.
 
-The legacy experiment loop in :mod:`repro.experiments.common` evaluates one
-channel draw per Python iteration. The kernels here stack all of a chunk's
-draws into ``(D, N)`` arrays and evaluate the peaks in a handful of numpy
-calls, choosing between three numerically characterized tiers:
+The kernels here stack all of a chunk's channel draws into ``(D, N)``
+arrays and evaluate the CIB envelope peaks in a handful of numpy calls.
+The offset set alone picks one of two numerically characterized tiers;
+no caller selects one:
 
-* ``"fft"`` -- the envelope over the capture grid is an inverse DFT of a
+* ``"fft"`` -- when :func:`fft_compatible` holds (every
+  ``offset * duration`` is a distinct integer bin below the capture
+  grid's Nyquist bin), the envelope over the grid is an inverse DFT of a
   sparse spectrum (:func:`repro.core.optimizer.peak_amplitudes_fft`).
-  Available when every ``offset * duration`` is a distinct integer bin;
-  within a tier, batch evaluation is bitwise identical to row-by-row
-  evaluation, and it agrees with ``"direct"`` to ~1e-13 relative (the
-  summation order differs).
-* ``"direct"`` -- chunked :func:`repro.core.waveform.batch_peak_envelope`
-  over the same time grid; bitwise identical to the legacy scalar loop.
-* ``"scalar"`` -- one :func:`repro.core.waveform.peak_envelope` call per
-  draw; the reference implementation the regression tests compare against.
+  Batch evaluation is bitwise identical to row-by-row evaluation, and it
+  agrees with the direct sum to ~1e-13 relative (the summation order
+  differs).
+* ``"direct"`` -- every other offset set: chunked
+  :func:`repro.core.waveform.batch_peak_envelope` over the same time
+  grid, bitwise identical to one :func:`repro.core.waveform.peak_envelope`
+  call per draw.
 
-``"auto"`` picks ``"fft"`` when the offsets are compatible, else
-``"direct"``.
+Fault-active chunks evaluate trial by trial instead (each trial's offsets
+drift, so no shared grid exists) and are counted as the ``"scalar"``
+tier in the ``engine.tier.*`` counters.
 
 Working-set control matters more than raw vectorization here: a full
-``(D, N, T)`` direct evaluation can be slower than the scalar loop once the
-temporaries fall out of cache, so both vector tiers process draws in
+``(D, N, T)`` direct evaluation can be slower than the per-draw loop once
+the temporaries fall out of cache, so both tiers process draws in
 bounded-size chunks.
 
 The ``*_chunk`` functions at the bottom are the units of work the
@@ -29,7 +31,7 @@ process-pool :class:`repro.runtime.runner.TrialRunner` fans out. Each one
 re-derives its per-trial generators from
 ``SeedSequence(seed).spawn(n_trials)[start:start + count]`` and replicates
 the legacy per-trial draw order exactly, which is what makes results
-bit-identical across engines, chunk sizes, and worker counts.
+bit-identical across chunk sizes and worker counts.
 """
 
 import math
@@ -59,9 +61,6 @@ from repro.sensors.tags import TagSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.faults.plan import FaultPlan
-
-ENGINES = ("auto", "fft", "direct", "scalar")
-"""Recognized engine names, in order of preference."""
 
 PEAK_HIST_EDGES = (
     0.001, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 1000.0,
@@ -113,26 +112,15 @@ def fft_compatible(
     return True
 
 
-def resolve_engine(
-    engine: str,
-    offsets_hz: np.ndarray,
+def _peak_tier(
+    offsets: np.ndarray,
     duration_s: float,
     oversample: int = waveform.DEFAULT_OVERSAMPLE,
 ) -> str:
-    """Map an engine request to a concrete tier for this offset set."""
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if engine == "auto":
-        if fft_compatible(offsets_hz, duration_s, oversample):
-            return "fft"
-        return "direct"
-    if engine == "fft" and not fft_compatible(offsets_hz, duration_s, oversample):
-        raise ValueError(
-            "fft engine requires offsets_hz * duration_s to be distinct "
-            f"integer bins, got offsets {np.asarray(offsets_hz)} over "
-            f"{duration_s}s"
-        )
-    return engine
+    """The tier that evaluates this offset set: ``"fft"`` or ``"direct"``."""
+    if fft_compatible(offsets, duration_s, oversample):
+        return "fft"
+    return "direct"
 
 
 def _direct_peaks(
@@ -184,10 +172,12 @@ def peak_amplitudes(
     betas: np.ndarray,
     duration_s: float = 1.0,
     amplitudes: Optional[np.ndarray] = None,
-    engine: str = "auto",
     oversample: int = waveform.DEFAULT_OVERSAMPLE,
 ) -> np.ndarray:
     """Peak envelope of each draw over the capture window.
+
+    Evaluated on the FFT tier when :func:`fft_compatible` holds for the
+    offsets, else on the chunked direct sum (see the module docstring).
 
     Args:
         offsets_hz: Frequency offsets, shape (N,).
@@ -195,25 +185,32 @@ def peak_amplitudes(
         duration_s: Capture window; the grid matches
             :func:`repro.core.waveform.time_grid`.
         amplitudes: Optional amplitudes, shape (N,) or per-draw (D, N).
-        engine: One of :data:`ENGINES`.
 
     Returns:
         Shape (D,) array of ``max_t |y_d(t)|``.
     """
     offsets = np.asarray(offsets_hz, dtype=float)
+    tier = _peak_tier(offsets, duration_s, oversample)
+    return _tier_peaks(
+        tier, offsets, betas, duration_s, amplitudes, oversample
+    )
+
+
+def _tier_peaks(
+    tier: str,
+    offsets_hz: np.ndarray,
+    betas: np.ndarray,
+    duration_s: float,
+    amplitudes: Optional[np.ndarray],
+    oversample: int = waveform.DEFAULT_OVERSAMPLE,
+) -> np.ndarray:
+    """:func:`peak_amplitudes` on a tier the caller already picked with
+    :func:`_peak_tier`, so a chunk decides its tier once."""
+    offsets = np.asarray(offsets_hz, dtype=float)
     betas = np.atleast_2d(np.asarray(betas, dtype=float))
     amps = None if amplitudes is None else np.asarray(amplitudes, dtype=float)
-    mode = resolve_engine(engine, offsets, duration_s, oversample)
-    if mode == "scalar":
-        out = np.empty(betas.shape[0])
-        for index in range(betas.shape[0]):
-            row_amps = amps if amps is None or amps.ndim == 1 else amps[index]
-            out[index], _ = waveform.peak_envelope(
-                offsets, betas[index], duration_s, row_amps, oversample
-            )
-        return out
     t = waveform.time_grid(offsets, duration_s, oversample)
-    if mode == "direct":
+    if tier == "direct":
         return _direct_peaks(offsets, betas, t, amps)
     return _fft_peaks(offsets, betas, duration_s, amps, t.size)
 
@@ -327,7 +324,6 @@ def measure_gain_chunk(
     n_trials: int,
     duration_s: float,
     include_baseline: bool,
-    engine: str,
     fault_plan: Optional["FaultPlan"] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Gains of trials ``[start, start + count)`` of a Sec. 6.1.1 sweep.
@@ -340,14 +336,13 @@ def measure_gain_chunk(
     forces the scalar tier; an empty plan is bit-identical to omitting it.
     """
     obs = current_obs()
-    tier = resolve_engine(engine, plan.offsets_array(), duration_s)
+    offsets = plan.offsets_array()
     injector = _fault_injector(fault_plan, seed)
-    if injector is not None:
-        tier = "scalar"  # per-trial offset drift breaks shared grids
+    # Per-trial offset drift under faults breaks the shared grids.
+    tier = "scalar" if injector is not None else _peak_tier(offsets, duration_s)
     obs.metrics.counter("trials.processed").inc(count)
     obs.metrics.counter(f"engine.tier.{tier}").inc()
     n_antennas = plan.n_antennas
-    offsets = plan.offsets_array()
     cib = CIBTransmitter(plan)
     baseline = BlindSameFrequencyTransmitter(n_antennas)
     plan_amps = plan.amplitudes_array()
@@ -395,8 +390,8 @@ def measure_gain_chunk(
                 injector, start, offsets, cib_betas, cib_amps, duration_s
             )
         else:
-            cib_peaks = peak_amplitudes(
-                offsets, cib_betas, duration_s, cib_amps, engine
+            cib_peaks = _tier_peaks(
+                tier, offsets, cib_betas, duration_s, cib_amps
             )
         if include_baseline:
             baseline_peaks = _blind_peaks(
@@ -427,7 +422,6 @@ def power_up_chunk(
     tag_spec: TagSpec,
     seed: int,
     n_trials: int,
-    engine: str,
     fault_plan: Optional["FaultPlan"] = None,
 ) -> int:
     """Power-up successes among trials ``[start, start + count)``.
@@ -441,15 +435,14 @@ def power_up_chunk(
     obs = current_obs()
     if eirp_per_branch_w <= 0:
         raise ValueError("EIRP must be positive")
-    tier = resolve_engine(engine, plan.offsets_array(), 1.0)
+    offsets = plan.offsets_array()
     injector = _fault_injector(fault_plan, seed)
-    if injector is not None:
-        tier = "scalar"  # per-trial offset drift breaks shared grids
+    # Per-trial offset drift under faults breaks the shared grids.
+    tier = "scalar" if injector is not None else _peak_tier(offsets, 1.0)
     obs.metrics.counter("trials.processed").inc(count)
     obs.metrics.counter(f"engine.tier.{tier}").inc()
     threshold = tag_spec.minimum_input_voltage_v()
     n_antennas = plan.n_antennas
-    offsets = plan.offsets_array()
     plan_amps = plan.amplitudes_array()
     field_scale = math.sqrt(60.0 * eirp_per_branch_w)
 
@@ -481,9 +474,7 @@ def power_up_chunk(
                 injector, start, offsets, betas, amplitudes, 1.0
             )
         else:
-            peak_fields = peak_amplitudes(
-                offsets, betas, 1.0, amplitudes, engine
-            )
+            peak_fields = _tier_peaks(tier, offsets, betas, 1.0, amplitudes)
             voltage_scales = None
     obs.metrics.histogram("envelope.peak", PEAK_HIST_EDGES).observe_many(
         peak_fields
@@ -674,7 +665,6 @@ def strategy_gain_chunk(
     seed: int,
     n_trials: int,
     duration_s: float,
-    engine: str,
 ) -> np.ndarray:
     """Strategy-vs-reference gains for trials ``[start, start + count)``.
 
@@ -757,15 +747,15 @@ def strategy_gain_chunk(
     with obs.stage_span("strategy_gains.evaluate", trials=count) as span:
         for group in cib_groups.values():
             idx = np.asarray(group["idx"], dtype=int)
-            tier = resolve_engine(engine, group["offsets"], duration_s)
+            tier = _peak_tier(group["offsets"], duration_s)
             span.attrs["tier"] = tier
             obs.metrics.counter(f"engine.tier.{tier}").inc()
-            peaks = peak_amplitudes(
+            peaks = _tier_peaks(
+                tier,
                 group["offsets"],
                 np.vstack(group["betas"]),
                 duration_s,
                 np.vstack(group["amps"]),
-                engine,
             )
             obs.metrics.histogram(
                 "envelope.peak", PEAK_HIST_EDGES

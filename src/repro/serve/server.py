@@ -24,6 +24,7 @@ import json
 import os
 from typing import Any, Dict, Optional, Tuple
 
+from repro.errors import ConfigurationError
 from repro.obs.context import current_obs
 from repro.serve.service import PlanService, ServeConfig, ServeRequestError
 
@@ -155,7 +156,9 @@ class PlanningServer:
             }
         try:
             return 200, await self.service.handle(payload)
-        except ServeRequestError as exc:
+        except (ServeRequestError, ConfigurationError) as exc:
+            # A ConfigurationError is the search finding no plan for the
+            # request (e.g. a flatness budget too tight): a client error.
             return 400, {"status": "error", "error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - compute failure
             return 500, {

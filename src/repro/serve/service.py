@@ -84,9 +84,13 @@ DEFAULT_EIRP_WATTS = 4.0
 DEFAULT_AIR_DISTANCE_M = 0.1
 """Default antenna-to-phantom standoff for power-at-depth answers."""
 
+MAX_GRID_SIZE = 65536
+"""Largest ``grid_size`` a request may ask for: 4x the largest FFT grid
+any in-repo caller uses (16384), and a bound on the search's memory."""
+
 
 class ServeRequestError(ValueError):
-    """A malformed planning request (maps to HTTP 400)."""
+    """A malformed or unsatisfiable planning request (maps to HTTP 400)."""
 
 
 @dataclass(frozen=True)
@@ -270,6 +274,15 @@ def parse_request(payload: Any) -> PlanRequest:
             f"kind must be 'peak' or 'conduction', got {kind!r}"
         )
     n_antennas = _positive_int(payload, "n_antennas", 0)
+    grid_size = _positive_int(payload, "grid_size", DEFAULT_GRID_SIZE)
+    if grid_size > MAX_GRID_SIZE:
+        raise ServeRequestError(f"grid_size must be <= {MAX_GRID_SIZE}")
+    if n_antennas > grid_size // 2:
+        # Every antenna needs its own offset bin below the grid's Nyquist
+        # bin, so no feasible plan exists.
+        raise ServeRequestError(
+            f"n_antennas must be <= grid_size // 2 = {grid_size // 2}"
+        )
     threshold = _number(payload, "threshold", 0.0)
     if kind == "conduction" and threshold < 0:
         raise ServeRequestError("threshold must be >= 0")
@@ -328,7 +341,7 @@ def parse_request(payload: Any) -> PlanRequest:
             payload, "center_frequency_hz", CIB_CENTER_FREQUENCY_HZ
         ),
         n_draws=_positive_int(payload, "n_draws", 48),
-        grid_size=_positive_int(payload, "grid_size", DEFAULT_GRID_SIZE),
+        grid_size=grid_size,
         seed=(
             payload.get("seed", 0)
             if isinstance(payload.get("seed", 0), int)
@@ -367,7 +380,6 @@ class ServeConfig:
     store_max_entries: Optional[int] = None
     mem_entries: Optional[int] = None
     cache_enabled: bool = True
-    co_stack: bool = True
 
 
 def power_at_depth(
@@ -582,7 +594,7 @@ class PlanService:
         obs: ObsContext,
     ) -> List[Any]:
         """One result (or exception) per distinct-key request."""
-        if len(unique) == 1 or not self.config.co_stack:
+        if len(unique) == 1:
             return [
                 self._compute_safe(request, obs, None, None)
                 for _, request in unique

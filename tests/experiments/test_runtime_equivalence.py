@@ -1,9 +1,14 @@
 """Regression: the batched/parallel runtime reproduces the scalar loops.
 
-The PR's core contract: at fixed seeds, the batched ``"direct"`` tier and
+The runtime's core contract: at fixed seeds, the batched direct tier and
 the process-pool fan-out return *bit-identical* results to the legacy
 one-trial-per-iteration reference implementations, for every worker count
-and chunking; the ``"fft"`` tier agrees to floating-point noise.
+and chunking; the FFT tier agrees to floating-point noise.
+
+The paper plan's offsets are integer bins, so the drivers evaluate it on
+the FFT tier; the ``direct_tier`` fixture makes ``fft_compatible`` answer
+no, which sends every chunk of a serial (in-process) run to the direct
+tier.
 """
 
 import numpy as np
@@ -26,6 +31,8 @@ from repro.experiments.common import (
     power_up_probability,
 )
 from repro.experiments import ber
+from repro.obs.context import obs_context
+from repro.runtime import engine as engine_mod
 from repro.sensors.tags import standard_tag_spec
 from tests.reference.measurement import (
     measure_gain_trials_scalar,
@@ -48,24 +55,21 @@ def factory(plan):
     return TankChannelFactory(tank, plan.n_antennas, 0.10, plan.center_frequency_hz)
 
 
-class TestGainTrials:
-    def test_direct_engine_bitwise_matches_scalar_loop(self, plan, factory):
-        legacy = measure_gain_trials_scalar(factory, plan, N_TRIALS, SEED)
-        batched = measure_gain_trials(
-            factory, plan, N_TRIALS, SEED, engine="direct"
-        )
-        assert batched == legacy
+@pytest.fixture
+def direct_tier(monkeypatch):
+    monkeypatch.setattr(engine_mod, "fft_compatible", lambda *args: False)
 
-    def test_scalar_engine_bitwise_matches_scalar_loop(self, plan, factory):
+
+class TestGainTrials:
+    def test_direct_engine_bitwise_matches_scalar_loop(
+        self, plan, factory, direct_tier
+    ):
         legacy = measure_gain_trials_scalar(factory, plan, N_TRIALS, SEED)
-        assert (
-            measure_gain_trials(factory, plan, N_TRIALS, SEED, engine="scalar")
-            == legacy
-        )
+        assert measure_gain_trials(factory, plan, N_TRIALS, SEED) == legacy
 
     def test_fft_engine_close_to_scalar_loop(self, plan, factory):
         legacy = measure_gain_trials_scalar(factory, plan, N_TRIALS, SEED)
-        fft = measure_gain_trials(factory, plan, N_TRIALS, SEED, engine="fft")
+        fft = measure_gain_trials(factory, plan, N_TRIALS, SEED)
         np.testing.assert_allclose(
             [s.cib_gain for s in fft],
             [s.cib_gain for s in legacy],
@@ -91,19 +95,30 @@ class TestGainTrials:
         )
         assert pooled == serial
 
-    def test_no_baseline_path_matches(self, plan, factory):
+    def test_no_baseline_path_matches(self, plan, factory, direct_tier):
         legacy = measure_gain_trials_scalar(
             factory, plan, N_TRIALS, SEED, include_baseline=False
         )
         batched = measure_gain_trials(
-            factory,
-            plan,
-            N_TRIALS,
-            SEED,
-            include_baseline=False,
-            engine="direct",
+            factory, plan, N_TRIALS, SEED, include_baseline=False
         )
         assert batched == legacy
+
+    def test_each_chunk_decides_its_tier_once(
+        self, plan, factory, monkeypatch
+    ):
+        calls = []
+        original = engine_mod.fft_compatible
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(engine_mod, "fft_compatible", counting)
+        with obs_context() as obs:
+            measure_gain_trials(factory, plan, N_TRIALS, SEED, chunk_size=4)
+        assert len(calls) == N_TRIALS // 4
+        assert obs.metrics.counters()["engine.tier.fft"] == N_TRIALS // 4
 
 
 class TestPowerUp:
@@ -115,11 +130,12 @@ class TestPowerUp:
         )
         return (plan, factory, WATER, 6.0, standard_tag_spec(), 15, SEED)
 
-    def test_engines_match_scalar_loop(self, plan):
+    def test_engines_match_scalar_loop(self, plan, monkeypatch):
         args = self._args(plan)
         legacy = power_up_probability_scalar(*args)
-        assert power_up_probability(*args, engine="direct") == legacy
-        assert power_up_probability(*args, engine="auto") == legacy
+        assert power_up_probability(*args) == legacy
+        monkeypatch.setattr(engine_mod, "fft_compatible", lambda *a: False)
+        assert power_up_probability(*args) == legacy
 
     def test_workers_do_not_change_results(self, plan):
         args = self._args(plan)
@@ -147,13 +163,15 @@ class _StrategyFactory:
 
 class TestStrategyGains:
     @pytest.mark.parametrize("kind", ["cib", "blind", "steer", "mrt"])
-    def test_direct_engine_matches_scalar_loop(self, plan, factory, kind):
+    def test_direct_engine_matches_scalar_loop(
+        self, plan, factory, kind, direct_tier
+    ):
         strategy_factory = _StrategyFactory(kind, plan)
         legacy = measure_strategy_gains_scalar(
             factory, strategy_factory, N_TRIALS, SEED
         )
         batched = measure_strategy_gains(
-            factory, strategy_factory, N_TRIALS, SEED, engine="direct"
+            factory, strategy_factory, N_TRIALS, SEED
         )
         assert batched == legacy
 

@@ -2,15 +2,19 @@
 
 References for :func:`repro.experiments.common.measure_gain_trials`,
 :func:`~repro.experiments.common.power_up_probability` and
-:func:`~repro.experiments.common.measure_strategy_gains`: the batched
-engine's ``"direct"`` tier reproduces them bit for bit at fixed seeds.
+:func:`~repro.experiments.common.measure_strategy_gains`, plus
+:func:`peak_amplitudes_scalar`, the per-draw loop behind
+:func:`repro.runtime.engine.peak_amplitudes`. The batched engine's direct
+tier (taken for offsets that are not distinct integer bins) reproduces
+them bit for bit at fixed seeds; its FFT tier agrees to ~1e-13 relative.
 """
 
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.analysis.mc import spawn_rngs
+from repro.core import waveform
 from repro.core.baselines import (
     BlindSameFrequencyTransmitter,
     CIBTransmitter,
@@ -103,3 +107,24 @@ def measure_strategy_gains_scalar(
         peak = strategy.peak_amplitude(realization, rng, duration_s)
         gains.append((peak / reference_peak) ** 2)
     return gains
+
+
+def peak_amplitudes_scalar(
+    offsets_hz: np.ndarray,
+    betas: np.ndarray,
+    duration_s: float = 1.0,
+    amplitudes: Optional[np.ndarray] = None,
+    oversample: int = waveform.DEFAULT_OVERSAMPLE,
+) -> np.ndarray:
+    """One :func:`repro.core.waveform.peak_envelope` call per draw
+    (reference for :func:`repro.runtime.engine.peak_amplitudes`)."""
+    offsets = np.asarray(offsets_hz, dtype=float)
+    betas = np.atleast_2d(np.asarray(betas, dtype=float))
+    amps = None if amplitudes is None else np.asarray(amplitudes, dtype=float)
+    out = np.empty(betas.shape[0])
+    for index in range(betas.shape[0]):
+        row_amps = amps if amps is None or amps.ndim == 1 else amps[index]
+        out[index], _ = waveform.peak_envelope(
+            offsets, betas[index], duration_s, row_amps, oversample
+        )
+    return out

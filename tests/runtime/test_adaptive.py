@@ -40,6 +40,22 @@ class TestAdaptiveConfig:
             AdaptiveConfig(ci_relative=-0.1)
         with pytest.raises(ValueError):
             AdaptiveConfig(confidence_z=0.0)
+        # NaN and infinity slip past plain range checks; trial counts
+        # must also be whole numbers.
+        for field, value in (
+            ("ci_target", math.nan),
+            ("ci_target", math.inf),
+            ("ci_relative", math.nan),
+            ("confidence_z", math.nan),
+            ("confidence_z", math.inf),
+            ("min_trials", math.inf),
+            ("min_trials", 2.5),
+            ("batch_trials", math.nan),
+            ("max_trials", math.inf),
+            ("max_trials", 40.5),
+        ):
+            with pytest.raises(ValueError, match=field):
+                AdaptiveConfig(**{field: value})
 
     def test_budget_prefers_max_trials(self):
         assert AdaptiveConfig().budget(40) == 40

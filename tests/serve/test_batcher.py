@@ -12,6 +12,7 @@ import threading
 import pytest
 
 from repro.core.optimizer import evaluate_stacked_specs
+from repro.obs.context import obs_context
 from repro.runtime.cache import result_to_json
 from repro.serve.batcher import MicroBatcher, StackedScorer
 from repro.serve.service import PlanService, ServeConfig, parse_request
@@ -274,17 +275,19 @@ class TestCoBatchingDeterminism:
         for a, b in zip(single, pooled):
             assert a["result"] == b["result"]
 
-    def test_co_stack_off_matches_co_stack_on(self):
+    def test_three_distinct_requests_batched_match_solo(self):
         requests = [_request(seed) for seed in range(3)]
-        stacked = asyncio.run(_serve(requests))
-        sequential = asyncio.run(
-            _serve(
-                requests,
-                ServeConfig(flush_window_s=0.005, co_stack=False),
-            )
-        )
-        for a, b in zip(stacked, sequential):
-            assert a["result"] == b["result"]
+        solo = [
+            asyncio.run(_serve([request]))[0] for request in requests
+        ]
+        with obs_context() as obs:
+            together = asyncio.run(_serve(requests))
+        counters = obs.metrics.counters()
+        # One batch whose three searches were scored at the shared barrier.
+        assert counters["serve.batches"] == 1
+        assert counters["serve.stacked_specs"] > counters["serve.stacked_rounds"]
+        for alone, batched in zip(solo, together):
+            assert batched["result"] == alone["result"]
 
     def test_mixed_kinds_co_batch_bit_identically(self):
         requests = [

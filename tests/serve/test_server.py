@@ -25,15 +25,24 @@ _PLAN = {
 }
 
 # Well-formed JSON whose values the request validator must reject as
-# client errors: an unknown fault kind, a NaN probability, and integer
-# fields that overflow (``1e400`` parses as infinity).
+# client errors: an unknown fault kind, NaN and overflowing (``1e400``
+# parses as infinity) numbers, more antennas than the grid has bins below
+# Nyquist, and a grid past the cap.
 _INVALID_VALUE_BODIES = (
     b'{"n_antennas":8,"fault_plan":[{"kind":"bogus"}]}',
     b'{"n_antennas":8,"fault_plan":'
     b'[{"kind":"antenna_dropout","probability":NaN}]}',
     b'{"n_antennas":8,"adaptive":{"ci_target":0.1,"min_trials":1e400}}',
     b'{"n_antennas":8,"refine_steps":[1e400]}',
+    b'{"n_antennas":8,"adaptive":{"ci_target":NaN}}',
+    b'{"n_antennas":8,"adaptive":{"ci_target":0.1,"max_trials":1e400}}',
+    b'{"n_antennas":8,"grid_size":3}',
+    b'{"n_antennas":100000000}',
+    b'{"n_antennas":8,"grid_size":1048576}',
 )
+
+# Parses, but the search finds no plan: the flatness budget is too tight.
+_UNSATISFIABLE_BODY = {**_PLAN, "n_antennas": 8, "alpha": 1e-6}
 
 
 async def _http(port, method, path, payload=None, raw=None):
@@ -119,6 +128,9 @@ class TestRoutes:
                 b"Content-Length: 5\r\n\r\nhello",
             )
             missing = await _http(port, "POST", "/plan", {})
+            unsatisfiable = await _http(
+                port, "POST", "/plan", _UNSATISFIABLE_BODY
+            )
             invalid_values = [
                 await _http(
                     port,
@@ -130,14 +142,16 @@ class TestRoutes:
                 )
                 for body in _INVALID_VALUE_BODIES
             ]
-            return unknown, not_json, missing, invalid_values
+            return unknown, not_json, missing, unsatisfiable, invalid_values
 
-        unknown, not_json, missing, invalid_values = asyncio.run(
-            _with_server(ServeConfig(), scenario)
+        unknown, not_json, missing, unsatisfiable, invalid_values = (
+            asyncio.run(_with_server(ServeConfig(), scenario))
         )
         assert unknown[0] == 400 and "n_antenna" in unknown[1]["error"]
         assert not_json[0] == 400
         assert missing[0] == 400 and "n_antennas" in missing[1]["error"]
+        assert unsatisfiable[0] == 400
+        assert "flatness budget" in unsatisfiable[1]["error"]
         for body, (status, payload) in zip(
             _INVALID_VALUE_BODIES, invalid_values
         ):

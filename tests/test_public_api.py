@@ -100,6 +100,10 @@ REMOVED_NAMES = (
     ("repro.kernels", "Capabilities"),
     ("repro.kernels", "BACKEND_CHOICES"),
     ("repro.kernels.rectifier", "METHODS"),
+    ("repro.runtime", "ENGINES"),
+    ("repro.runtime", "resolve_engine"),
+    ("repro.runtime.engine", "ENGINES"),
+    ("repro.runtime.engine", "resolve_engine"),
 )
 
 
@@ -116,13 +120,18 @@ def test_no_implementation_switches():
     import dataclasses
 
     from repro.core.optimizer import FrequencyOptimizer
+    from repro.experiments import (
+        ablations, common, fig04, fig09, fig10, fig11, fig12, fig13,
+    )
     from repro.experiments.ber import BerConfig
     from repro import kernels
     from repro.core.optimizer import evaluate_stacked_specs
     from repro.experiments.cli import _build_parser
     from repro.experiments.wakeup_latency import WakeupConfig
     from repro.fleet.collision import run_inventory
+    from repro.runtime import engine
     from repro.runtime.cache import PlanCache, configure_plan_cache
+    from repro.serve.service import ServeConfig
 
     for config in (BerConfig, WakeupConfig):
         names = {field.name for field in dataclasses.fields(config)}
@@ -146,6 +155,25 @@ def test_no_implementation_switches():
         assert "method" not in parameters, function.__name__
     with pytest.raises(SystemExit):
         _build_parser().parse_args(["fig04", "--backend", "numpy"])
+
+    configs = (
+        fig04.Fig04Config, fig09.Fig09Config, fig10.Fig10Config,
+        fig11.Fig11Config, fig12.Fig12Config, fig13.Fig13Config,
+        ablations.AblationConfig, ServeConfig,
+    )
+    functions = (
+        common.measure_gain_trials, common.power_up_trials,
+        common.power_up_probability, common.measure_strategy_gains,
+        fig04.peak_factors, fig04._peak_factor_chunk,
+        engine.measure_gain_chunk, engine.power_up_chunk,
+        engine.strategy_gain_chunk, engine.peak_amplitudes,
+    )
+    for config in configs:
+        names = {field.name for field in dataclasses.fields(config)}
+        assert not names & {"engine", "co_stack"}, config.__name__
+    for function in functions:
+        parameters = set(inspect.signature(function).parameters)
+        assert not parameters & {"engine", "co_stack"}, function.__name__
 
 
 def test_src_never_imports_tests():
