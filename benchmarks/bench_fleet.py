@@ -10,8 +10,7 @@ outcomes stay bitwise identical (read order, per-slot reply counts,
 decode verdicts, Q trajectory).
 
 The run also records ``fleet_tags`` / ``fleet_tags_per_s`` into
-``BENCH_runtime.json`` via the harness counters, which
-``tools/bench_sentinel.py`` checks lower-is-worse against history.
+``BENCH_runtime.json`` via the harness counters.
 """
 
 import time

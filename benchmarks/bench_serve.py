@@ -14,8 +14,7 @@ distinct searches -- is served two ways:
 plans/s advantage while asserting every response is **bit-identical** to
 its serialized cold computation -- batching may only change when work
 runs, never what a request gets back. The run's plans/s, p50/p99 latency
-and batch occupancy land in ``BENCH_runtime.json`` (and the append-only
-``BENCH_history.jsonl``) for the regression sentinel.
+and batch occupancy land in ``BENCH_runtime.json``.
 """
 
 import asyncio

@@ -9,32 +9,27 @@ The ``-s`` flag shows the reproduced tables inline.
 
 Every ``run_once`` call also records the bench's wall-clock time and the
 number of Monte-Carlo trials the :mod:`repro.runtime` engine processed
-during it; the session writes the rows to ``BENCH_runtime.json`` at the
-repo root so throughput regressions show up in review diffs, and appends
-the same rows as one entry to the append-only ``BENCH_history.jsonl`` so
-``tools/bench_sentinel.py`` can hold a trend baseline against them.
-
-Every row is stamped with the git revision and a short environment
-fingerprint (python/numpy versions, CPU count; see
-:func:`repro.obs.history.env_fingerprint`); rows from different
-environments never silently merge into one baseline.
+during it; the session writes the rows, with the git revision and the
+python/numpy versions and CPU count, to ``BENCH_runtime.json`` at the repo
+root. That file is an untracked per-run artifact (CI uploads it); the
+regression benchmark is ``perfbench/``, judged against the bounds in
+``BENCHMARK.json``.
 """
 
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.experiments.report import runtime_table
 from repro.obs.context import obs_context
-from repro.obs.history import env_fingerprint, fingerprint_hash
 from repro.obs.manifest import git_revision
 
 _RUNTIME_ROWS = []
-_ENV = env_fingerprint()
-_FINGERPRINT = fingerprint_hash(_ENV)
-_GIT_REV = git_revision()
 
 
 def _engine_trials(obs) -> int:
@@ -74,12 +69,7 @@ def run_once(benchmark, fn, row_extra=None):
         start = time.perf_counter()
         result = benchmark.pedantic(fn, iterations=1, rounds=1)
         wall_s = time.perf_counter() - start
-    row = {
-        "bench": benchmark.name,
-        "wall_s": round(wall_s, 4),
-        "git_rev": None if _GIT_REV is None else _GIT_REV[:12],
-        "fingerprint": _FINGERPRINT,
-    }
+    row = {"bench": benchmark.name, "wall_s": round(wall_s, 4)}
     counters = obs.metrics.counters()
     counts = (
         ("engine_trials", "trials_per_s", _engine_trials(obs)),
@@ -122,19 +112,16 @@ def pytest_sessionfinish(session, exitstatus):
     root = Path(__file__).resolve().parent.parent
     payload = {
         "total_wall_s": round(sum(r["wall_s"] for r in _RUNTIME_ROWS), 4),
-        "git_rev": _GIT_REV,
-        "env": _ENV,
+        "git_rev": git_revision(),
+        "env": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+        },
         "benches": _RUNTIME_ROWS,
     }
     (root / "BENCH_runtime.json").write_text(
         json.dumps(payload, indent=2) + "\n"
-    )
-    # Graduate the overwrite-in-place snapshot to the append-only history
-    # the regression sentinel baselines against.
-    from repro.obs.history import append_history, history_entry
-
-    append_history(
-        root / "BENCH_history.jsonl", history_entry(payload, env=_ENV)
     )
 
 

@@ -2,9 +2,9 @@
 
 The one identity hash behind every cache key, stream seed and config
 token in the package (fault plans, fleets, adaptive policies, plan-cache
-keys, bench-environment fingerprints): SHA-256 over canonical JSON with
-sorted keys, so the digest is stable across processes, platforms and
-Python versions. Values JSON cannot encode fall back to their ``repr``.
+keys): SHA-256 over canonical JSON with sorted keys, so the digest is
+stable across processes, platforms and Python versions. Values JSON
+cannot encode fall back to their ``repr``.
 """
 
 import hashlib

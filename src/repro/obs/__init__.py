@@ -16,9 +16,6 @@ Complementary surfaces, all scoped to an :class:`ObsContext` (a
 * :mod:`repro.obs.analyze` -- trace analytics over exported spans
   (self-time aggregates, critical path, worker occupancy, collapsed-stack
   flamegraph export); answers *why was it slow*.
-* :mod:`repro.obs.history` -- append-only benchmark history with robust
-  (median/MAD) baselines and the regression sentinel that gates CI;
-  answers *did this change make it slower*.
 
 The runtime (:mod:`repro.runtime`) records into whatever context is
 current; the experiments CLI opens a scope per invocation and offers
@@ -39,16 +36,6 @@ from repro.obs.context import (
     default_obs,
     obs_context,
 )
-from repro.obs.history import (
-    HISTORY_SCHEMA_VERSION,
-    append_history,
-    detect_regressions,
-    env_fingerprint,
-    history_entry,
-    read_history,
-    trend_report,
-    validate_history_entry,
-)
 from repro.obs.manifest import (
     MANIFEST_SCHEMA_VERSION,
     build_manifest,
@@ -66,7 +53,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "HISTORY_SCHEMA_VERSION",
     "MANIFEST_SCHEMA_VERSION",
     "Counter",
     "Gauge",
@@ -77,21 +63,14 @@ __all__ = [
     "TraceAnalysis",
     "Tracer",
     "analyze_trace",
-    "append_history",
     "build_manifest",
     "collapsed_stacks",
     "current_obs",
     "default_obs",
-    "detect_regressions",
-    "env_fingerprint",
-    "history_entry",
     "obs_context",
-    "read_history",
     "read_jsonl",
     "read_manifest",
     "run_record",
-    "trend_report",
-    "validate_history_entry",
     "validate_manifest",
     "validate_span_dict",
     "write_collapsed",

@@ -88,6 +88,16 @@ MAX_GRID_SIZE = 65536
 """Largest ``grid_size`` a request may ask for: 4x the largest FFT grid
 any in-repo caller uses (16384), and a bound on the search's memory."""
 
+MAX_DRAWS = 256
+MAX_CANDIDATES = 1024
+MAX_REFINE_ROUNDS = 8
+MAX_REFINE_STEPS = 16
+MAX_ISLANDS = 16
+"""Largest ``n_draws``, ``n_candidates``, ``refine_rounds``,
+``len(refine_steps)`` and ``islands`` a request may ask for: several times
+the largest in-repo use (48, 150, 2, 5 and 3); with ``MAX_GRID_SIZE`` they
+bound one search's memory and time."""
+
 
 class ServeRequestError(ValueError):
     """A malformed or unsatisfiable planning request (maps to HTTP 400)."""
@@ -177,10 +187,14 @@ def _medium_key(name: str) -> str:
     return name.strip().lower().replace("_", " ")
 
 
-def _positive_int(payload: Dict[str, Any], name: str, default: int) -> int:
+def _positive_int(
+    payload: Dict[str, Any], name: str, default: int, maximum: int
+) -> int:
     value = payload.get(name, default)
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ServeRequestError(f"{name} must be a positive integer")
+    if value > maximum:
+        raise ServeRequestError(f"{name} must be <= {maximum}")
     return value
 
 
@@ -273,16 +287,11 @@ def parse_request(payload: Any) -> PlanRequest:
         raise ServeRequestError(
             f"kind must be 'peak' or 'conduction', got {kind!r}"
         )
-    n_antennas = _positive_int(payload, "n_antennas", 0)
-    grid_size = _positive_int(payload, "grid_size", DEFAULT_GRID_SIZE)
-    if grid_size > MAX_GRID_SIZE:
-        raise ServeRequestError(f"grid_size must be <= {MAX_GRID_SIZE}")
-    if n_antennas > grid_size // 2:
-        # Every antenna needs its own offset bin below the grid's Nyquist
-        # bin, so no feasible plan exists.
-        raise ServeRequestError(
-            f"n_antennas must be <= grid_size // 2 = {grid_size // 2}"
-        )
+    grid_size = _positive_int(
+        payload, "grid_size", DEFAULT_GRID_SIZE, MAX_GRID_SIZE
+    )
+    # Every antenna needs its own offset bin below the grid's Nyquist bin.
+    n_antennas = _positive_int(payload, "n_antennas", 0, grid_size // 2)
     threshold = _number(payload, "threshold", 0.0)
     if kind == "conduction" and threshold < 0:
         raise ServeRequestError("threshold must be >= 0")
@@ -314,15 +323,20 @@ def parse_request(payload: Any) -> PlanRequest:
         if medium is None:
             raise ServeRequestError("depth_m requires a medium")
     refine_steps = payload.get("refine_steps", (1, 2, 5, 10, 20))
-    if isinstance(refine_steps, (list, tuple)):
-        try:
-            refine_steps = tuple(int(step) for step in refine_steps)
-        except (TypeError, ValueError, OverflowError):
-            raise ServeRequestError("refine_steps must be integers")
-    else:
+    if not isinstance(refine_steps, (list, tuple)):
         raise ServeRequestError("refine_steps must be a list of integers")
+    if len(refine_steps) > MAX_REFINE_STEPS:
+        raise ServeRequestError(f"at most {MAX_REFINE_STEPS} refine_steps")
+    try:
+        refine_steps = tuple(int(step) for step in refine_steps)
+    except (TypeError, ValueError, OverflowError):
+        raise ServeRequestError("refine_steps must be integers")
     if any(step < 1 for step in refine_steps):
         raise ServeRequestError("refine_steps must be positive")
+    seed = payload.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ServeRequestError("seed must be a non-negative integer")
+    candidates, rounds = (120, 2) if kind == "peak" else (60, 1)
     eirp_watts = _number(payload, "eirp_watts", DEFAULT_EIRP_WATTS)
     air_distance_m = _number(
         payload, "air_distance_m", DEFAULT_AIR_DISTANCE_M
@@ -340,22 +354,17 @@ def parse_request(payload: Any) -> PlanRequest:
         center_frequency_hz=_number(
             payload, "center_frequency_hz", CIB_CENTER_FREQUENCY_HZ
         ),
-        n_draws=_positive_int(payload, "n_draws", 48),
+        n_draws=_positive_int(payload, "n_draws", 48, MAX_DRAWS),
         grid_size=grid_size,
-        seed=(
-            payload.get("seed", 0)
-            if isinstance(payload.get("seed", 0), int)
-            and not isinstance(payload.get("seed", 0), bool)
-            else _raise_seed()
-        ),
+        seed=seed,
         n_candidates=_positive_int(
-            payload, "n_candidates", 120 if kind == "peak" else 60
+            payload, "n_candidates", candidates, MAX_CANDIDATES
         ),
         refine_rounds=_positive_int(
-            payload, "refine_rounds", 2 if kind == "peak" else 1
+            payload, "refine_rounds", rounds, MAX_REFINE_ROUNDS
         ),
         refine_steps=refine_steps,
-        islands=_positive_int(payload, "islands", 1),
+        islands=_positive_int(payload, "islands", 1, MAX_ISLANDS),
         fault_token=_fault_token(payload),
         adaptive_token=_adaptive_token(payload),
         medium=medium,
@@ -363,10 +372,6 @@ def parse_request(payload: Any) -> PlanRequest:
         eirp_watts=eirp_watts,
         air_distance_m=air_distance_m,
     )
-
-
-def _raise_seed():
-    raise ServeRequestError("seed must be an integer")
 
 
 @dataclass

@@ -99,3 +99,8 @@ class TestTablesFlag:
         path = tmp_path / "tables.json"
         path.write_text("{not json")
         assert checker.main(["--tables", str(path)]) == 1
+
+    def test_history_option_is_gone(self, checker, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            checker.main(["--history", str(tmp_path / "history.jsonl")])
+        assert exc.value.code == 2

@@ -39,6 +39,12 @@ _INVALID_VALUE_BODIES = (
     b'{"n_antennas":8,"grid_size":3}',
     b'{"n_antennas":100000000}',
     b'{"n_antennas":8,"grid_size":1048576}',
+    b'{"n_antennas":8,"n_draws":100000000}',
+    b'{"n_antennas":8,"n_candidates":100000000}',
+    b'{"n_antennas":8,"refine_rounds":100000000}',
+    b'{"n_antennas":8,"islands":100000000}',
+    b'{"n_antennas":8,"refine_steps":[' + b",".join([b"1"] * 100000) + b"]}",
+    b'{"n_antennas":4,"seed":-1}',
 )
 
 # Parses, but the search finds no plan: the flatness budget is too tight.

@@ -11,7 +11,6 @@ import hashlib
 from repro.faults.plan import EMPTY_PLAN, FaultPlan, antenna_dropout, trigger_desync
 from repro.fleet.population import FleetConfig
 from repro.hashing import stable_digest
-from repro.obs.history import fingerprint_hash
 from repro.runtime.adaptive import AdaptiveConfig
 from repro.runtime.cache import conduction_plan_key, peak_plan_key, plan_key
 
@@ -46,8 +45,6 @@ def test_config_hashes():
     assert AdaptiveConfig().cache_token() == "a563f92c39ce7ace"
     relative = AdaptiveConfig(ci_relative=0.1, min_trials=2, batch_trials=2)
     assert relative.cache_token() == "5a131bb65fa89eff"
-    env = {"python": "3.12.1", "numpy": "2.0.0", "cpus": 2, "z": 1 + 2j}
-    assert fingerprint_hash(env) == "d6592842962d"
 
 
 def test_stable_digest_is_truncated_sha256_of_sorted_json():

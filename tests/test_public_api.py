@@ -104,6 +104,14 @@ REMOVED_NAMES = (
     ("repro.runtime", "resolve_engine"),
     ("repro.runtime.engine", "ENGINES"),
     ("repro.runtime.engine", "resolve_engine"),
+    ("repro.obs", "append_history"),
+    ("repro.obs", "read_history"),
+    ("repro.obs", "history_entry"),
+    ("repro.obs", "validate_history_entry"),
+    ("repro.obs", "detect_regressions"),
+    ("repro.obs", "trend_report"),
+    ("repro.obs", "env_fingerprint"),
+    ("repro.obs", "HISTORY_SCHEMA_VERSION"),
 )
 
 
@@ -148,6 +156,8 @@ def test_no_implementation_switches():
     assert "directory" not in inspect.signature(configure_plan_cache).parameters
     with pytest.raises(ImportError):
         importlib.import_module("repro.kernels.backend")
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.obs.history")
     kernel_functions = [getattr(kernels, name) for name in kernels.__all__]
     for function in kernel_functions + [evaluate_stacked_specs, run_inventory]:
         parameters = inspect.signature(function).parameters

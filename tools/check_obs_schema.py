@@ -5,13 +5,13 @@ Usage::
 
     python tools/check_obs_schema.py [--trace TRACE.jsonl]
         [--metrics METRICS.json] [--manifest MANIFEST.json]
-        [--history BENCH_history.jsonl] [--collapsed STACKS.collapsed]
-        [--store PLANS.sqlite] [--serve] [--tables TABLES.json]
+        [--collapsed STACKS.collapsed] [--store PLANS.sqlite] [--serve]
+        [--tables TABLES.json]
 
-Traces, metrics, manifests, the benchmark history JSONL, collapsed-stack
-exports, and the experiments CLI's ``--tables-out`` payloads are all
-versioned schemas, and CI runs this against freshly written artifacts so
-drift fails the build instead of surfacing downstream.
+Traces, metrics, manifests, collapsed-stack exports, and the experiments
+CLI's ``--tables-out`` payloads are all versioned schemas, and CI runs
+this against freshly written artifacts so drift fails the build instead
+of surfacing downstream.
 
 ``--tables`` checks every experiment of :data:`TABLE_CHECKERS` the payload
 holds (``fleet``: schema plus one row per configured cell;
@@ -21,7 +21,6 @@ and fails when it holds none of them.
 Versioning: each schema carries its own ``*_SCHEMA_VERSION`` constant
 (``repro.obs.trace.TRACE_SCHEMA_VERSION``,
 ``repro.obs.manifest.MANIFEST_SCHEMA_VERSION``,
-``repro.obs.history.HISTORY_SCHEMA_VERSION``,
 ``repro.fleet.campaign.FLEET_SCHEMA_VERSION``,
 ``repro.faults.campaign.DEGRADATION_SCHEMA_VERSION``).  The bump path
 is: additive fields keep the version; renamed/removed fields or changed
@@ -47,10 +46,6 @@ if _REPO_SRC.is_dir() and str(_REPO_SRC) not in sys.path:
 from repro.faults.campaign import validate_degradation_dict  # noqa: E402
 from repro.fleet.campaign import validate_fleet_dict  # noqa: E402
 from repro.obs import read_manifest, validate_manifest  # noqa: E402
-from repro.obs.history import (  # noqa: E402
-    read_history,
-    validate_history_entry,
-)
 from repro.obs.trace import validate_span_dict  # noqa: E402
 
 _COLLAPSED_LINE = re.compile(r"^\S.* (\d+)$")
@@ -128,21 +123,6 @@ def check_metrics(path: Path) -> List[str]:
                 f"histogram {name!r}: bucket counts sum to {sum(counts)} "
                 f"but count is {data.get('count')}"
             )
-    return problems
-
-
-def check_history(path: Path) -> List[str]:
-    """Problems found in a benchmark-history JSONL file."""
-    try:
-        entries = read_history(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"unreadable history file: {exc}"]
-    if not entries:
-        return ["history contains no entries"]
-    problems: List[str] = []
-    for index, entry in enumerate(entries):
-        for problem in validate_history_entry(entry):
-            problems.append(f"entry {index}: {problem}")
     return problems
 
 
@@ -412,9 +392,6 @@ def main(argv=None) -> int:
     parser.add_argument("--metrics", type=Path, help="metrics JSON file")
     parser.add_argument("--manifest", type=Path, help="run manifest JSON file")
     parser.add_argument(
-        "--history", type=Path, help="benchmark history JSONL file"
-    )
-    parser.add_argument(
         "--collapsed", type=Path, help="collapsed-stack export file"
     )
     parser.add_argument(
@@ -438,7 +415,6 @@ def main(argv=None) -> int:
             args.trace,
             args.metrics,
             args.manifest,
-            args.history,
             args.collapsed,
             args.store,
             args.tables,
@@ -446,7 +422,7 @@ def main(argv=None) -> int:
     ):
         parser.error(
             "nothing to check: pass --trace/--metrics/--manifest/"
-            "--history/--collapsed/--store/--tables"
+            "--collapsed/--store/--tables"
         )
     if args.serve and not args.trace:
         parser.error("--serve needs --trace")
@@ -466,7 +442,6 @@ def main(argv=None) -> int:
             if args.manifest
             else [],
         ),
-        ("history", check_history(args.history) if args.history else []),
         (
             "collapsed",
             check_collapsed(args.collapsed) if args.collapsed else [],
