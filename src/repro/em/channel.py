@@ -159,7 +159,9 @@ class BlindChannel:
         amplitudes = self.amplitude_gains(frequency)
 
         if self.phase_mode == "random":
-            phases = rng.uniform(0.0, 2.0 * math.pi, size=self.n_antennas)
+            # uniform(0.0, 2 pi) without its per-call cost: NumPy draws it
+            # as 0.0 + 2 pi * random(), the same doubles as this product.
+            phases = (2.0 * math.pi) * rng.random(self.n_antennas)
         elif self.phase_mode == "geometric":
             phases = self.geometric_phases(frequency)
         else:  # perturbed
@@ -171,13 +173,9 @@ class BlindChannel:
         gains = amplitudes.astype(complex) * np.exp(1j * phases)
 
         if self.multipath.mean_taps > 0:
-            fading = np.array(
-                [
-                    self.multipath.fading_factor(frequency, rng)
-                    for _ in range(self.n_antennas)
-                ]
+            gains = gains * self.multipath.fading_factors(
+                frequency, rng, self.n_antennas
             )
-            gains = gains * fading
 
         return ChannelRealization(
             gains=gains,

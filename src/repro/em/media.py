@@ -8,6 +8,7 @@ tissue attenuation at low-GHz frequencies spans roughly 2.3-6.9 dB/cm and
 the attenuation constant alpha spans roughly 13-80 Np/m.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict
@@ -68,13 +69,7 @@ class Medium:
 
     def propagation_constant(self, frequency_hz: float) -> complex:
         """gamma = alpha + j beta, from gamma = j omega sqrt(mu epsilon_c)."""
-        _require_positive_frequency(frequency_hz)
-        omega = 2.0 * math.pi * frequency_hz
-        epsilon_c = self.complex_permittivity(frequency_hz)
-        gamma = 1j * omega * complex(math.sqrt(VACUUM_PERMEABILITY), 0) * _csqrt(
-            epsilon_c
-        )
-        return gamma
+        return _propagation_constant(self, frequency_hz)
 
     def attenuation_np_per_m(self, frequency_hz: float) -> float:
         """Field attenuation constant alpha (Np/m); the alpha of Eq. 2."""
@@ -90,13 +85,7 @@ class Medium:
 
     def wave_impedance(self, frequency_hz: float) -> complex:
         """Intrinsic impedance eta = sqrt(j omega mu / (sigma + j omega eps'))."""
-        _require_positive_frequency(frequency_hz)
-        omega = 2.0 * math.pi * frequency_hz
-        numerator = 1j * omega * VACUUM_PERMEABILITY
-        denominator = self.conductivity_s_per_m + (
-            1j * omega * self.relative_permittivity * VACUUM_PERMITTIVITY
-        )
-        return _csqrt(numerator / denominator)
+        return _wave_impedance(self, frequency_hz)
 
     def wavelength_m(self, frequency_hz: float) -> float:
         """Wavelength inside the medium (m)."""
@@ -111,6 +100,32 @@ class Medium:
     def is_lossless(self) -> bool:
         """True when the medium has zero conductivity (e.g. air)."""
         return self.conductivity_s_per_m == 0.0
+
+
+# The two constants every field factor and Eq. 3 evaluation needs, cached
+# per (medium, frequency): a Medium is frozen, so neither can change.
+# ``typed`` keeps a NumPy-scalar frequency, whose arithmetic differs from a
+# Python float's, from sharing an entry with the float.
+@functools.lru_cache(maxsize=256, typed=True)
+def _propagation_constant(medium: Medium, frequency_hz: float) -> complex:
+    _require_positive_frequency(frequency_hz)
+    omega = 2.0 * math.pi * frequency_hz
+    epsilon_c = medium.complex_permittivity(frequency_hz)
+    gamma = 1j * omega * complex(math.sqrt(VACUUM_PERMEABILITY), 0) * _csqrt(
+        epsilon_c
+    )
+    return gamma
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _wave_impedance(medium: Medium, frequency_hz: float) -> complex:
+    _require_positive_frequency(frequency_hz)
+    omega = 2.0 * math.pi * frequency_hz
+    numerator = 1j * omega * VACUUM_PERMEABILITY
+    denominator = medium.conductivity_s_per_m + (
+        1j * omega * medium.relative_permittivity * VACUUM_PERMITTIVITY
+    )
+    return _csqrt(numerator / denominator)
 
 
 def _csqrt(value: complex) -> complex:

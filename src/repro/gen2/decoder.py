@@ -7,6 +7,7 @@ when the normalized correlation exceeds 0.8; then slice the remaining
 chips into bits.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
@@ -45,6 +46,14 @@ def preamble_template(samples_per_chip: int) -> np.ndarray:
     return fm0.chips_to_waveform(PAPER_PREAMBLE_BITS, samples_per_chip)
 
 
+@functools.lru_cache(maxsize=64)
+def _cached_preamble(samples_per_chip: int) -> Tuple[np.ndarray, float]:
+    """Read-only preamble template and its norm, shared by every decode."""
+    template = preamble_template(samples_per_chip)
+    template.setflags(write=False)
+    return template, float(np.linalg.norm(template))
+
+
 def correlate_preamble(
     waveform: np.ndarray, samples_per_chip: int
 ) -> Tuple[float, int]:
@@ -59,12 +68,11 @@ def correlate_preamble(
             f"samples_per_chip must be >= 1, got {samples_per_chip}"
         )
     data = np.asarray(waveform, dtype=float)
-    template = preamble_template(samples_per_chip)
+    template, template_energy = _cached_preamble(samples_per_chip)
     if data.size < template.size:
         raise DecodingError(
             f"waveform ({data.size}) shorter than preamble ({template.size})"
         )
-    template_energy = float(np.linalg.norm(template))
     n_positions = data.size - template.size + 1
     # Normalized cross-correlation via cumulative sums for the local energy.
     squared = np.concatenate([[0.0], np.cumsum(data**2)])

@@ -16,10 +16,12 @@ componentwise on (I, Q), so this module carries the two components as
 separate real arrays -- which also lets it skip quantizing the Q
 component, whose quantized value the scalar loop computes and then
 discards when it averages only the real part. The only wrinkle is
-jamming: the scalar loop draws a uniform jam phase *between* the two
-noise draws of each period, so the jammed path keeps a per-period loop
-for the draws alone (three C-speed RNG calls per period) while the
-arithmetic stays batched.
+jamming: the scalar loop draws a uniform jam phase before each period's
+two noise draws, so the jammed path keeps a per-period loop for the
+draws alone -- one scalar phase draw and one ``normal(size=(2, T))``
+draw per period, the latter filling I then Q exactly like the scalar
+loop's two ``normal(size=T)`` calls -- while the arithmetic stays
+batched.
 
 The AGC normally scales each period by ``agc_target * full_scale / peak``;
 a period with zero peak is passed to the quantizer unscaled, which the
@@ -70,8 +72,10 @@ def _quantize_scaled(in_phase, column, adc):
     The scalar loop divides a *complex* array by the real gain, and
     numpy's complex division (Smith's algorithm) computes that as
     ``a * (1/gain)`` -- two roundings, not one. Match it exactly.
+    Overwrites ``in_phase``, which both kernels own.
     """
-    return adc.quantize_real(in_phase * column) * (1.0 / column)
+    quantized = adc.quantize_real(np.multiply(in_phase, column, out=in_phase))
+    return np.multiply(quantized, 1.0 / column, out=quantized)
 
 
 def capture_batch(
@@ -120,10 +124,14 @@ def capture_batch(
         # components; replicate it draw for draw.
         phases = np.empty(n_periods)
         draws = np.empty((n_periods, 2, n_samples))
+        # ``2 pi * random()`` is ``uniform(0.0, 2 pi)`` bit for bit (NumPy
+        # computes the latter as 0.0 + 2 pi * random()), minus its
+        # per-call argument handling.
+        two_pi = 2.0 * math.pi
+        random, normal = rng.random, rng.normal
         for period in range(n_periods):
-            phases[period] = rng.uniform(0.0, 2.0 * math.pi)
-            draws[period, 0] = rng.normal(size=n_samples)
-            draws[period, 1] = rng.normal(size=n_samples)
+            phases[period] = two_pi * random()
+            draws[period] = normal(size=(2, n_samples))
         jam_values = (jam_amplitude_v * np.exp(1j * phases)) * (
             chain.saw.amplitude_response(beamformer_frequency_hz)
         )
@@ -138,15 +146,17 @@ def capture_batch(
         in_phase = np.broadcast_to(base_i, (n_periods, n_samples))
         quadrature = np.broadcast_to(base_q, (n_periods, n_samples))
 
-    factor = chain.noise_std() / math.sqrt(2.0)
-    in_phase = in_phase + factor * xdraws[:, 0, :]
-    quadrature = quadrature + factor * xdraws[:, 1, :]
+    # The draw buffer is this call's own: scale it and sum into it in
+    # place (the same products and sums, without the temporaries).
+    noise = np.multiply(xdraws, chain.noise_std() / math.sqrt(2.0), out=xdraws)
+    in_phase = np.add(in_phase, noise[:, 0, :], out=noise[:, 0, :])
+    quadrature = np.add(quadrature, noise[:, 1, :], out=noise[:, 1, :])
 
     adc = getattr(chain, "adc", None)
     if adc is not None:
         peaks = np.maximum(
             np.max(np.abs(in_phase), axis=1),
-            np.max(np.abs(quadrature), axis=1),
+            np.max(np.abs(quadrature, out=quadrature), axis=1),
         )
         gains = _agc_gains(peaks, agc_target, adc.full_scale)
         in_phase = _quantize_scaled(in_phase, gains[:, None], adc)

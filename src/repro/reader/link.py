@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.analysis.stats import dbm_to_watts
 from repro.core import waveform as waveform_mod
-from repro.core.optimizer import envelope_series_fft
+from repro.core.optimizer import validate_offset_bins
 from repro.core.plan import CarrierPlan
 from repro.em.channel import BlindChannel
 from repro.em.media import Medium
@@ -77,6 +77,30 @@ def pie_command_envelope(
     return envelope
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@functools.lru_cache(maxsize=64)
+def _peak_grid(
+    offsets_hz: Tuple[float, ...]
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Time grid of one CIB period and the carriers' FFT bins on it.
+
+    The bins are ``None`` when the offsets do not land on distinct integer
+    bins of the grid (fault-perturbed, fractional offsets). Cached and
+    read-only: every trial of a plan shares one grid and one bin vector.
+    """
+    offsets = np.asarray(offsets_hz, dtype=float)
+    t = _read_only(waveform_mod.time_grid(offsets, 1.0))
+    try:
+        bins = validate_offset_bins(offsets, t.size, 1.0)
+    except ValueError:
+        return t, None
+    return t, _read_only(bins)
+
+
 def cib_peak(
     offsets_hz: np.ndarray,
     betas: np.ndarray,
@@ -86,23 +110,30 @@ def cib_peak(
 
     Same grid and ``argmax`` as :func:`repro.core.waveform.peak_envelope`.
     When every carrier sits on an integer bin of that grid the envelope is
-    one inverse FFT of the sparse spectrum (agreeing with the direct sum to
-    about 1e-13 relative); otherwise -- fault-perturbed, fractional
-    offsets -- it falls back to the direct sum, as
-    :func:`repro.runtime.engine.peak_amplitudes` does. The two pick the same grid sample unless the
-    envelope repeats within the period (offsets sharing a common step),
-    where either may pick another, equally high repeat.
+    one inverse FFT of the sparse spectrum, built exactly as
+    :func:`repro.core.optimizer.build_sparse_spectrum` builds it (agreeing
+    with the direct sum to about 1e-13 relative); the grid and the
+    validated bins come from a cache keyed on the offsets, so a trial pays
+    only for the spectrum, the inverse FFT and the ``argmax``. Otherwise
+    -- fault-perturbed, fractional offsets -- it falls back to the direct
+    sum, as :func:`repro.runtime.engine.peak_amplitudes` does. The two
+    pick the same grid sample unless the envelope repeats within the
+    period (offsets sharing a common step), where either may pick another,
+    equally high repeat.
 
     Returns:
         ``(peak_value, t_peak)``.
     """
-    t = waveform_mod.time_grid(offsets_hz, 1.0)
-    try:
-        y = envelope_series_fft(offsets_hz, betas, t.size, 1.0, amplitudes)[0]
-    except ValueError:
+    t, bins = _peak_grid(tuple(np.asarray(offsets_hz, dtype=float).tolist()))
+    if bins is None:
         return waveform_mod.peak_envelope(
             offsets_hz, betas, duration_s=1.0, amplitudes=amplitudes
         )
+    spectrum = np.zeros((1, t.size), dtype=complex)
+    spectrum[:, bins] = np.asarray(amplitudes, dtype=float)[None, :] * np.exp(
+        1j * np.atleast_2d(np.asarray(betas, dtype=float))
+    )
+    y = np.abs(np.fft.ifft(spectrum, axis=1) * t.size)[0]
     index = int(np.argmax(y))
     return float(y[index]), float(t[index])
 
@@ -189,6 +220,15 @@ class IvnLink:
         self._tag_aperture_m2 = self.tag_spec.antenna.effective_aperture_m2(
             self.reader.carrier_frequency_hz
         )
+        self._field_scale = math.sqrt(60.0 * self.eirp_per_branch_w())
+        self._offsets = _read_only(self.plan.offsets_array())
+        self._amplitudes = _read_only(self.plan.amplitudes_array())
+        # Query window relative to the envelope peak; a trial adds t_peak.
+        n_samples = self._command_envelope.size
+        dt = 1.0 / self.reader.sample_rate_hz
+        self._window_offsets = _read_only(
+            (np.arange(n_samples) - n_samples / 2.0) * dt
+        )
 
     # -- budgets ------------------------------------------------------------------
 
@@ -246,13 +286,11 @@ class IvnLink:
                 f"channel provides {gains.size} antennas, plan needs "
                 f"{self.plan.n_antennas}"
             )
-        eirp = self.eirp_per_branch_w()
-        field_scale = math.sqrt(60.0 * eirp)
         oscillator_phases = rng.uniform(0.0, 2.0 * math.pi, size=gains.size)
         betas = oscillator_phases + np.angle(gains)
-        amplitudes = field_scale * np.abs(gains) * self.plan.amplitudes_array()
+        amplitudes = self._field_scale * np.abs(gains) * self._amplitudes
 
-        offsets = self.plan.offsets_array()
+        offsets = self._offsets
         voltage_scale = 1.0
         if faults is not None and faults.active:
             perturbed = faults.perturb_trial(
@@ -282,9 +320,7 @@ class IvnLink:
 
         # 3. Query decode at the envelope peak. ---------------------------------
         command_envelope = self._command_envelope
-        n_samples = command_envelope.size
-        dt = 1.0 / self.reader.sample_rate_hz
-        window = t_peak + (np.arange(n_samples) - n_samples / 2.0) * dt
+        window = t_peak + self._window_offsets
         carrier_envelope = waveform_mod.envelope(
             offsets, betas, window, amplitudes
         )

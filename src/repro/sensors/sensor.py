@@ -11,7 +11,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.em.media import Medium
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DecodingError, ProtocolError
 from repro.gen2.commands import Query
 from repro.gen2.fm0 import chips_to_waveform, encode_chips
 from repro.gen2.pie import PIEDecoder
@@ -158,7 +158,9 @@ class BatteryFreeSensor:
         try:
             bits, _ = decoder.decode(normalized, has_trcal=True)
             Query.from_bits(bits)
-        except Exception as error:  # DecodingError or ProtocolError
+        except (DecodingError, ProtocolError) as error:
+            # A garbled frame is a failed query; anything else is a bug and
+            # propagates.
             return QueryDecodeOutcome(False, fluctuation, str(error))
         return QueryDecodeOutcome(True, fluctuation)
 

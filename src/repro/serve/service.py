@@ -333,6 +333,16 @@ def parse_request(payload: Any) -> PlanRequest:
         raise ServeRequestError("refine_steps must be integers")
     if any(step < 1 for step in refine_steps):
         raise ServeRequestError("refine_steps must be positive")
+    # Offset bins lie in [0, grid_size // 2), so a longer move is never
+    # feasible; an unbounded one overflows the search's int64 offsets.
+    # Only steps the client sent are checked: the defaults cannot
+    # overflow, and a small grid simply never takes their long moves.
+    if "refine_steps" in payload and any(
+        step > grid_size // 2 for step in refine_steps
+    ):
+        raise ServeRequestError(
+            f"refine_steps must be at most grid_size // 2 = {grid_size // 2}"
+        )
     seed = payload.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ServeRequestError("seed must be a non-negative integer")

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.em import media
@@ -95,3 +96,32 @@ class TestLibrary:
     def test_library_covers_swine_layers(self):
         for name in ("skin", "fat", "muscle", "stomach wall", "gastric content"):
             assert name in media.MEDIA_LIBRARY
+
+
+class TestCachedConstants:
+    """The per-(medium, frequency) cache returns what a fresh computation
+    gives, for Python-float and NumPy-scalar frequencies alike."""
+
+    @pytest.mark.parametrize("medium", list(media.MEDIA_LIBRARY.values()))
+    def test_cached_equals_fresh(self, medium):
+        for frequency in (880e6, 915e6, np.float64(915e6), 2.4e9):
+            for cached, fresh in (
+                (medium.wave_impedance, media._wave_impedance.__wrapped__),
+                (
+                    medium.propagation_constant,
+                    media._propagation_constant.__wrapped__,
+                ),
+            ):
+                for _ in range(2):  # a miss, then a hit
+                    got = cached(frequency)
+                    want = fresh(medium, frequency)
+                    assert type(got) is type(want)
+                    assert got.real.hex() == want.real.hex()
+                    assert got.imag.hex() == want.imag.hex()
+
+    def test_invalid_frequency_still_raises(self):
+        for frequency in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                media.WATER.wave_impedance(frequency)
+            with pytest.raises(ValueError):
+                media.WATER.propagation_constant(frequency)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.em.media import AIR, WATER
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DecodingError, ProtocolError
 from repro.gen2.commands import Query
-from repro.gen2.pie import PIEEncoder
+from repro.gen2.pie import PIEDecoder, PIEEncoder
 from repro.sensors.sensor import BatteryFreeSensor
 from repro.sensors.tags import miniature_tag_spec, standard_tag_spec
 
@@ -89,6 +89,28 @@ class TestQueryDecode:
             np.zeros(100), np.ones(100), 800e3
         )
         assert not outcome.decoded
+
+    @pytest.mark.parametrize(
+        "error", [DecodingError("garbled"), ProtocolError("bad CRC")]
+    )
+    def test_garbled_frame_is_a_failed_decode(self, monkeypatch, error):
+        def decode(self, *args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(PIEDecoder, "decode", decode)
+        carrier, command = self.make_envelopes()
+        outcome = make_sensor().decode_query_envelope(carrier, command, 800e3)
+        assert not outcome.decoded
+        assert outcome.reason == str(error)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def decode(self, *args, **kwargs):
+            raise TypeError("bug inside the PIE decoder")
+
+        monkeypatch.setattr(PIEDecoder, "decode", decode)
+        carrier, command = self.make_envelopes()
+        with pytest.raises(TypeError, match="bug inside"):
+            make_sensor().decode_query_envelope(carrier, command, 800e3)
 
 
 class TestUplink:

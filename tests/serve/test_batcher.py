@@ -15,7 +15,12 @@ from repro.core.optimizer import evaluate_stacked_specs
 from repro.obs.context import obs_context
 from repro.runtime.cache import result_to_json
 from repro.serve.batcher import MicroBatcher, StackedScorer
-from repro.serve.service import PlanService, ServeConfig, parse_request
+from repro.serve.service import (
+    PlanService,
+    ServeConfig,
+    ServeRequestError,
+    parse_request,
+)
 
 _BASE = {
     "kind": "peak",
@@ -328,3 +333,20 @@ class TestCoBatchingDeterminism:
         }
         assert len(results) == 1
         assert responses[0]["power"] != responses[1]["power"]
+
+
+class TestRefineStepBound:
+    def test_steps_up_to_the_nyquist_bin_parse(self):
+        request = parse_request(
+            {"n_antennas": 4, "grid_size": 64, "refine_steps": [1, 32]}
+        )
+        assert request.refine_steps == (1, 32)
+        # Omitted steps keep their defaults even where the grid is small.
+        assert parse_request({"n_antennas": 4, "grid_size": 16}).refine_steps
+
+    @pytest.mark.parametrize("step", [33, 2**70])
+    def test_longer_steps_are_client_errors(self, step):
+        with pytest.raises(ServeRequestError, match="at most grid_size"):
+            parse_request(
+                {"n_antennas": 4, "grid_size": 64, "refine_steps": [1, step]}
+            )

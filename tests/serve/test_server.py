@@ -8,6 +8,7 @@ wire path ``tools/loadgen.py`` drives.
 import asyncio
 import json
 
+from repro.core.optimizer import DEFAULT_GRID_SIZE
 from repro.obs.context import obs_context
 from repro.serve.server import PlanningServer, run_server
 from repro.serve.service import PlanService, ServeConfig
@@ -45,6 +46,11 @@ _INVALID_VALUE_BODIES = (
     b'{"n_antennas":8,"islands":100000000}',
     b'{"n_antennas":8,"refine_steps":[' + b",".join([b"1"] * 100000) + b"]}",
     b'{"n_antennas":4,"seed":-1}',
+    # A move no longer than the grid's Nyquist bin fits; these never can.
+    b'{"n_antennas":8,"refine_steps":[1180591620717411303424]}',
+    b'{"n_antennas":8,"refine_steps":[1,'
+    + str(DEFAULT_GRID_SIZE // 2 + 1).encode()
+    + b"]}",
 )
 
 # Parses, but the search finds no plan: the flatness budget is too tight.

@@ -204,3 +204,25 @@ def test_src_never_imports_tests():
             if any(m == "tests" or m.startswith("tests.") for m in modules):
                 offenders.append(str(path))
     assert not offenders, offenders
+
+
+def _benchmark_targets():
+    from perfbench.hooks import HOOKS
+    from perfbench.workloads import link_invivo
+
+    targets = [hook.target for hook in HOOKS]
+    return targets + [link_invivo.RUN_TRIAL, link_invivo.RESPOND]
+
+
+@pytest.mark.parametrize("target", _benchmark_targets())
+def test_benchmark_targets_resolve(target):
+    """Every name the repository benchmark wraps or counts still exists.
+
+    A traced run fails on a hook it cannot resolve, and ``link_invivo``
+    computes ``rate_per_s`` from calls to ``RUN_TRIAL``: a rename here
+    would crash the one or zero the other.
+    """
+    from perfbench.spans import _resolve
+
+    owner, attr = _resolve(target)
+    assert callable(owner.__dict__[attr])
