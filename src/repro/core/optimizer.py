@@ -948,12 +948,12 @@ class FrequencyOptimizer:
             shortlist=shortlist,
             islands=islands,
         )
-        runner = TrialRunner(workers=workers)
-        chunks = runner.map_chunks(
-            partial(_search_island_chunk, spec),
-            islands,
-            label="search.island_chunk",
-        )
+        with TrialRunner(workers=workers) as runner:
+            chunks = runner.map_chunks(
+                partial(_search_island_chunk, spec),
+                islands,
+                label="search.island_chunk",
+            )
         outcomes = [pair for chunk in chunks for pair in chunk]
         best_island, best = outcomes[0]
         for island, outcome in outcomes[1:]:

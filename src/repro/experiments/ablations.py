@@ -14,6 +14,7 @@
 """
 
 from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from repro.em.phantoms import WaterTankPhantom
 from repro.experiments.common import TankChannelFactory, measure_strategy_gains
 from repro.experiments.report import Table
 from repro.runtime.cache import optimized_plan
+from repro.runtime.runner import TrialRunner
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,14 @@ class _CIBFactory:
         return CIBTransmitter(self.plan)
 
 
-def beamsteering_across_media(config: AblationConfig = AblationConfig()) -> Table:
-    """Footnote 5: beamsteering helps only where its phase model holds."""
+def beamsteering_across_media(
+    config: AblationConfig = AblationConfig(),
+    runner: Optional[TrialRunner] = None,
+) -> Table:
+    """Footnote 5: beamsteering helps only where its phase model holds.
+
+    ``runner`` executes the trial chunks (``None``: in-process).
+    """
     plan = paper_plan()
     table = Table(
         title="Ablation (footnote 5) -- beamsteering vs blind baseline vs CIB",
@@ -89,21 +97,21 @@ def beamsteering_across_media(config: AblationConfig = AblationConfig()) -> Tabl
             _BeamsteerFactory(),
             config.n_trials,
             config.seed,
-            workers=config.workers,
+            runner=runner,
         )
         base_gains = measure_strategy_gains(
             factory,
             _BlindFactory(plan.n_antennas),
             config.n_trials,
             config.seed + 1,
-            workers=config.workers,
+            runner=runner,
         )
         cib_gains = measure_strategy_gains(
             factory,
             _CIBFactory(plan),
             config.n_trials,
             config.seed + 2,
-            workers=config.workers,
+            runner=runner,
         )
         table.add_row(
             medium.name,
@@ -114,8 +122,14 @@ def beamsteering_across_media(config: AblationConfig = AblationConfig()) -> Tabl
     return table
 
 
-def equal_power_scaling(config: AblationConfig = AblationConfig()) -> Table:
-    """Sec. 3.4: CIB with a fixed total power budget still gains ~N."""
+def equal_power_scaling(
+    config: AblationConfig = AblationConfig(),
+    runner: Optional[TrialRunner] = None,
+) -> Table:
+    """Sec. 3.4: CIB with a fixed total power budget still gains ~N.
+
+    ``runner`` executes the trial chunks (``None``: in-process).
+    """
     plan = paper_plan().equal_power_amplitudes()
     tank = WaterTankPhantom(standoff_m=0.5)
     factory = TankChannelFactory(
@@ -126,7 +140,7 @@ def equal_power_scaling(config: AblationConfig = AblationConfig()) -> Table:
         _CIBFactory(plan),
         config.n_trials,
         config.seed,
-        workers=config.workers,
+        runner=runner,
     )
     summary = percentile_summary(gains)
     table = Table(
@@ -225,3 +239,17 @@ def plan_quality(config: AblationConfig = AblationConfig()) -> Table:
     ):
         table.add_row(label, float(value), float(value) / 10.0)
     return table
+
+
+def run(config: AblationConfig = AblationConfig()) -> List[Table]:
+    """All five ablation tables; the trial-based two share one pool."""
+    with TrialRunner(workers=config.workers) as runner:
+        tables = [
+            beamsteering_across_media(config, runner),
+            equal_power_scaling(config, runner),
+        ]
+    return tables + [
+        flatness_violation(config),
+        two_stage_conduction(config),
+        plan_quality(config),
+    ]

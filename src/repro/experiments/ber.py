@@ -93,57 +93,57 @@ def run(config: BerConfig = BerConfig()) -> BerResult:
     for scheme in schemes:
         curves[scheme] = []
 
-    runner = TrialRunner(workers=config.workers)
     streaming = config.adaptive is not None and config.adaptive.enabled
     budget = (
         config.adaptive.budget(config.n_words)
         if streaming
         else config.n_words
     )
-    for snr_db in config.snr_db_points:
-        noise_std = float(10.0 ** (-snr_db / 20.0))  # signal amplitude = 1
-        fn = partial(
-            ber_block,
-            seed=config.seed + abs(int(snr_db * 10)) * 2 + (snr_db < 0),
-            n_words=budget,
-            noise_std=noise_std,
-            samples_per_chip=config.samples_per_chip,
-            miller_orders=config.miller_orders,
-            averaging_periods=config.averaging_periods,
-        )
-        with current_obs().stage_span(
-            "ber.words", trials=config.n_words, snr_db=snr_db
-        ):
-            if streaming:
-                trackers = {
-                    scheme: ProportionTracker(config.adaptive.confidence_z)
-                    for scheme in schemes
-                }
+    with TrialRunner(workers=config.workers) as runner:
+        for snr_db in config.snr_db_points:
+            noise_std = float(10.0 ** (-snr_db / 20.0))  # signal amplitude = 1
+            fn = partial(
+                ber_block,
+                seed=config.seed + abs(int(snr_db * 10)) * 2 + (snr_db < 0),
+                n_words=budget,
+                noise_std=noise_std,
+                samples_per_chip=config.samples_per_chip,
+                miller_orders=config.miller_orders,
+                averaging_periods=config.averaging_periods,
+            )
+            with current_obs().stage_span(
+                "ber.words", trials=config.n_words, snr_db=snr_db
+            ):
+                if streaming:
+                    trackers = {
+                        scheme: ProportionTracker(config.adaptive.confidence_z)
+                        for scheme in schemes
+                    }
 
-                def absorb(part, count, trackers=trackers):
-                    for scheme, errors in part.items():
-                        trackers[scheme].add(errors, count * 16)
-                    return worst_interval(
-                        [t.interval() for t in trackers.values()],
+                    def absorb(part, count, trackers=trackers):
+                        for scheme, errors in part.items():
+                            trackers[scheme].add(errors, count * 16)
+                        return worst_interval(
+                            [t.interval() for t in trackers.values()],
+                            config.adaptive,
+                        )
+
+                    chunks, outcome = adaptive_map_chunks(
+                        runner,
+                        fn,
+                        config.n_words,
                         config.adaptive,
+                        absorb,
+                        point=f"ber@{snr_db:g}dB",
                     )
-
-                chunks, outcome = adaptive_map_chunks(
-                    runner,
-                    fn,
-                    config.n_words,
-                    config.adaptive,
-                    absorb,
-                    point=f"ber@{snr_db:g}dB",
-                )
-                total_bits = outcome.trials * 16
-            else:
-                chunks = runner.map_chunks(fn, config.n_words)
-                total_bits = config.n_words * 16
-        errors = {scheme: 0 for scheme in schemes}
-        for chunk in chunks:
-            for scheme, count in chunk.items():
-                errors[scheme] += count
-        for scheme in schemes:
-            curves[scheme].append((snr_db, errors[scheme] / total_bits))
+                    total_bits = outcome.trials * 16
+                else:
+                    chunks = runner.map_chunks(fn, config.n_words)
+                    total_bits = config.n_words * 16
+            errors = {scheme: 0 for scheme in schemes}
+            for chunk in chunks:
+                for scheme, count in chunk.items():
+                    errors[scheme] += count
+            for scheme in schemes:
+                curves[scheme].append((snr_db, errors[scheme] / total_bits))
     return BerResult(curves=curves)

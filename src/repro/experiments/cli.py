@@ -148,13 +148,7 @@ def _run_ablations(
     config = _configure(config, workers, adaptive)
     if record is not None:
         record["config"] = config
-    return [
-        ablations.beamsteering_across_media(config),
-        ablations.equal_power_scaling(config),
-        ablations.flatness_violation(config),
-        ablations.two_stage_conduction(config),
-        ablations.plan_quality(config),
-    ]
+    return ablations.run(config)
 
 
 EXPERIMENTS: Dict[str, Callable[..., object]] = {

@@ -5,12 +5,14 @@ The public drivers (:func:`measure_gain_trials`,
 batched :mod:`repro.runtime` engine. A
 :class:`~repro.runtime.runner.TrialRunner` chunks the trials (optionally
 across worker processes) and each chunk is evaluated in stacked
-``(D, N)`` arrays. The carrier offsets pick the envelope tier -- the
-sparse-spectrum FFT for integer-bin plans, the direct sum otherwise -- so
-no driver takes a tier argument. The original one-trial-per-iteration
-loops live in ``tests/reference/`` as the oracles the regression suite
-pins the engine to: the direct tier matches them bit for bit at fixed
-seeds, the FFT tier to ~1e-13 relative.
+``(D, N)`` arrays. The caller owns the runner: an experiment opens one per
+run and passes it to every call, so all of its maps share one worker pool;
+``runner=None`` runs the trials in-process. The carrier offsets pick the
+envelope tier -- the sparse-spectrum FFT for integer-bin plans, the direct
+sum otherwise -- so no driver takes a tier argument. The original
+one-trial-per-iteration loops live in ``tests/reference/`` as the oracles
+the regression suite pins the engine to: the direct tier matches them bit
+for bit at fixed seeds, the FFT tier to ~1e-13 relative.
 """
 
 import math
@@ -101,8 +103,7 @@ def measure_gain_trials(
     seed: int,
     duration_s: float = CAPTURE_DURATION_S,
     include_baseline: bool = True,
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
+    runner: Optional[TrialRunner] = None,
     fault_plan: Optional[FaultPlan] = None,
     adaptive: Optional[AdaptiveConfig] = None,
 ) -> List[GainSample]:
@@ -119,8 +120,9 @@ def measure_gain_trials(
     :mod:`repro.runtime.engine`.
 
     Args:
-        workers: Worker processes; results are identical for any count.
-        chunk_size: Trials per chunk (default: one chunk per worker).
+        runner: Runner whose pool executes the chunks (``None`` runs them
+            in-process); results are identical for any worker count and
+            chunk size.
         fault_plan: Optional fault plan injected into the CIB side of
             every trial (empty/None is bit-identical to the healthy run).
         adaptive: Optional streaming-allocation policy. Trials stream in
@@ -131,7 +133,8 @@ def measure_gain_trials(
     """
     if n_trials <= 0:
         raise ValueError(f"n_trials must be positive, got {n_trials}")
-    runner = TrialRunner(workers=workers, chunk_size=chunk_size)
+    if runner is None:
+        runner = TrialRunner()
     streaming = adaptive is not None and adaptive.enabled
     budget = adaptive.budget(n_trials) if streaming else n_trials
     fn = partial(
@@ -148,7 +151,7 @@ def measure_gain_trials(
         "experiment.measure_gain_trials",
         n_trials=n_trials,
         seed=seed,
-        workers=workers,
+        workers=runner.workers,
         adaptive=streaming,
     ):
         if streaming:
@@ -239,8 +242,7 @@ def power_up_trials(
     tag_spec: TagSpec,
     n_trials: int,
     seed: int,
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
+    runner: Optional[TrialRunner] = None,
     fault_plan: Optional[FaultPlan] = None,
     adaptive: Optional[AdaptiveConfig] = None,
 ) -> PowerUpTrials:
@@ -250,11 +252,13 @@ def power_up_trials(
     every trial; empty/None is bit-identical to the healthy run. With an
     ``adaptive`` config, trials stream in batches until the Wilson CI on
     the success rate meets the target; the successes counted are the
-    exact bitwise prefix of the fixed ``budget``-trial run.
+    exact bitwise prefix of the fixed ``budget``-trial run. ``runner``
+    executes the chunks (``None``: in-process).
     """
     if n_trials <= 0:
         raise ValueError(f"n_trials must be positive, got {n_trials}")
-    runner = TrialRunner(workers=workers, chunk_size=chunk_size)
+    if runner is None:
+        runner = TrialRunner()
     streaming = adaptive is not None and adaptive.enabled
     budget = adaptive.budget(n_trials) if streaming else n_trials
     fn = partial(
@@ -272,7 +276,7 @@ def power_up_trials(
         "experiment.power_up_probability",
         n_trials=n_trials,
         seed=seed,
-        workers=workers,
+        workers=runner.workers,
         adaptive=streaming,
     ):
         if streaming:
@@ -307,8 +311,7 @@ def power_up_probability(
     tag_spec: TagSpec,
     n_trials: int,
     seed: int,
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
+    runner: Optional[TrialRunner] = None,
     fault_plan: Optional[FaultPlan] = None,
     adaptive: Optional[AdaptiveConfig] = None,
 ) -> float:
@@ -325,8 +328,7 @@ def power_up_probability(
         tag_spec,
         n_trials,
         seed,
-        workers=workers,
-        chunk_size=chunk_size,
+        runner=runner,
         fault_plan=fault_plan,
         adaptive=adaptive,
     ).probability
@@ -338,19 +340,20 @@ def measure_strategy_gains(
     n_trials: int,
     seed: int,
     duration_s: float = CAPTURE_DURATION_S,
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
+    runner: Optional[TrialRunner] = None,
 ) -> List[float]:
     """Peak power gain of an arbitrary strategy vs the single antenna.
 
     The strategy factory receives the channel so that channel-model-aware
     strategies (beamsteering) can extract the assumed geometric phases.
     Known strategy types are batched; unknown ones fall back to per-trial
-    evaluation with identical random streams.
+    evaluation with identical random streams. ``runner`` executes the
+    chunks (``None``: in-process).
     """
     if n_trials <= 0:
         raise ValueError(f"n_trials must be positive, got {n_trials}")
-    runner = TrialRunner(workers=workers, chunk_size=chunk_size)
+    if runner is None:
+        runner = TrialRunner()
     fn = partial(
         engine_mod.strategy_gain_chunk,
         channel_factory=channel_factory,
@@ -363,7 +366,7 @@ def measure_strategy_gains(
         "experiment.measure_strategy_gains",
         n_trials=n_trials,
         seed=seed,
-        workers=workers,
+        workers=runner.workers,
     ):
         parts = runner.map_chunks(fn, n_trials)
     return [float(gain) for gain in np.concatenate(parts)]

@@ -50,6 +50,7 @@ from repro.faults.plan import (
     tag_detuning,
 )
 from repro.obs.context import current_obs
+from repro.runtime.runner import TrialRunner
 from repro.sensors.tags import miniature_tag_spec
 
 PAYLOAD_BITS = (1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0)
@@ -169,7 +170,9 @@ class HeadChannelFactory:
         )
 
 
-def _detuning_table(config: DegradationConfig) -> DegradationTable:
+def _detuning_table(
+    config: DegradationConfig, runner: TrialRunner
+) -> DegradationTable:
     """Power-up probability at cortical depth vs tag-detuning severity."""
     from repro.experiments.common import power_up_probability
 
@@ -198,7 +201,7 @@ def _detuning_table(config: DegradationConfig) -> DegradationTable:
                 spec,
                 config.power_trials,
                 seed=config.seed + 31,
-                workers=config.workers,
+                runner=runner,
                 fault_plan=fault,
             )
         obs.metrics.counter("faults.campaign_points").inc()
@@ -227,58 +230,59 @@ def _detuning_table(config: DegradationConfig) -> DegradationTable:
 
 
 def run(config: DegradationConfig = DegradationConfig()) -> DegradationResult:
-    """Run all four severity sweeps on the deterministic runtime."""
+    """Run all four severity sweeps on one worker pool."""
     plan = paper_plan().subset(config.n_antennas)
     offsets = tuple(float(v) for v in plan.offsets_array())
 
-    dropout = run_campaign(
-        metric="peak_envelope",
-        fault_kind="antenna_dropout",
-        severities=[float(k) for k in config.dropout_counts],
-        chunk_builder=peak_envelope_chunk_builder(
-            _dropout_plan,
-            offsets,
-            config.duration_s,
+    with TrialRunner(workers=config.workers) as runner:
+        dropout = run_campaign(
+            metric="peak_envelope",
+            fault_kind="antenna_dropout",
+            severities=[float(k) for k in config.dropout_counts],
+            chunk_builder=peak_envelope_chunk_builder(
+                _dropout_plan,
+                offsets,
+                config.duration_s,
+                seed=config.seed,
+                n_trials=config.peak_trials,
+                aligned=True,
+            ),
+            n_trials=config.peak_trials,
             seed=config.seed,
+            runner=runner,
+        )
+        relock = run_campaign(
+            metric="peak_envelope",
+            fault_kind="pll_relock",
+            severities=config.relock_severities,
+            chunk_builder=peak_envelope_chunk_builder(
+                _relock_plan,
+                offsets,
+                config.duration_s,
+                seed=config.seed + 17,
+                n_trials=config.peak_trials,
+            ),
             n_trials=config.peak_trials,
-            aligned=True,
-        ),
-        n_trials=config.peak_trials,
-        seed=config.seed,
-        workers=config.workers,
-    )
-    relock = run_campaign(
-        metric="peak_envelope",
-        fault_kind="pll_relock",
-        severities=config.relock_severities,
-        chunk_builder=peak_envelope_chunk_builder(
-            _relock_plan,
-            offsets,
-            config.duration_s,
             seed=config.seed + 17,
-            n_trials=config.peak_trials,
-        ),
-        n_trials=config.peak_trials,
-        seed=config.seed + 17,
-        workers=config.workers,
-    )
-    detuning = _detuning_table(config)
-    corruption = run_campaign(
-        metric="decode_success",
-        fault_kind="bit_corruption",
-        severities=config.corruption_severities,
-        chunk_builder=decode_success_chunk_builder(
-            _corruption_plan,
-            PAYLOAD_BITS,
-            config.samples_per_chip,
-            seed=config.seed + 53,
+            runner=runner,
+        )
+        detuning = _detuning_table(config, runner)
+        corruption = run_campaign(
+            metric="decode_success",
+            fault_kind="bit_corruption",
+            severities=config.corruption_severities,
+            chunk_builder=decode_success_chunk_builder(
+                _corruption_plan,
+                PAYLOAD_BITS,
+                config.samples_per_chip,
+                seed=config.seed + 53,
+                n_trials=config.decode_trials,
+            ),
             n_trials=config.decode_trials,
-        ),
-        n_trials=config.decode_trials,
-        seed=config.seed + 53,
-        workers=config.workers,
-        reduce="success_fraction",
-    )
+            seed=config.seed + 53,
+            runner=runner,
+            reduce="success_fraction",
+        )
     return DegradationResult(
         dropout=dropout,
         relock=relock,

@@ -158,7 +158,6 @@ def peak_factors(
     if n_trials <= 0:
         raise ValueError(f"n_trials must be positive, got {n_trials}")
     offsets = paper_plan().offsets_array()
-    runner = TrialRunner(workers=workers, chunk_size=chunk_size)
     streaming = adaptive is not None and adaptive.enabled
     budget = adaptive.budget(n_trials) if streaming else n_trials
     fn = partial(
@@ -167,7 +166,9 @@ def peak_factors(
         seed=seed,
         n_trials=budget,
     )
-    if streaming:
+    with TrialRunner(workers=workers, chunk_size=chunk_size) as runner:
+        if not streaming:
+            return np.concatenate(runner.map_chunks(fn, n_trials))
         tracker = MeanTracker(adaptive.confidence_z)
 
         def absorb(part, count):
@@ -177,8 +178,7 @@ def peak_factors(
         parts, _ = adaptive_map_chunks(
             runner, fn, n_trials, adaptive, absorb, point="peak_factors"
         )
-        return np.concatenate(parts)
-    return np.concatenate(runner.map_chunks(fn, n_trials))
+    return np.concatenate(parts)
 
 
 def run(config: Fig04Config = Fig04Config()) -> Fig04Result:

@@ -16,6 +16,7 @@ from repro.em.phantoms import WaterTankPhantom
 from repro.experiments.common import TankChannelFactory, measure_gain_trials
 from repro.experiments.report import Table
 from repro.runtime.adaptive import AdaptiveConfig
+from repro.runtime.runner import TrialRunner
 
 
 @dataclass(frozen=True)
@@ -73,23 +74,24 @@ def run(config: Fig09Config = Fig09Config()) -> Fig09Result:
     full_plan = paper_plan()
     tank = WaterTankPhantom(standoff_m=TANK_STANDOFF_POWER_GAIN_M)
     result = Fig09Result([], [], [], [])
-    for n_antennas in range(1, config.max_antennas + 1):
-        plan = full_plan.subset(n_antennas)
-        factory = TankChannelFactory(
-            tank, n_antennas, config.depth_m, plan.center_frequency_hz
-        )
-        samples = measure_gain_trials(
-            factory,
-            plan,
-            n_trials=config.n_trials,
-            seed=config.seed + n_antennas,
-            include_baseline=False,
-            workers=config.workers,
-            adaptive=config.adaptive,
-        )
-        summary = percentile_summary([s.cib_gain for s in samples])
-        result.antenna_counts.append(n_antennas)
-        result.medians.append(summary.median)
-        result.p10s.append(summary.p10)
-        result.p90s.append(summary.p90)
+    with TrialRunner(workers=config.workers) as runner:
+        for n_antennas in range(1, config.max_antennas + 1):
+            plan = full_plan.subset(n_antennas)
+            factory = TankChannelFactory(
+                tank, n_antennas, config.depth_m, plan.center_frequency_hz
+            )
+            samples = measure_gain_trials(
+                factory,
+                plan,
+                n_trials=config.n_trials,
+                seed=config.seed + n_antennas,
+                include_baseline=False,
+                runner=runner,
+                adaptive=config.adaptive,
+            )
+            summary = percentile_summary([s.cib_gain for s in samples])
+            result.antenna_counts.append(n_antennas)
+            result.medians.append(summary.median)
+            result.p10s.append(summary.p10)
+            result.p90s.append(summary.p90)
     return result

@@ -17,6 +17,7 @@ from repro.em.phantoms import WaterTankPhantom
 from repro.experiments.common import TankChannelFactory, measure_gain_trials
 from repro.experiments.report import Table
 from repro.runtime.adaptive import AdaptiveConfig
+from repro.runtime.runner import TrialRunner
 
 
 @dataclass(frozen=True)
@@ -68,49 +69,50 @@ def run(config: Fig10Config = Fig10Config()) -> Fig10Result:
     """Sweep depth and orientation; gain should stay flat in both."""
     plan = paper_plan()
     tank = WaterTankPhantom(standoff_m=TANK_STANDOFF_POWER_GAIN_M)
-    depth_rows: List[tuple] = []
-    for depth in config.depths_m:
-        factory = TankChannelFactory(
-            tank, plan.n_antennas, depth, plan.center_frequency_hz
-        )
-        samples = measure_gain_trials(
-            factory,
-            plan,
-            n_trials=config.n_trials,
-            seed=config.seed + int(depth * 1000),
-            include_baseline=False,
-            workers=config.workers,
-            adaptive=config.adaptive,
-        )
-        summary = percentile_summary([s.cib_gain for s in samples])
-        depth_rows.append(
-            (depth * 100.0, summary.median, summary.p10, summary.p90)
-        )
+    with TrialRunner(workers=config.workers) as runner:
+        depth_rows: List[tuple] = []
+        for depth in config.depths_m:
+            factory = TankChannelFactory(
+                tank, plan.n_antennas, depth, plan.center_frequency_hz
+            )
+            samples = measure_gain_trials(
+                factory,
+                plan,
+                n_trials=config.n_trials,
+                seed=config.seed + int(depth * 1000),
+                include_baseline=False,
+                runner=runner,
+                adaptive=config.adaptive,
+            )
+            summary = percentile_summary([s.cib_gain for s in samples])
+            depth_rows.append(
+                (depth * 100.0, summary.median, summary.p10, summary.p90)
+            )
 
-    orientation_rows: List[tuple] = []
-    for angle in config.orientations_rad:
-        # A rotated linear tag antenna scales all per-antenna gains by the
-        # same orientation factor; the gain ratio is taken at the same
-        # orientation, mirroring the paper's measurement.
-        orientation_gain = max(abs(math.cos(angle)), 0.05)
-        factory = TankChannelFactory(
-            tank,
-            plan.n_antennas,
-            0.10,
-            plan.center_frequency_hz,
-            orientation_gain=orientation_gain,
-        )
-        samples = measure_gain_trials(
-            factory,
-            plan,
-            n_trials=config.n_trials,
-            seed=config.seed + 7919 + int(angle * 1000),
-            include_baseline=False,
-            workers=config.workers,
-            adaptive=config.adaptive,
-        )
-        summary = percentile_summary([s.cib_gain for s in samples])
-        orientation_rows.append(
-            (angle, summary.median, summary.p10, summary.p90)
-        )
+        orientation_rows: List[tuple] = []
+        for angle in config.orientations_rad:
+            # A rotated linear tag antenna scales all per-antenna gains by the
+            # same orientation factor; the gain ratio is taken at the same
+            # orientation, mirroring the paper's measurement.
+            orientation_gain = max(abs(math.cos(angle)), 0.05)
+            factory = TankChannelFactory(
+                tank,
+                plan.n_antennas,
+                0.10,
+                plan.center_frequency_hz,
+                orientation_gain=orientation_gain,
+            )
+            samples = measure_gain_trials(
+                factory,
+                plan,
+                n_trials=config.n_trials,
+                seed=config.seed + 7919 + int(angle * 1000),
+                include_baseline=False,
+                runner=runner,
+                adaptive=config.adaptive,
+            )
+            summary = percentile_summary([s.cib_gain for s in samples])
+            orientation_rows.append(
+                (angle, summary.median, summary.p10, summary.p90)
+            )
     return Fig10Result(depth_rows=depth_rows, orientation_rows=orientation_rows)

@@ -17,6 +17,7 @@ from repro.em.phantoms import WaterTankPhantom
 from repro.experiments.common import TankChannelFactory, measure_gain_trials
 from repro.experiments.report import Table
 from repro.runtime.adaptive import AdaptiveConfig
+from repro.runtime.runner import TrialRunner
 
 
 @dataclass(frozen=True)
@@ -75,32 +76,33 @@ def run(config: Fig11Config = Fig11Config()) -> Fig11Result:
     """Measure CIB and baseline gains in each medium."""
     plan = paper_plan()
     rows: List[tuple] = []
-    for index, medium in enumerate(config.media):
-        tank = WaterTankPhantom(
-            medium=medium, standoff_m=TANK_STANDOFF_POWER_GAIN_M
-        )
-        factory = TankChannelFactory(
-            tank, plan.n_antennas, config.depth_m, plan.center_frequency_hz
-        )
-        samples = measure_gain_trials(
-            factory,
-            plan,
-            n_trials=config.n_trials,
-            seed=config.seed + index,
-            workers=config.workers,
-            adaptive=config.adaptive,
-        )
-        cib = percentile_summary([s.cib_gain for s in samples])
-        baseline = percentile_summary([s.baseline_gain for s in samples])
-        rows.append(
-            (
-                medium.name,
-                cib.median,
-                cib.p10,
-                cib.p90,
-                baseline.median,
-                baseline.p10,
-                baseline.p90,
+    with TrialRunner(workers=config.workers) as runner:
+        for index, medium in enumerate(config.media):
+            tank = WaterTankPhantom(
+                medium=medium, standoff_m=TANK_STANDOFF_POWER_GAIN_M
             )
-        )
+            factory = TankChannelFactory(
+                tank, plan.n_antennas, config.depth_m, plan.center_frequency_hz
+            )
+            samples = measure_gain_trials(
+                factory,
+                plan,
+                n_trials=config.n_trials,
+                seed=config.seed + index,
+                runner=runner,
+                adaptive=config.adaptive,
+            )
+            cib = percentile_summary([s.cib_gain for s in samples])
+            baseline = percentile_summary([s.baseline_gain for s in samples])
+            rows.append(
+                (
+                    medium.name,
+                    cib.median,
+                    cib.p10,
+                    cib.p90,
+                    baseline.median,
+                    baseline.p10,
+                    baseline.p90,
+                )
+            )
     return Fig11Result(rows=rows)

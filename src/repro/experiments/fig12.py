@@ -17,6 +17,7 @@ from repro.core.plan import paper_plan
 from repro.em.phantoms import WaterTankPhantom
 from repro.experiments.common import TankChannelFactory, measure_gain_trials
 from repro.experiments.report import Table
+from repro.runtime.runner import TrialRunner
 
 
 @dataclass(frozen=True)
@@ -73,11 +74,12 @@ def run(config: Fig12Config = Fig12Config()) -> Fig12Result:
     factory = TankChannelFactory(
         tank, plan.n_antennas, config.depth_m, plan.center_frequency_hz
     )
-    samples = measure_gain_trials(
-        factory,
-        plan,
-        n_trials=config.n_trials,
-        seed=config.seed,
-        workers=config.workers,
-    )
+    with TrialRunner(workers=config.workers) as runner:
+        samples = measure_gain_trials(
+            factory,
+            plan,
+            n_trials=config.n_trials,
+            seed=config.seed,
+            runner=runner,
+        )
     return Fig12Result(ratios=np.array([s.ratio for s in samples]))

@@ -24,6 +24,7 @@ from repro.em.phantoms import WaterTankPhantom
 from repro.experiments.common import TankChannelFactory, power_up_probability
 from repro.experiments.report import Table
 from repro.runtime.adaptive import AdaptiveConfig
+from repro.runtime.runner import TrialRunner
 from repro.sensors.tags import TagSpec, miniature_tag_spec, standard_tag_spec
 
 
@@ -41,7 +42,8 @@ class Fig13Config:
             ``eirp_w`` is used directly.
         eirp_w: Per-branch EIRP when calibration is off.
         seed: Experiment seed.
-        workers: Worker processes for the trial chunks.
+        workers: Worker processes for the trial chunks; :func:`run` opens
+            one pool of this size and reuses it for every probe.
     """
 
     antenna_counts: Tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -106,6 +108,7 @@ def _air_range_m(
     eirp_w: float,
     config: Fig13Config,
     seed: int,
+    runner: Optional[TrialRunner] = None,
 ) -> float:
     """Largest air distance where the tag still powers up."""
 
@@ -116,7 +119,7 @@ def _air_range_m(
         )
         probability = power_up_probability(
             plan, factory, AIR, eirp_w, spec, config.n_trials, seed,
-            workers=config.workers,
+            runner=runner,
             adaptive=config.adaptive,
         )
         return probability >= config.success_fraction
@@ -132,6 +135,7 @@ def _water_depth_m(
     eirp_w: float,
     config: Fig13Config,
     seed: int,
+    runner: Optional[TrialRunner] = None,
 ) -> float:
     """Largest water depth where the tag still powers up (90 cm standoff)."""
     tank = WaterTankPhantom(medium=WATER, standoff_m=TANK_STANDOFF_RANGE_M)
@@ -142,7 +146,7 @@ def _water_depth_m(
         )
         probability = power_up_probability(
             plan, factory, WATER, eirp_w, spec, config.n_trials, seed,
-            workers=config.workers,
+            runner=runner,
             adaptive=config.adaptive,
         )
         return probability >= config.success_fraction
@@ -153,39 +157,49 @@ def _water_depth_m(
 
 
 def calibrated_eirp_w(
-    config: Fig13Config = Fig13Config(), target_m: float = SINGLE_ANTENNA_RFID_RANGE_M
+    config: Fig13Config = Fig13Config(),
+    target_m: float = SINGLE_ANTENNA_RFID_RANGE_M,
+    runner: Optional[TrialRunner] = None,
 ) -> float:
-    """EIRP whose single-antenna standard-tag air range equals the paper's."""
+    """EIRP whose single-antenna standard-tag air range equals the paper's.
+
+    ``runner`` executes the probes' trial chunks (``None``: in-process).
+    """
     plan = paper_plan().subset(1)
     spec = standard_tag_spec()
 
     def objective(eirp: float) -> float:
-        return _air_range_m(plan, spec, eirp, config, config.seed)
+        return _air_range_m(plan, spec, eirp, config, config.seed, runner)
 
     return calibrate_scalar(objective, target_m, low=0.5, high=40.0, tolerance=0.02)
 
 
 def run(config: Fig13Config = Fig13Config()) -> Fig13Result:
-    """Produce all four panels of Fig. 13."""
+    """Produce all four panels of Fig. 13 on one worker pool."""
     full_plan = paper_plan()
-    if config.calibrate:
-        eirp = calibrated_eirp_w(config)
-    else:
-        eirp = config.eirp_w
     specs = {"standard": standard_tag_spec(), "miniature": miniature_tag_spec()}
     panels: Dict[Tuple[str, str], List[Tuple[int, float]]] = {}
-    for tag_name, spec in specs.items():
-        air_series: List[Tuple[int, float]] = []
-        water_series: List[Tuple[int, float]] = []
-        for n_antennas in config.antenna_counts:
-            plan = full_plan.subset(n_antennas)
-            seed = config.seed + 37 * n_antennas + (0 if tag_name == "standard" else 1)
-            air_series.append(
-                (n_antennas, _air_range_m(plan, spec, eirp, config, seed))
-            )
-            water_series.append(
-                (n_antennas, _water_depth_m(plan, spec, eirp, config, seed + 11))
-            )
-        panels[(tag_name, "air")] = air_series
-        panels[(tag_name, "water")] = water_series
+    with TrialRunner(workers=config.workers) as runner:
+        if config.calibrate:
+            eirp = calibrated_eirp_w(config, runner=runner)
+        else:
+            eirp = config.eirp_w
+        for tag_name, spec in specs.items():
+            air_series: List[Tuple[int, float]] = []
+            water_series: List[Tuple[int, float]] = []
+            for n_antennas in config.antenna_counts:
+                plan = full_plan.subset(n_antennas)
+                seed = (
+                    config.seed
+                    + 37 * n_antennas
+                    + (0 if tag_name == "standard" else 1)
+                )
+                air_range = _air_range_m(plan, spec, eirp, config, seed, runner)
+                water_depth = _water_depth_m(
+                    plan, spec, eirp, config, seed + 11, runner
+                )
+                air_series.append((n_antennas, air_range))
+                water_series.append((n_antennas, water_depth))
+            panels[(tag_name, "air")] = air_series
+            panels[(tag_name, "water")] = water_series
     return Fig13Result(panels=panels, eirp_w=eirp)

@@ -197,14 +197,14 @@ def _adaptive_rows(
 
 def run(config: WakeupConfig = WakeupConfig()) -> WakeupResult:
     plan = paper_plan().subset(config.n_antennas)
-    runner = TrialRunner(workers=config.workers)
-    if config.adaptive is not None and config.adaptive.enabled:
-        return WakeupResult(rows=_adaptive_rows(config, plan, runner))
-    chunks = runner.map_chunks(
-        _chunk_fn(config, plan, config.depths_m, config.n_trials),
-        len(config.depths_m) * config.n_trials,
-        label="wakeup.chunk",
-    )
+    with TrialRunner(workers=config.workers) as runner:
+        if config.adaptive is not None and config.adaptive.enabled:
+            return WakeupResult(rows=_adaptive_rows(config, plan, runner))
+        chunks = runner.map_chunks(
+            _chunk_fn(config, plan, config.depths_m, config.n_trials),
+            len(config.depths_m) * config.n_trials,
+            label="wakeup.chunk",
+        )
     return WakeupResult(
         rows=_rows_from_latencies(config, np.concatenate(chunks))
     )

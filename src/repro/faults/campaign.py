@@ -3,10 +3,10 @@
 :func:`run_campaign` evaluates one scalar metric (mean peak envelope,
 power-up probability, decode success rate, ...) at a list of fault
 severities plus a healthy baseline, fanning the Monte-Carlo trials of each
-point across a :class:`~repro.runtime.runner.TrialRunner`. Because every
-chunk function re-derives its trial and fault randomness from
-``(seed, absolute trial index)``, a campaign's table is bit-identical for
-any ``workers`` / ``chunk_size`` combination.
+point across the caller's :class:`~repro.runtime.runner.TrialRunner`.
+Because every chunk function re-derives its trial and fault randomness
+from ``(seed, absolute trial index)``, a campaign's table is bit-identical
+for any ``workers`` / ``chunk_size`` combination.
 
 The output is a :class:`DegradationTable`: severities, absolute metric
 values, and values relative to the healthy baseline -- the degradation
@@ -155,8 +155,7 @@ def run_campaign(
     chunk_builder: Callable[[float], Callable[[int, int], object]],
     n_trials: int,
     seed: int,
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
+    runner: Optional[TrialRunner] = None,
     reduce: str = "mean",
 ) -> DegradationTable:
     """Sweep fault severity and measure degradation of one metric.
@@ -170,6 +169,8 @@ def run_campaign(
         chunk_builder: ``severity -> picklable chunk fn(start, count)``;
             the chunk fn must follow the runtime determinism contract
             (re-derive randomness from the absolute trial index).
+        runner: Runner whose pool executes the chunks (``None`` runs them
+            in-process).
         reduce: One of :data:`REDUCERS`.
     """
     if n_trials <= 0:
@@ -180,7 +181,8 @@ def run_campaign(
     if not severities:
         raise ValueError("need at least one severity")
     obs = current_obs()
-    runner = TrialRunner(workers=workers, chunk_size=chunk_size)
+    if runner is None:
+        runner = TrialRunner()
 
     def _point(severity: float, label: str) -> float:
         fn = chunk_builder(severity)
@@ -203,7 +205,7 @@ def run_campaign(
         fault_kind=fault_kind,
         n_points=len(severities),
         n_trials=n_trials,
-        workers=workers,
+        workers=runner.workers,
     ):
         baseline = _point(0.0, "baseline")
         values = tuple(

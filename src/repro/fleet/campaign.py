@@ -388,7 +388,7 @@ def run_fleet_campaign(
     runner = TrialRunner(workers=workers, chunk_size=chunk_size)
     capture = config.capture_model()
     rows: List[Dict] = []
-    with obs.tracer.span(
+    with runner, obs.tracer.span(
         "fleet.campaign",
         n_cells=len(config.cells()),
         workers=workers,

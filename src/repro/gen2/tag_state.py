@@ -40,6 +40,9 @@ class TagReply:
     kind: str
 
 
+_BIT_VALUES = frozenset((0, 1))
+
+
 class Gen2Tag:
     """One tag's protocol engine.
 
@@ -58,7 +61,11 @@ class Gen2Tag:
                 f"EPC length must be a positive multiple of 16, got "
                 f"{len(epc_bits)}"
             )
-        if any(bit not in (0, 1) for bit in epc_bits):
+        try:
+            only_bits = _BIT_VALUES.issuperset(epc_bits)
+        except TypeError:  # an unhashable element is not a bit either
+            only_bits = False
+        if not only_bits:
             raise ConfigurationError("EPC must contain only bits")
         self.epc_bits = tuple(epc_bits)
         self._rng = rng

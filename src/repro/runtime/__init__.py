@@ -13,7 +13,8 @@ the production trial engine the experiment drivers share instead:
   :class:`TrialRunner` chunks trials across a
   ``concurrent.futures.ProcessPoolExecutor`` with deterministic per-chunk
   ``SeedSequence`` spawning, so results are bit-identical regardless of
-  worker count (``workers=1`` runs in-process).
+  worker count (``workers=1`` runs in-process); a runner's pool lives as
+  long as the runner, so one runner per experiment run forks once.
 * :mod:`repro.runtime.adaptive` -- **streaming adaptive allocation**:
   :func:`adaptive_map_chunks` requests trials in successive batches per
   sweep point, maintains online confidence intervals

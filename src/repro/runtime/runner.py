@@ -4,6 +4,13 @@
 spans and maps a chunk function over them, either in-process
 (``workers=1``) or across a ``concurrent.futures.ProcessPoolExecutor``.
 
+A runner owns its pool for its whole lifetime: the first pooled map starts
+``workers`` processes, every later map reuses them, and :meth:`shutdown`
+(or leaving a ``with`` block) reaps them. Experiment drivers therefore open
+one runner per run and hand it to every measurement helper, so a sweep of
+hundreds of small maps (the Fig. 13 bisection probes) pays one pool start,
+not one per map.
+
 The determinism contract lives one level down: every chunk function in
 :mod:`repro.runtime.engine` re-derives its generators from
 ``SeedSequence(seed).spawn(n_trials)[start:start + count]``, so per-trial
@@ -63,7 +70,7 @@ PROFILE_WAIT_EDGES = (
 
 
 def _pool_context():
-    """Start method for persistent pools: ``forkserver`` where available.
+    """Start method for serving pools: ``forkserver`` where available.
 
     A lazily *forked* worker inherits every file descriptor open in the
     parent at fork time. In a serving process that includes live client
@@ -162,19 +169,23 @@ def _chunk_wall_from_state(
 class TrialRunner:
     """Fans trial chunks across worker processes deterministically.
 
+    The pool lives as long as the runner: it starts lazily at the first
+    pooled ``map_*`` call, sized ``workers``, and every later map reuses
+    it. A broken pool (worker death) is discarded so the next call
+    recovers on fresh workers. Use the runner as a context manager (or
+    call :meth:`shutdown`) so the workers are reaped on exit. Results are
+    bit-identical for any pool history -- the pool only changes *where*
+    chunks run.
+
     Attributes:
         workers: Number of worker processes; 1 runs everything in-process.
         chunk_size: Trials per chunk. Defaults to ``ceil(n / workers)`` so
             each worker gets one span.
-        persistent: Keep one warm ``ProcessPoolExecutor`` alive across
-            ``map_*`` calls instead of building (and tearing down) a pool
-            per call. The mode a long-lived serving process needs: pool
-            startup is paid once, :meth:`shutdown` is idempotent and
-            leaves the runner reusable (the next map lazily starts a
-            fresh pool), and a broken pool (worker death) is discarded so
-            the following call recovers with new workers. Results are
-            bit-identical either way -- the pool only changes *where*
-            chunks run.
+        persistent: Serve mode. Workers start from a ``forkserver`` helper
+            instead of forking the caller, so a long-lived server's open
+            client sockets never leak into them, and :meth:`warm_up` can
+            start them before traffic arrives. Default runners fork, which
+            keeps the workers direct children of the caller.
     """
 
     def __init__(
@@ -194,19 +205,12 @@ class TrialRunner:
 
     # -- pool lifecycle ---------------------------------------------------------
 
-    def _acquire_pool(self, max_workers: int) -> ProcessPoolExecutor:
-        """The pool for one ``map_range`` call.
-
-        Non-persistent runners get a throwaway pool sized to the call;
-        persistent runners lazily start (or reuse) one warm pool sized to
-        ``self.workers`` so later calls with more spans still have every
-        worker available.
-        """
-        if not self.persistent:
-            return ProcessPoolExecutor(max_workers=max_workers)
+    def _acquire_pool(self) -> ProcessPoolExecutor:
+        """The runner's pool, started on first use and reused after."""
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=_pool_context()
+                max_workers=self.workers,
+                mp_context=_pool_context() if self.persistent else None,
             )
             current_obs().metrics.counter("runner.pool_starts").inc()
         return self._pool
@@ -223,30 +227,26 @@ class TrialRunner:
         """
         if not self.persistent or self.workers == 1:
             return
-        pool = self._acquire_pool(self.workers)
+        pool = self._acquire_pool()
         for future in [
             pool.submit(_warm_noop) for _ in range(self.workers)
         ]:
             future.result()
 
-    def _release_pool(self, pool: ProcessPoolExecutor, broken: bool) -> None:
-        """Return a pool after a call: tear down, keep warm, or discard."""
-        if not self.persistent:
-            pool.shutdown()
+    def _discard_broken_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Drop a pool whose worker died so the next call starts afresh."""
+        if pool is not self._pool:
             return
-        if broken and pool is self._pool:
-            # A worker died; the executor is permanently broken. Discard
-            # it so the next call starts a healthy replacement pool.
-            self._pool = None
-            pool.shutdown(wait=False, cancel_futures=True)
-            current_obs().metrics.counter("runner.pool_restarts").inc()
+        self._pool = None
+        pool.shutdown(wait=False, cancel_futures=True)
+        current_obs().metrics.counter("runner.pool_restarts").inc()
 
     def shutdown(self, wait: bool = True) -> None:
-        """Release the warm pool (idempotent; safe to call repeatedly).
+        """Release the pool (idempotent; safe to call repeatedly).
 
-        The runner stays usable: a later ``map_*`` call lazily starts a
-        fresh pool. Non-persistent runners hold no pool, so this is a
-        no-op for them.
+        With ``wait`` the workers are joined, so they are reaped before
+        this returns. The runner stays usable: a later ``map_*`` call
+        lazily starts a fresh pool.
         """
         pool, self._pool = self._pool, None
         if pool is not None:
@@ -341,7 +341,6 @@ class TrialRunner:
                 _run_chunk(fn, start, count, obs, label)
                 for start, count in spans
             ]
-        max_workers = min(self.workers, len(spans))
         profile = bool(getattr(obs, "profile", False))
         wrapped = partial(_pool_chunk, fn, label, profile=profile)
         if profile:
@@ -352,11 +351,13 @@ class TrialRunner:
             ).observe(time.perf_counter() - began)
             obs.metrics.counter("runner.serialized_bytes").inc(len(payload))
         chunk_walls: List[float] = []
-        pool = self._acquire_pool(max_workers)
+        pool = self._acquire_pool()
         broken = False
         try:
             with obs.tracer.span(
-                "runner.pool", workers=max_workers, chunks=len(spans)
+                "runner.pool",
+                workers=min(self.workers, len(spans)),
+                chunks=len(spans),
             ):
                 futures = []
                 submit_times = []
@@ -370,8 +371,8 @@ class TrialRunner:
                             submit_s=submit_s if profile else None,
                         )
                     except (BrokenExecutor, RuntimeError) as exc:
-                        # A warm persistent pool can break (or be shut
-                        # down) between calls; surface the failure through
+                        # A reused pool can break (or be shut down)
+                        # between calls; surface the failure through
                         # the normal per-chunk retry path so every span
                         # still produces its result in-process.
                         broken = True
@@ -415,7 +416,8 @@ class TrialRunner:
                         )
                     results.append(result)
         finally:
-            self._release_pool(pool, broken)
+            if broken:
+                self._discard_broken_pool(pool)
         if profile and len(chunk_walls) >= 2:
             chunk_walls.sort()
             mid = len(chunk_walls) // 2

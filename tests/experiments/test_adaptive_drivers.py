@@ -21,6 +21,7 @@ from repro.experiments.common import (
     power_up_trials,
 )
 from repro.runtime.adaptive import STOP_CI_MET, AdaptiveConfig
+from repro.runtime.runner import TrialRunner
 from repro.sensors.tags import standard_tag_spec
 
 N_TRIALS = 12
@@ -49,14 +50,15 @@ class TestGainParity:
         self, plan, factory, workers
     ):
         fixed = measure_gain_trials(factory, plan, N_TRIALS, SEED)
-        streamed = measure_gain_trials(
-            factory,
-            plan,
-            N_TRIALS,
-            SEED,
-            workers=workers,
-            adaptive=NO_TARGET,
-        )
+        with TrialRunner(workers=workers) as runner:
+            streamed = measure_gain_trials(
+                factory,
+                plan,
+                N_TRIALS,
+                SEED,
+                runner=runner,
+                adaptive=NO_TARGET,
+            )
         assert streamed == fixed
 
     def test_disabled_config_is_the_fixed_path(self, plan, factory):
@@ -73,16 +75,17 @@ class TestGainParity:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_early_stop_is_an_exact_prefix(self, plan, factory, workers):
         fixed = measure_gain_trials(factory, plan, N_TRIALS, SEED)
-        streamed = measure_gain_trials(
-            factory,
-            plan,
-            N_TRIALS,
-            SEED,
-            workers=workers,
-            adaptive=AdaptiveConfig(
-                ci_target=1e6, min_trials=5, batch_trials=4
-            ),
-        )
+        with TrialRunner(workers=workers) as runner:
+            streamed = measure_gain_trials(
+                factory,
+                plan,
+                N_TRIALS,
+                SEED,
+                runner=runner,
+                adaptive=AdaptiveConfig(
+                    ci_target=1e6, min_trials=5, batch_trials=4
+                ),
+            )
         assert len(streamed) == 5
         assert streamed == fixed[: len(streamed)]
 
@@ -103,9 +106,10 @@ class TestPowerUpParity:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_full_budget_adaptive_matches_fixed(self, plan, factory, workers):
         fixed = self._tally(plan, factory)
-        streamed = self._tally(
-            plan, factory, workers=workers, adaptive=NO_TARGET
-        )
+        with TrialRunner(workers=workers) as runner:
+            streamed = self._tally(
+                plan, factory, runner=runner, adaptive=NO_TARGET
+            )
         assert streamed.successes == fixed.successes
         assert streamed.trials == fixed.trials
         assert streamed.outcome is not None

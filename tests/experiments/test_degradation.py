@@ -77,11 +77,13 @@ class TestWorkerDeterminism:
 
         with obs_context():
             serial = degradation.run(FAST)
-        with obs_context():
+        with obs_context() as obs:
             pooled = degradation.run(
                 dataclasses.replace(FAST, workers=4)
             )
         assert serial.to_json_dict() == pooled.to_json_dict()
+        # All four sweeps share the run's one pool.
+        assert obs.metrics.counters()["runner.pool_starts"] == 1
 
 
 class TestCliIntegration:

@@ -24,6 +24,7 @@ from repro.em.phantoms import WaterTankPhantom
 from repro.obs import obs_context, read_jsonl, validate_manifest, validate_span_dict
 from repro.runtime import cache as cache_mod
 from repro.runtime.cache import PlanCache, optimized_plan
+from repro.runtime.runner import TrialRunner
 
 
 class TestWorkerTelemetryMerge:
@@ -36,18 +37,18 @@ class TestWorkerTelemetryMerge:
             0.10,
             plan.center_frequency_hz,
         )
-        with obs_context() as obs:
+        with obs_context() as obs, TrialRunner(
+            workers=2, chunk_size=4
+        ) as runner:
             samples = measure_gain_trials(
-                factory, plan, n_trials=8, seed=5, workers=2, chunk_size=4
+                factory, plan, n_trials=8, seed=5, runner=runner
             )
         return obs, samples, (factory, plan)
 
     def test_results_bit_identical_to_single_process(self, pooled):
         obs, samples, (factory, plan) = pooled
         with obs_context():
-            reference = measure_gain_trials(
-                factory, plan, n_trials=8, seed=5, workers=1
-            )
+            reference = measure_gain_trials(factory, plan, n_trials=8, seed=5)
         assert [s.cib_gain for s in samples] == [
             s.cib_gain for s in reference
         ]

@@ -33,6 +33,7 @@ from repro.experiments.common import (
 from repro.experiments import ber
 from repro.obs.context import obs_context
 from repro.runtime import engine as engine_mod
+from repro.runtime.runner import TrialRunner
 from repro.sensors.tags import standard_tag_spec
 from tests.reference.measurement import (
     measure_gain_trials_scalar,
@@ -85,14 +86,10 @@ class TestGainTrials:
         self, plan, factory, workers, chunk_size
     ):
         serial = measure_gain_trials(factory, plan, N_TRIALS, SEED)
-        pooled = measure_gain_trials(
-            factory,
-            plan,
-            N_TRIALS,
-            SEED,
-            workers=workers,
-            chunk_size=chunk_size,
-        )
+        with TrialRunner(workers=workers, chunk_size=chunk_size) as runner:
+            pooled = measure_gain_trials(
+                factory, plan, N_TRIALS, SEED, runner=runner
+            )
         assert pooled == serial
 
     def test_no_baseline_path_matches(self, plan, factory, direct_tier):
@@ -116,7 +113,9 @@ class TestGainTrials:
 
         monkeypatch.setattr(engine_mod, "fft_compatible", counting)
         with obs_context() as obs:
-            measure_gain_trials(factory, plan, N_TRIALS, SEED, chunk_size=4)
+            measure_gain_trials(
+                factory, plan, N_TRIALS, SEED, runner=TrialRunner(chunk_size=4)
+            )
         assert len(calls) == N_TRIALS // 4
         assert obs.metrics.counters()["engine.tier.fft"] == N_TRIALS // 4
 
@@ -140,8 +139,9 @@ class TestPowerUp:
     def test_workers_do_not_change_results(self, plan):
         args = self._args(plan)
         serial = power_up_probability(*args)
-        assert power_up_probability(*args, workers=3) == serial
-        assert power_up_probability(*args, workers=2, chunk_size=4) == serial
+        for workers, chunk_size in ((3, None), (2, 4)):
+            with TrialRunner(workers=workers, chunk_size=chunk_size) as runner:
+                assert power_up_probability(*args, runner=runner) == serial
 
 
 class _StrategyFactory:
@@ -180,9 +180,10 @@ class TestStrategyGains:
         serial = measure_strategy_gains(
             factory, strategy_factory, N_TRIALS, SEED
         )
-        pooled = measure_strategy_gains(
-            factory, strategy_factory, N_TRIALS, SEED, workers=2
-        )
+        with TrialRunner(workers=2) as runner:
+            pooled = measure_strategy_gains(
+                factory, strategy_factory, N_TRIALS, SEED, runner=runner
+            )
         assert pooled == serial
 
     def test_lambda_factory_warns_and_matches(self, plan, factory):
@@ -195,7 +196,7 @@ class TestStrategyGains:
                 lambda channel: CIBTransmitter(plan),
                 N_TRIALS,
                 SEED,
-                workers=2,
+                runner=TrialRunner(workers=2),
             )
         assert fallback == serial
 

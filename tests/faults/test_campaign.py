@@ -14,6 +14,7 @@ from repro.faults.campaign import (
 )
 from repro.faults.plan import EMPTY_PLAN, antenna_dropout, bit_corruption
 from repro.obs.context import obs_context
+from repro.runtime.runner import TrialRunner
 
 OFFSETS = (0.0, 7.0, 20.0, 49.0)
 
@@ -101,7 +102,7 @@ class TestValidateDegradationDict:
 
 
 class TestRunCampaign:
-    def run(self, workers=1, chunk_size=None):
+    def run(self, chunk_size=None):
         with obs_context() as obs:
             table = run_campaign(
                 metric="peak_envelope",
@@ -113,8 +114,7 @@ class TestRunCampaign:
                 ),
                 n_trials=12,
                 seed=5,
-                workers=workers,
-                chunk_size=chunk_size,
+                runner=TrialRunner(chunk_size=chunk_size),
             )
         return table, obs
 
@@ -127,7 +127,7 @@ class TestRunCampaign:
 
     def test_chunking_invariance(self):
         whole, _ = self.run()
-        split, _ = self.run(workers=1, chunk_size=5)
+        split, _ = self.run(chunk_size=5)
         assert whole.values == split.values
         assert whole.baseline == split.baseline
 

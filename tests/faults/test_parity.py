@@ -25,6 +25,7 @@ from repro.gen2 import fm0
 from repro.gen2.decoder import decode_fm0_response
 from repro.reader.link import IvnLink
 from repro.rf.sdr import RadioArray
+from repro.runtime.runner import TrialRunner
 from repro.sensors.tags import standard_tag_spec
 
 N_TRIALS = 6
@@ -56,7 +57,7 @@ class TestMeasureGainParity:
     def test_chunking_invariance_with_active_plan(self, factory):
         plan = reference_holdover(1.0)
         whole = gains(factory, fault_plan=plan)
-        split = gains(factory, fault_plan=plan, chunk_size=2)
+        split = gains(factory, fault_plan=plan, runner=TrialRunner(chunk_size=2))
         assert whole == split
 
     def test_active_plan_changes_results(self, factory):

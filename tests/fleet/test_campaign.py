@@ -9,6 +9,7 @@ from repro.fleet.campaign import (
     run_fleet_campaign,
     validate_fleet_dict,
 )
+from repro.obs.context import obs_context
 
 FAST = FleetCampaignConfig.fast()
 
@@ -25,8 +26,11 @@ class TestDeterminism:
         assert result.to_json_dict() == baseline.to_json_dict()
 
     def test_chunk_size_does_not_change_tables(self, baseline):
-        result = run_fleet_campaign(FAST, workers=2, chunk_size=1)
+        with obs_context() as obs:
+            result = run_fleet_campaign(FAST, workers=2, chunk_size=1)
         assert result.to_json_dict() == baseline.to_json_dict()
+        # Every cell's shard map ran on the campaign's one pool.
+        assert obs.metrics.counters()["runner.pool_starts"] == 1
 
     def test_rerun_is_bitwise_identical(self, baseline):
         assert (

@@ -155,6 +155,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             Gen2Tag(tuple([2] * 16), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [2, -1, "1", [1], None, 0.5])
+    def test_any_non_bit_element_is_a_configuration_error(self, bad):
+        epc = (0, 1) * 7 + (1, bad)
+        with pytest.raises(ConfigurationError, match="only bits"):
+            Gen2Tag(epc, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bit", [0, 1, True, False, 1.0, np.int64(1)])
+    def test_values_equal_to_a_bit_are_accepted(self, bit):
+        tag = Gen2Tag((0, 1) * 7 + (1, bit), np.random.default_rng(0))
+        assert tag.epc_bits[-1] == bit
+
 
 def acknowledge(tag, session=0):
     """Drive a powered tag to ACKNOWLEDGED in the given session."""

@@ -1,5 +1,7 @@
 """Unit tests for the deterministic trial-chunk runner."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -187,8 +189,50 @@ def exit_in_worker_chunk(start: int, count: int):
     return list(range(start, start + count))
 
 
+class TestDefaultPool:
+    """A default (fork) runner keeps one pool for its whole lifetime."""
+
+    def test_pool_is_reused_across_maps(self):
+        from repro.obs.context import obs_context
+
+        with obs_context() as obs:
+            with TrialRunner(workers=2) as runner:
+                first = runner.map_chunks(worker_pid_chunk, 2)
+                second = runner.map_chunks(worker_pid_chunk, 4)
+                children = {p.pid for p in multiprocessing.active_children()}
+            counters = obs.metrics.counters()
+        pids = set(np.concatenate(first)) | set(np.concatenate(second))
+        # Every chunk of both maps ran on the same live pool of two
+        # workers, which are direct children of this process.
+        assert len(pids) <= 2
+        assert pids <= children
+        assert counters["runner.pool_starts"] == 1
+
+    def test_exit_reaps_the_workers(self):
+        with TrialRunner(workers=2) as runner:
+            pids = set(np.concatenate(runner.map_chunks(worker_pid_chunk, 2)))
+        alive = {p.pid for p in multiprocessing.active_children()}
+        assert pids and not pids & alive
+
+    def test_results_recover_after_worker_death(self, parent_pid_env):
+        from repro.obs.context import obs_context
+
+        with obs_context() as obs:
+            with TrialRunner(workers=2, chunk_size=4) as runner:
+                with pytest.warns(
+                    RuntimeWarning, match="retrying once in-process"
+                ):
+                    parts = runner.map_chunks(exit_in_worker_chunk, 8)
+                healthy = runner.map_chunks(span_indices, 8)
+            counters = obs.metrics.counters()
+        assert [v for part in parts for v in part] == list(range(8))
+        assert np.concatenate(healthy).tolist() == list(range(8))
+        assert counters["runner.pool_restarts"] == 1
+        assert counters["runner.pool_starts"] == 2
+
+
 class TestPersistentPool:
-    """Warm-pool lifecycle: reuse, idempotent shutdown, death recovery."""
+    """Serve-mode (forkserver) pool: reuse, idempotent shutdown, recovery."""
 
     def test_pool_is_reused_across_maps(self):
         from repro.obs.context import obs_context
@@ -201,15 +245,6 @@ class TestPersistentPool:
         # The second map ran on the same (still-warm) worker processes.
         assert set(np.concatenate(second)) <= set(np.concatenate(first))
         assert counters["runner.pool_starts"] == 1
-
-    def test_non_persistent_runner_gets_fresh_pools(self):
-        from repro.obs.context import obs_context
-
-        with obs_context():
-            runner = TrialRunner(workers=2)
-            first = runner.map_chunks(worker_pid_chunk, 2)
-            second = runner.map_chunks(worker_pid_chunk, 2)
-        assert not (set(np.concatenate(first)) & set(np.concatenate(second)))
 
     def test_shutdown_is_idempotent(self):
         runner = TrialRunner(workers=2, persistent=True)
