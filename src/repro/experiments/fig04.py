@@ -134,7 +134,7 @@ def _peak_factor_chunk(
     """Peak factors of phase draws ``[start, start + count)``."""
     obs = current_obs()
     with obs.stage_span("peak_factors.realize", trials=count):
-        rngs = spawn_rngs(seed, n_trials)[start : start + count]
+        rngs = spawn_rngs(seed, count, start)
         betas = np.vstack(
             [rng.uniform(0.0, 2.0 * np.pi, offsets.size) for rng in rngs]
         )

@@ -263,7 +263,7 @@ def peak_envelope_chunk(
     injector = FaultInjector(fault_plan, seed)
     peaks = np.empty(count)
     with obs.stage_span("faults.peak_envelope", trials=count, start=start):
-        rngs = spawn_rngs(seed, n_trials)[start : start + count]
+        rngs = spawn_rngs(seed, count, start)
         for index, rng in enumerate(rngs):
             betas = rng.uniform(0.0, 2.0 * math.pi, size=offsets.size)
             if aligned:

@@ -21,6 +21,7 @@ checked by :func:`validate_fleet_dict` and ``tools/check_obs_schema.py``
 -- the CI fleet smoke asserts against it.
 """
 
+import math
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Dict, List, Optional, Tuple
@@ -115,6 +116,15 @@ class FleetCampaignConfig:
             raise ConfigurationError(
                 "need at least one depth band and one array size"
             )
+        if not 0 < self.blf_hz < math.inf:
+            raise ConfigurationError(
+                f"blf_hz must be positive and finite, got {self.blf_hz}"
+            )
+        # Every cell's fleet and the capture model validate their own
+        # physics here, in the caller, rather than later in a pool worker.
+        for cell in self.cells():
+            self.fleet_config(*cell)
+        self.capture_model()
 
     @classmethod
     def fast(cls) -> "FleetCampaignConfig":
@@ -271,20 +281,34 @@ def shard_airtime_s(result: ShardInventoryResult, blf_hz: float) -> float:
     """Gen2 airtime of one shard's inventory, from its per-slot records.
 
     Accumulates in the legacy throughput experiment's order -- one Query
-    per round, then every slot at its physical outcome kind (a decoded
-    slot carries the full singleton exchange; an occupied undecoded slot
-    costs a collision).
+    per round, then every slot at its physical outcome kind: a decoded
+    slot carries the full singleton exchange (RN16 + ACK + EPC); an
+    occupied slot that failed to decode costs a collision (RN16 heard, no
+    ACK) whether one tag replied or five. The four primitive airtimes are
+    computed once and added one term at a time, left to right, so the
+    total rounds exactly as a per-slot ``AirtimeModel`` loop does.
     """
     # Local import: AirtimeModel lives in repro.experiments, whose
     # package init imports the fleet experiment, which imports this.
     from repro.experiments.inventory_throughput import AirtimeModel
 
     model = AirtimeModel(blf_hz=blf_hz)
+    query_s = model.query_s()
+    empty_s, collision_s, singleton_s = (
+        model.slot_s(kind) for kind in ("empty", "collision", "singleton")
+    )
     total = 0.0
     for outcome in result.rounds:
-        total += model.query_s()
-        for slot in range(outcome.n_replies.size):
-            total += model.slot_s(outcome.airtime_kind(slot))
+        total += query_s
+        for count, decoded in zip(
+            outcome.n_replies.tolist(), outcome.decoded.tolist()
+        ):
+            if count == 0:
+                total += empty_s
+            elif decoded:
+                total += singleton_s
+            else:
+                total += collision_s
     return total
 
 

@@ -52,6 +52,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis.mc import keyed_rngs
 from repro.errors import ConfigurationError
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import EMPTY_PLAN, FaultPlan
@@ -62,7 +63,11 @@ from repro.obs.context import current_obs
 from repro.fleet.population import TagSet
 
 _DECODE_STREAM_TAG = 0x0F1EE8
-"""Domain separation for per-slot decode-noise streams."""
+"""Domain separation for per-slot decode-noise streams: slot ``s`` of
+round ``r`` of a shard draws from ``SeedSequence([_DECODE_STREAM_TAG,
+seed_material, seed, shard, r, s])``, keyed on absolute coordinates, never
+on evaluation order, so the vectorized and reference paths -- and any
+worker schedule -- consume identical noise for the same slot."""
 
 RN16_BITS = 16
 
@@ -101,14 +106,16 @@ class CaptureModel:
             raise ConfigurationError(
                 f"samples_per_chip must be >= 1, got {self.samples_per_chip}"
             )
-        if self.min_attempt_sinr <= 0:
+        # `not 0 < x < inf` also rejects NaN, which would silently
+        # skip every decode attempt.
+        if not 0 < self.min_attempt_sinr < math.inf:
             raise ConfigurationError(
-                f"min_attempt_sinr must be positive, got "
+                f"min_attempt_sinr must be positive and finite, got "
                 f"{self.min_attempt_sinr}"
             )
-        if self.amplitude_scale <= 0:
+        if not 0 < self.amplitude_scale < math.inf:
             raise ConfigurationError(
-                f"amplitude_scale must be positive, got "
+                f"amplitude_scale must be positive and finite, got "
                 f"{self.amplitude_scale}"
             )
         if self.stall_rounds < 1:
@@ -139,18 +146,6 @@ class RoundOutcome:
         if count == 0:
             return "empty"
         return "singleton" if count == 1 else "collision"
-
-    def airtime_kind(self, slot: int) -> str:
-        """Outcome label the physical airtime model charges for.
-
-        A decoded slot carries the full singleton exchange (RN16 + ACK +
-        EPC); an occupied slot that failed to decode costs a collision
-        (RN16 heard, no ACK) whether one tag replied or five.
-        """
-        count = int(self.n_replies[slot])
-        if count == 0:
-            return "empty"
-        return "singleton" if bool(self.decoded[slot]) else "collision"
 
 
 @dataclass
@@ -218,32 +213,6 @@ class ShardInventoryResult:
                 for outcome in self.rounds
             ),
         )
-
-
-def _decode_rng(
-    seed_material: int,
-    seed: int,
-    shard_index: int,
-    round_index: int,
-    slot: int,
-) -> np.random.Generator:
-    """The decode-noise generator of one (shard, round, slot) triple.
-
-    Keyed on absolute coordinates, never on evaluation order, so the
-    vectorized and reference paths -- and any worker schedule -- consume
-    identical noise for the same slot.
-    """
-    sequence = np.random.SeedSequence(
-        [
-            _DECODE_STREAM_TAG,
-            int(seed_material),
-            int(seed),
-            int(shard_index),
-            int(round_index),
-            int(slot),
-        ]
-    )
-    return np.random.default_rng(sequence)
 
 
 def _decode_trial_index(
@@ -481,10 +450,10 @@ def _vectorized_decode(
     # stacked call (attempts x periods), then DC-block per attempt --
     # the same scalar ``mean of this capture`` subtraction the reference
     # reader applies -- and decode the stack in one FM0 block call.
-    rngs = [
-        _decode_rng(seed_material, seed, shard_index, round_index, int(slot))
-        for slot in attempt_slots
-    ]
+    rngs = keyed_rngs(
+        (_DECODE_STREAM_TAG, seed_material, seed, shard_index, round_index),
+        attempt_slots.tolist(),
+    )
     averaged = capture_block(reader.chain, composites, capture.n_periods, rngs)
     averaged = averaged - np.mean(averaged, axis=1, keepdims=True)
     if injector.active:

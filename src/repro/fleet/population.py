@@ -30,10 +30,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis.mc import iter_keyed_rngs, keyed_rngs
 from repro.constants import CIB_CENTER_FREQUENCY_HZ
 from repro.em import media as media_lib
 from repro.em.channel import arc_array_distances
-from repro.em.propagation import tissue_field_amplitude
+from repro.em.propagation import field_transmittance
 from repro.errors import ConfigurationError
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import EMPTY_PLAN, FaultPlan
@@ -101,11 +102,23 @@ class FleetConfig:
             raise ConfigurationError(
                 f"n_tags must be >= 1, got {self.n_tags}"
             )
-        if not 0 <= self.depth_min_m <= self.depth_max_m:
+        if not 0 <= self.depth_min_m <= self.depth_max_m < math.inf:
             raise ConfigurationError(
-                "depth band must satisfy 0 <= min <= max, got "
+                "depth band must satisfy 0 <= min <= max < inf, got "
                 f"[{self.depth_min_m}, {self.depth_max_m}]"
             )
+        if self.n_antennas < 1:
+            raise ConfigurationError(
+                f"n_antennas must be >= 1, got {self.n_antennas}"
+            )
+        # `not 0 < x < inf` also rejects NaN, which would otherwise flow
+        # silently into every tag's field and reply amplitude.
+        for name in ("standoff_m", "frequency_hz", "eirp_per_antenna_w"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {value}"
+                )
         if self.tag not in TAG_ANTENNAS:
             raise ConfigurationError(
                 f"tag must be one of {sorted(TAG_ANTENNAS)}, got {self.tag!r}"
@@ -182,21 +195,6 @@ class TagSet:
         return len(self.mac_rngs)
 
 
-def _tag_rng(
-    seed_material: int, seed: int, tag_index: int, stream: int
-) -> np.random.Generator:
-    sequence = np.random.SeedSequence(
-        [
-            _FLEET_STREAM_TAG,
-            seed_material,
-            int(seed),
-            int(tag_index),
-            int(stream),
-        ]
-    )
-    return np.random.default_rng(sequence)
-
-
 def backscatter_amplitude_v(
     forward_gain: float,
     tag_aperture_m2: float,
@@ -235,10 +233,13 @@ def generate_shard(
 ) -> TagSet:
     """Realize one shard of the fleet as a :class:`TagSet`.
 
-    Per tag (in global-index order): sample its depth and array-placement
-    jitter, evaluate the Eq. 2 per-element fields and their aligned CIB
-    sum, push that through the front-end to the Eq. 1 power-up decision,
-    and run the reader's two-way budget for the uplink amplitude. Fault
+    Per tag (in global-index order) draw its depth, array-placement
+    jitter and EPC from its physics stream. Then, over the whole shard as
+    ``(tags, elements)`` arrays, evaluate the Eq. 2 per-element fields and
+    their aligned CIB sum. Per tag, push that through the front-end to the
+    Eq. 1 power-up decision and run the reader's two-way budget for the
+    uplink amplitude. Every value is bit-identical to the per-tag loop
+    kept as ``tests/reference/fleet.py::generate_shard_reference``. Fault
     plans enter here exactly as in the degradation campaigns: antenna
     dropout zeroes per-element amplitudes, tag detuning scales the
     harvested voltage (both keyed on the global tag index, so a tag's
@@ -246,6 +247,7 @@ def generate_shard(
     """
     lo, hi = shard_bounds(config, shard)
     n = hi - lo
+    n_antennas = config.n_antennas
     medium = media_lib.get_medium(config.medium)
     antenna = TAG_ANTENNAS[config.tag]
     front_end = HarvesterFrontEnd(antenna=antenna)
@@ -253,67 +255,78 @@ def generate_shard(
     injector = FaultInjector(fault_plan, config.seed)
     aperture = front_end.effective_aperture_in(medium, config.frequency_hz)
     # Hashing the config is costly; every tag stream shares the material.
-    material = config.seed_material()
+    prefix = (_FLEET_STREAM_TAG, config.seed_material(), config.seed)
 
     epc_bits = np.empty((n, 96), dtype=int)
     depths = np.empty(n)
-    voltages = np.empty(n)
-    amplitudes = np.empty(n)
-    powered = np.empty(n, dtype=bool)
-    mac_rngs: List[np.random.Generator] = []
-
-    for row, tag_index in enumerate(range(lo, hi)):
-        rng = _tag_rng(material, config.seed, tag_index, _STREAM_PHYSICS)
-        depth = float(
-            rng.uniform(config.depth_min_m, config.depth_max_m)
-        )
-        distances = arc_array_distances(
-            config.standoff_m, config.n_antennas, rng=rng
+    distances = np.empty((n, n_antennas))
+    # Each physics stream is built, drawn from and dropped in turn, so the
+    # shard never holds a second list of n generators beside mac_rngs.
+    physics_rngs = iter_keyed_rngs(prefix, range(lo, hi), (_STREAM_PHYSICS,))
+    for row, rng in enumerate(physics_rngs):
+        depths[row] = rng.uniform(config.depth_min_m, config.depth_max_m)
+        distances[row] = arc_array_distances(
+            config.standoff_m, n_antennas, rng=rng
         )
         epc_bits[row] = rng.integers(0, 2, size=96)
 
-        element_fields = np.array(
-            [
-                tissue_field_amplitude(
-                    config.eirp_per_antenna_w,
-                    float(r),
-                    depth,
-                    medium,
-                    config.frequency_hz,
-                )
-                for r in distances
-            ]
+    # Eq. 2 for every (tag, element) pair, in the operation order of
+    # tissue_field_amplitude: free-space amplitude, boundary
+    # transmittance, then the libm exp(-alpha d) decay of the tag's depth.
+    element_fields = (
+        math.sqrt(30.0 * config.eirp_per_antenna_w)
+        / distances
+        * math.sqrt(2.0)
+    )
+    if medium != media_lib.AIR:
+        transmittance = field_transmittance(
+            media_lib.AIR, medium, config.frequency_hz
         )
-        element_scale = np.ones(config.n_antennas)
-        perturbed = injector.perturb_trial(
-            tag_index,
-            np.zeros(config.n_antennas),
-            np.zeros(config.n_antennas),
-            element_scale,
-        )
-        # Aligned CIB peak: the envelope sweeps through the constructive
-        # instant once per beat period, where the field is the coherent
-        # per-element amplitude sum (surviving elements only).
-        peak_field = float(np.sum(element_fields * perturbed.amplitudes))
+        alpha = medium.attenuation_np_per_m(config.frequency_hz)
+        decay = np.array([math.exp(-alpha * d) for d in depths.tolist()])
+        element_fields = element_fields * transmittance * decay[:, None]
+
+    # Faults keyed on the global tag index: dropout zeroes per-element
+    # amplitudes, detuning scales the harvested voltage.
+    voltage_scales = [1.0] * n
+    if injector.active:
+        element_scale = np.empty((n, n_antennas))
+        for row, tag_index in enumerate(range(lo, hi)):
+            perturbed = injector.perturb_trial(
+                tag_index,
+                np.zeros(n_antennas),
+                np.zeros(n_antennas),
+                np.ones(n_antennas),
+            )
+            element_scale[row] = perturbed.amplitudes
+            voltage_scales[row] = perturbed.voltage_scale
+        surviving_fields = element_fields * element_scale
+    else:
+        surviving_fields = element_fields
+    # Aligned CIB peak: the envelope sweeps through the constructive
+    # instant once per beat period, where the field is the coherent
+    # per-element amplitude sum (surviving elements only).
+    peak_fields = np.sum(surviving_fields, axis=1)
+    # One-way field gain of the strongest element, for the uplink
+    # budget (the reader mounts on the closest array element).
+    forward_gains = np.max(
+        element_fields / math.sqrt(60.0 * config.eirp_per_antenna_w), axis=1
+    )
+
+    voltages = np.empty(n)
+    amplitudes = np.empty(n)
+    powered = np.empty(n, dtype=bool)
+    for row, (peak_field, voltage_scale, forward_gain) in enumerate(
+        zip(peak_fields.tolist(), voltage_scales, forward_gains.tolist())
+    ):
         voltage = front_end.input_voltage_amplitude_v(
             peak_field, medium, config.frequency_hz
         )
-        voltage *= perturbed.voltage_scale
-        # One-way field gain of the strongest element, for the uplink
-        # budget (the reader mounts on the closest array element).
-        forward_gain = float(
-            np.max(
-                element_fields
-                / math.sqrt(60.0 * config.eirp_per_antenna_w)
-            )
-        )
-        depths[row] = depth
+        voltage *= voltage_scale
         voltages[row] = voltage
         powered[row] = model.powers_up_at_peak(voltage)
         amplitudes[row] = backscatter_amplitude_v(forward_gain, aperture)
-        mac_rngs.append(
-            _tag_rng(material, config.seed, tag_index, _STREAM_MAC)
-        )
+    mac_rngs = keyed_rngs(prefix, range(lo, hi), (_STREAM_MAC,))
 
     return TagSet(
         epc_bits=epc_bits,

@@ -114,7 +114,7 @@ def ber_block(
     avg_key = f"FM0 avg x{averaging_periods}"
     errors[avg_key] = 0
 
-    rngs = spawn_rngs(seed, n_words)[start : start + count]
+    rngs = spawn_rngs(seed, count, start)
     if not rngs:
         return errors
     n_bits = 16

@@ -28,8 +28,8 @@ bounded-size chunks.
 
 The ``*_chunk`` functions at the bottom are the units of work the
 process-pool :class:`repro.runtime.runner.TrialRunner` fans out. Each one
-re-derives its per-trial generators from
-``SeedSequence(seed).spawn(n_trials)[start:start + count]`` and replicates
+re-derives only its own per-trial generators, children ``start .. start +
+count - 1`` of ``SeedSequence(seed).spawn(n_trials)``, and replicates
 the legacy per-trial draw order exactly, which is what makes results
 bit-identical across chunk sizes and worker counts.
 """
@@ -356,7 +356,7 @@ def measure_gain_chunk(
     blind_residuals = np.zeros((count, n_antennas))
 
     with obs.stage_span("gain_trials.realize", trials=count, start=start):
-        rngs = spawn_rngs(seed, n_trials)[start : start + count]
+        rngs = spawn_rngs(seed, count, start)
         for index, rng in enumerate(rngs):
             channel = channel_factory(rng)
             realization = channel.realize(rng)
@@ -450,7 +450,7 @@ def power_up_chunk(
     amplitudes = np.empty((count, n_antennas))
 
     with obs.stage_span("power_up.realize", trials=count, start=start):
-        rngs = spawn_rngs(seed, n_trials)[start : start + count]
+        rngs = spawn_rngs(seed, count, start)
         for index, rng in enumerate(rngs):
             channel = channel_factory(rng)
             realization = channel.realize(rng, plan.center_frequency_hz)
@@ -584,10 +584,11 @@ def wakeup_latency_chunk(
             hi = min(start + count, (depth_index + 1) * n_trials_per_depth)
             if lo >= hi:
                 continue
-            rngs = spawn_rngs(seed + int(depth * 1e4), n_trials_per_depth)[
-                lo - depth_index * n_trials_per_depth :
-                hi - depth_index * n_trials_per_depth
-            ]
+            rngs = spawn_rngs(
+                seed + int(depth * 1e4),
+                hi - lo,
+                lo - depth_index * n_trials_per_depth,
+            )
             for offset, rng in enumerate(rngs):
                 row = lo - start + offset
                 channel = channel_factory(rng, depth)
@@ -684,7 +685,7 @@ def strategy_gain_chunk(
     blind_groups: Dict[tuple, Dict[str, list]] = {}
 
     with obs.stage_span("strategy_gains.realize", trials=count, start=start):
-        rngs = spawn_rngs(seed, n_trials)[start : start + count]
+        rngs = spawn_rngs(seed, count, start)
         for index, rng in enumerate(rngs):
             channel = channel_factory(rng)
             strategy = strategy_factory(channel)

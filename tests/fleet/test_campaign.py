@@ -1,5 +1,7 @@
 """Tests for repro.fleet.campaign."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -104,3 +106,25 @@ class TestConfigValidation:
         config = FleetCampaignConfig(n_shards=8)
         fleet = config.fleet_config(3, (0.02, 0.06), 10)
         assert fleet.n_shards == 3
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"standoff_m": math.nan},
+            {"eirp_per_antenna_w": math.nan},
+            {"eirp_per_antenna_w": math.inf},
+            {"eirp_per_antenna_w": -6.0},
+            {"array_sizes": (10, 0)},
+            {"depth_bands": ((0.02, 0.06), (0.06, math.inf))},
+            {"depth_bands": ((0.06, 0.02),)},
+            {"blf_hz": math.nan},
+            {"blf_hz": -40e3},
+            {"amplitude_scale": math.nan},
+            {"amplitude_scale": math.inf},
+            {"min_attempt_sinr": math.nan},
+            {"n_periods": 0},
+        ],
+    )
+    def test_rejects_bad_cells_when_built(self, overrides):
+        with pytest.raises(ConfigurationError):
+            FleetCampaignConfig(**overrides)

@@ -56,6 +56,14 @@ class TestCaptureModel:
         with pytest.raises(ConfigurationError):
             CaptureModel(stall_rounds=0)
 
+    @pytest.mark.parametrize(
+        "field", ["min_attempt_sinr", "amplitude_scale"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigurationError):
+            CaptureModel(**{field: value})
+
 
 class TestIdealModeParity:
     def test_signatures_match(self):

@@ -1,5 +1,7 @@
 """Tests for repro.fleet.population."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,27 @@ class TestFleetConfig:
             FleetConfig(n_tags=4, n_shards=5)
         with pytest.raises(ConfigurationError):
             FleetConfig(session=4)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("standoff_m", math.nan),
+            ("standoff_m", 0.0),
+            ("standoff_m", math.inf),
+            ("eirp_per_antenna_w", math.nan),
+            ("eirp_per_antenna_w", math.inf),
+            ("eirp_per_antenna_w", -1.0),
+            ("eirp_per_antenna_w", 0.0),
+            ("frequency_hz", -915e6),
+            ("frequency_hz", math.nan),
+            ("n_antennas", 0),
+            ("depth_max_m", math.inf),
+            ("depth_min_m", math.nan),
+        ],
+    )
+    def test_rejects_bad_physics_when_built(self, field, value):
+        with pytest.raises(ConfigurationError):
+            FleetConfig(**{field: value})
 
 
 class TestShardBounds:

@@ -1,4 +1,11 @@
-"""Scalar reference resolver of the fleet inventory.
+"""Scalar references of fleet generation, inventory and airtime.
+
+:func:`generate_shard_reference` realizes a shard one tag at a time, with
+one scalar Eq. 2 call per (tag, element) and one ``SeedSequence`` per tag
+stream -- the per-tag loop :func:`repro.fleet.population.generate_shard`
+batches. :func:`shard_airtime_reference` charges a shard's airtime one
+``AirtimeModel`` call per slot. Both must agree with the batched paths
+bit for bit.
 
 :func:`run_inventory_reference` drives actual
 :class:`~repro.gen2.tag_state.Gen2Tag` state machines slot by slot with
@@ -17,18 +24,31 @@ import numpy as np
 from repro.errors import DecodingError, ProtocolError
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import EMPTY_PLAN, FaultPlan
+from repro.em import media as media_lib
+from repro.em.channel import arc_array_distances
+from repro.em.propagation import tissue_field_amplitude
 from repro.fleet.collision import (
+    _DECODE_STREAM_TAG,
     RN16_CHIPS,
     CaptureModel,
     RoundOutcome,
     ShardInventoryResult,
-    _decode_rng,
     _decode_trial_index,
     _noise_after_averaging,
     _reader,
     _stop_state,
 )
-from repro.fleet.population import TagSet
+from repro.fleet.population import (
+    _FLEET_STREAM_TAG,
+    _STREAM_MAC,
+    _STREAM_PHYSICS,
+    TAG_ANTENNAS,
+    FleetConfig,
+    TagSet,
+    backscatter_amplitude_v,
+    shard_bounds,
+)
+from repro.harvester.tag_power import HarvesterFrontEnd, TagPowerModel
 from repro.gen2.commands import Ack, Query, QueryRep
 from repro.gen2.fm0 import (
     chips_to_waveform,
@@ -40,6 +60,152 @@ from repro.gen2.inventory import QAlgorithm
 from repro.gen2.tag_state import Gen2Tag
 from repro.obs.context import current_obs
 from tests.reference.kernels import capture_response_scalar
+
+
+def _tag_rng(
+    seed_material: int, seed: int, tag_index: int, stream: int
+) -> np.random.Generator:
+    sequence = np.random.SeedSequence(
+        [
+            _FLEET_STREAM_TAG,
+            seed_material,
+            int(seed),
+            int(tag_index),
+            int(stream),
+        ]
+    )
+    return np.random.default_rng(sequence)
+
+
+def _decode_rng(
+    seed_material: int,
+    seed: int,
+    shard_index: int,
+    round_index: int,
+    slot: int,
+) -> np.random.Generator:
+    """The decode-noise generator of one (shard, round, slot) triple."""
+    sequence = np.random.SeedSequence(
+        [
+            _DECODE_STREAM_TAG,
+            int(seed_material),
+            int(seed),
+            int(shard_index),
+            int(round_index),
+            int(slot),
+        ]
+    )
+    return np.random.default_rng(sequence)
+
+
+def generate_shard_reference(
+    config: FleetConfig,
+    shard: int,
+    fault_plan: FaultPlan = EMPTY_PLAN,
+) -> TagSet:
+    """Per-tag loop of fleet generation: scalar Eq. 2, one stream per tag."""
+    lo, hi = shard_bounds(config, shard)
+    n = hi - lo
+    medium = media_lib.get_medium(config.medium)
+    antenna = TAG_ANTENNAS[config.tag]
+    front_end = HarvesterFrontEnd(antenna=antenna)
+    model = TagPowerModel(front_end)
+    injector = FaultInjector(fault_plan, config.seed)
+    aperture = front_end.effective_aperture_in(medium, config.frequency_hz)
+    material = config.seed_material()
+
+    epc_bits = np.empty((n, 96), dtype=int)
+    depths = np.empty(n)
+    voltages = np.empty(n)
+    amplitudes = np.empty(n)
+    powered = np.empty(n, dtype=bool)
+    mac_rngs: List[np.random.Generator] = []
+
+    for row, tag_index in enumerate(range(lo, hi)):
+        rng = _tag_rng(material, config.seed, tag_index, _STREAM_PHYSICS)
+        depth = float(
+            rng.uniform(config.depth_min_m, config.depth_max_m)
+        )
+        distances = arc_array_distances(
+            config.standoff_m, config.n_antennas, rng=rng
+        )
+        epc_bits[row] = rng.integers(0, 2, size=96)
+
+        element_fields = np.array(
+            [
+                tissue_field_amplitude(
+                    config.eirp_per_antenna_w,
+                    float(r),
+                    depth,
+                    medium,
+                    config.frequency_hz,
+                )
+                for r in distances
+            ]
+        )
+        element_scale = np.ones(config.n_antennas)
+        perturbed = injector.perturb_trial(
+            tag_index,
+            np.zeros(config.n_antennas),
+            np.zeros(config.n_antennas),
+            element_scale,
+        )
+        peak_field = float(np.sum(element_fields * perturbed.amplitudes))
+        voltage = front_end.input_voltage_amplitude_v(
+            peak_field, medium, config.frequency_hz
+        )
+        voltage *= perturbed.voltage_scale
+        forward_gain = float(
+            np.max(
+                element_fields
+                / math.sqrt(60.0 * config.eirp_per_antenna_w)
+            )
+        )
+        depths[row] = depth
+        voltages[row] = voltage
+        powered[row] = model.powers_up_at_peak(voltage)
+        amplitudes[row] = backscatter_amplitude_v(forward_gain, aperture)
+        mac_rngs.append(
+            _tag_rng(material, config.seed, tag_index, _STREAM_MAC)
+        )
+
+    return TagSet(
+        epc_bits=epc_bits,
+        reply_amplitude_v=amplitudes,
+        powered=powered,
+        mac_rngs=mac_rngs,
+        global_indices=np.arange(lo, hi),
+        depths_m=depths,
+        input_voltage_v=voltages,
+    )
+
+
+def _airtime_kind(outcome: RoundOutcome, slot: int) -> str:
+    """Outcome label the physical airtime model charges for.
+
+    A decoded slot carries the full singleton exchange (RN16 + ACK +
+    EPC); an occupied slot that failed to decode costs a collision
+    (RN16 heard, no ACK) whether one tag replied or five.
+    """
+    count = int(outcome.n_replies[slot])
+    if count == 0:
+        return "empty"
+    return "singleton" if bool(outcome.decoded[slot]) else "collision"
+
+
+def shard_airtime_reference(
+    result: ShardInventoryResult, blf_hz: float
+) -> float:
+    """Per-slot airtime loop: one Query per round, then each slot's kind."""
+    from repro.experiments.inventory_throughput import AirtimeModel
+
+    model = AirtimeModel(blf_hz=blf_hz)
+    total = 0.0
+    for outcome in result.rounds:
+        total += model.query_s()
+        for slot in range(outcome.n_replies.size):
+            total += model.slot_s(_airtime_kind(outcome, slot))
+    return total
 
 
 def run_inventory_reference(
