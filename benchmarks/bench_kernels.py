@@ -186,7 +186,6 @@ def test_capture_kernel_speedup_and_parity(benchmark, emit):
 def test_ber_block_parity_and_throughput(benchmark, emit):
     kwargs = dict(
         seed=54,
-        n_words=BER_WORDS,
         noise_std=1.1,
         samples_per_chip=10,
         miller_orders=(2,),

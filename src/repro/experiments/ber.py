@@ -94,18 +94,12 @@ def run(config: BerConfig = BerConfig()) -> BerResult:
         curves[scheme] = []
 
     streaming = config.adaptive is not None and config.adaptive.enabled
-    budget = (
-        config.adaptive.budget(config.n_words)
-        if streaming
-        else config.n_words
-    )
     with TrialRunner(workers=config.workers) as runner:
         for snr_db in config.snr_db_points:
             noise_std = float(10.0 ** (-snr_db / 20.0))  # signal amplitude = 1
             fn = partial(
                 ber_block,
                 seed=config.seed + abs(int(snr_db * 10)) * 2 + (snr_db < 0),
-                n_words=budget,
                 noise_std=noise_std,
                 samples_per_chip=config.samples_per_chip,
                 miller_orders=config.miller_orders,

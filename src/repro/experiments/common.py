@@ -136,13 +136,11 @@ def measure_gain_trials(
     if runner is None:
         runner = TrialRunner()
     streaming = adaptive is not None and adaptive.enabled
-    budget = adaptive.budget(n_trials) if streaming else n_trials
     fn = partial(
         engine_mod.measure_gain_chunk,
         channel_factory=channel_factory,
         plan=plan,
         seed=seed,
-        n_trials=budget,
         duration_s=duration_s,
         include_baseline=include_baseline,
         fault_plan=fault_plan,
@@ -260,7 +258,6 @@ def power_up_trials(
     if runner is None:
         runner = TrialRunner()
     streaming = adaptive is not None and adaptive.enabled
-    budget = adaptive.budget(n_trials) if streaming else n_trials
     fn = partial(
         engine_mod.power_up_chunk,
         plan=plan,
@@ -269,7 +266,6 @@ def power_up_trials(
         eirp_per_branch_w=eirp_per_branch_w,
         tag_spec=tag_spec,
         seed=seed,
-        n_trials=budget,
         fault_plan=fault_plan,
     )
     with current_obs().tracer.span(
@@ -359,7 +355,6 @@ def measure_strategy_gains(
         channel_factory=channel_factory,
         strategy_factory=strategy_factory,
         seed=seed,
-        n_trials=n_trials,
         duration_s=duration_s,
     )
     with current_obs().tracer.span(

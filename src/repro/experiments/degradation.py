@@ -244,7 +244,6 @@ def run(config: DegradationConfig = DegradationConfig()) -> DegradationResult:
                 offsets,
                 config.duration_s,
                 seed=config.seed,
-                n_trials=config.peak_trials,
                 aligned=True,
             ),
             n_trials=config.peak_trials,
@@ -260,7 +259,6 @@ def run(config: DegradationConfig = DegradationConfig()) -> DegradationResult:
                 offsets,
                 config.duration_s,
                 seed=config.seed + 17,
-                n_trials=config.peak_trials,
             ),
             n_trials=config.peak_trials,
             seed=config.seed + 17,
@@ -276,7 +274,6 @@ def run(config: DegradationConfig = DegradationConfig()) -> DegradationResult:
                 PAYLOAD_BITS,
                 config.samples_per_chip,
                 seed=config.seed + 53,
-                n_trials=config.decode_trials,
             ),
             n_trials=config.decode_trials,
             seed=config.seed + 53,

@@ -129,7 +129,6 @@ def _peak_factor_chunk(
     count: int,
     offsets: np.ndarray,
     seed: int,
-    n_trials: int,
 ) -> np.ndarray:
     """Peak factors of phase draws ``[start, start + count)``."""
     obs = current_obs()
@@ -159,12 +158,10 @@ def peak_factors(
         raise ValueError(f"n_trials must be positive, got {n_trials}")
     offsets = paper_plan().offsets_array()
     streaming = adaptive is not None and adaptive.enabled
-    budget = adaptive.budget(n_trials) if streaming else n_trials
     fn = partial(
         _peak_factor_chunk,
         offsets=offsets,
         seed=seed,
-        n_trials=budget,
     )
     with TrialRunner(workers=workers, chunk_size=chunk_size) as runner:
         if not streaming:

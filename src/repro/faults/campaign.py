@@ -236,7 +236,6 @@ def peak_envelope_chunk(
     duration_s: float,
     fault_plan: FaultPlan,
     seed: int,
-    n_trials: int,
     aligned: bool = False,
 ) -> np.ndarray:
     """Per-trial CIB envelope peaks under a fault plan (unit channel).
@@ -284,7 +283,6 @@ def decode_success_chunk(
     samples_per_chip: int,
     fault_plan: FaultPlan,
     seed: int,
-    n_trials: int,
 ) -> int:
     """Successful FM0 decodes under link-plane corruption.
 
@@ -318,7 +316,6 @@ def peak_envelope_chunk_builder(
     offsets_hz: Sequence[float],
     duration_s: float,
     seed: int,
-    n_trials: int,
     amplitudes: Optional[Sequence[float]] = None,
     aligned: bool = False,
 ) -> Callable[[float], Callable[[int, int], np.ndarray]]:
@@ -336,7 +333,6 @@ def peak_envelope_chunk_builder(
             duration_s=duration_s,
             fault_plan=plan_factory(severity),
             seed=seed,
-            n_trials=n_trials,
             aligned=aligned,
         )
 
@@ -348,7 +344,6 @@ def decode_success_chunk_builder(
     payload_bits: Sequence[int],
     samples_per_chip: int,
     seed: int,
-    n_trials: int,
 ) -> Callable[[float], Callable[[int, int], int]]:
     """A :func:`run_campaign` chunk builder over :func:`decode_success_chunk`."""
 
@@ -359,7 +354,6 @@ def decode_success_chunk_builder(
             samples_per_chip=int(samples_per_chip),
             fault_plan=plan_factory(severity),
             seed=seed,
-            n_trials=n_trials,
         )
 
     return build

@@ -273,8 +273,14 @@ def validate_fleet_dict(payload: dict) -> None:
                 f"row {index}: reads {row['reads']} exceeds population "
                 f"{row['population']}"
             )
-        if row["read_rate_tags_per_s"] < 0 or row["airtime_s"] < 0:
-            raise ValueError(f"row {index}: negative rate or airtime")
+        for key in ("read_rate_tags_per_s", "airtime_s"):
+            # `not 0 <= x < inf` also rejects NaN, for which `x < 0` is
+            # false.
+            if not 0.0 <= row[key] < math.inf:
+                raise ValueError(
+                    f"row {index}: {key} must be finite and >= 0, got "
+                    f"{row[key]}"
+                )
 
 
 def shard_airtime_s(result: ShardInventoryResult, blf_hz: float) -> float:

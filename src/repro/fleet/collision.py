@@ -18,9 +18,18 @@ module replaces reply counting with physics:
   threshold are skipped outright (they cannot decode).
 
 :func:`run_inventory` resolves these semantics vectorized: per round it
-draws every active tag's slot counter and RN16 from the tag's own
-generator, resolves all slots in stacked arrays, and loops only over
-decode attempts. Ties on reply amplitude break deterministically toward
+gathers every active tag's slot counter and RN16 from its own stream,
+resolves all slots in stacked arrays, and loops only over decode
+attempts. The MAC draws come in blocks (:class:`_MacWords`): a tag's
+generator is called once for a block of raw 32-bit words when the tag
+first contends and again only when it runs past that block, and each
+round takes the next ``1 + 16`` words of every active tag in one
+fancy-index. Slot ``word >> (32 - q)`` and RN16 bit ``word >> 31`` are
+exactly what ``integers(0, 2**q)`` and ``integers(0, 2, size=16)`` would
+have returned from the same stream: numpy's Lemire bound for a
+power-of-two range never rejects, and both paths consume
+``next_uint32`` one word per value (``q == 0`` draws no slot word).
+Ties on reply amplitude break deterministically toward
 the lowest global tag index. Its oracle, in ``tests/reference/``, drives
 actual :class:`~repro.gen2.tag_state.Gen2Tag` state machines slot by slot
 with scalar receive and decode -- the serial baseline the parity tests
@@ -215,6 +224,51 @@ class ShardInventoryResult:
         )
 
 
+class _MacWords:
+    """Per-tag MAC streams drawn in blocks of raw 32-bit words.
+
+    Row ``i`` of ``words`` holds tag ``i``'s drawn but not yet used words
+    from ``cursor[i]`` on. A tag calls its generator only to (re)fill its
+    row: the unused tail moves to the front and one ``integers(0, 2**32,
+    dtype=uint32)`` call draws the rest, so the row stays one contiguous
+    run of the tag's stream. Tags that never contend never draw.
+    """
+
+    #: Words per row: eight rounds of one slot word plus an RN16.
+    BLOCK_WORDS = 8 * (1 + RN16_BITS)
+
+    def __init__(self, rngs: List[np.random.Generator]):
+        self.rngs = rngs
+        self.words = np.empty((len(rngs), self.BLOCK_WORDS), dtype=np.uint32)
+        self.cursor = np.full(len(rngs), self.BLOCK_WORDS, dtype=np.int64)
+
+    def take(self, rows: np.ndarray, q: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Slot counters and RN16s of one round for tags ``rows``.
+
+        Returns ``(slots, rn16s)`` shaped ``(m,)`` and ``(m, 16)`` -- per
+        tag, the slot counter first, then the RN16 it backscatters when
+        that counter expires: the Gen2Tag state machine's draw order.
+        """
+        need = RN16_BITS + (1 if q > 0 else 0)
+        cursor = self.cursor
+        width = self.BLOCK_WORDS
+        for row in rows[cursor[rows] > width - need].tolist():
+            start = cursor[row]
+            kept = width - start
+            self.words[row, :kept] = self.words[row, start:]
+            self.words[row, kept:] = self.rngs[row].integers(
+                0, 2**32, size=start, dtype=np.uint32
+            )
+            cursor[row] = 0
+        columns = cursor[rows, None] + np.arange(need)
+        drawn = self.words[rows[:, None], columns]
+        cursor[rows] += need
+        bits = (drawn[:, need - RN16_BITS :] >> 31).astype(np.int64)
+        if q == 0:
+            return np.zeros(rows.size, dtype=np.int64), bits
+        return (drawn[:, 0] >> (32 - q)).astype(np.int64), bits
+
+
 def _decode_trial_index(
     shard_index: int, round_index: int, slot: int, max_rounds: int
 ) -> int:
@@ -276,6 +330,7 @@ def run_inventory(
         else 0.0
     )
     inventoried = np.zeros(n, dtype=bool)
+    mac_words = _MacWords(tags.mac_rngs)
     result = ShardInventoryResult(
         shard=shard_index,
         n_tags=n,
@@ -301,20 +356,10 @@ def run_inventory(
                         winners=np.full(n_slots, -1, dtype=np.int64),
                     )
                 )
-                for _ in range(n_slots):
-                    algorithm.on_slot(0)
+                algorithm.on_slots(counts)
                 break
 
-            # Per-tag draws, in global tag order, from each tag's own
-            # stream: slot counter first, then the RN16 it will
-            # backscatter when that counter expires -- the exact
-            # consumption order of the Gen2Tag state machine.
-            slots = np.empty(active.size, dtype=np.int64)
-            rn16s = np.empty((active.size, RN16_BITS), dtype=int)
-            for k, tag_row in enumerate(active):
-                rng = tags.mac_rngs[tag_row]
-                slots[k] = int(rng.integers(0, n_slots))
-                rn16s[k] = rng.integers(0, 2, size=RN16_BITS)
+            slots, rn16s = mac_words.take(active, q)
 
             counts = np.bincount(slots, minlength=n_slots).astype(np.int32)
             scale = capture.amplitude_scale if capture is not None else 1.0
@@ -377,8 +422,7 @@ def run_inventory(
                 failed = (counts >= 1) & ~decoded_slots
                 effective[decoded_slots] = 1
                 effective[failed & (counts == 1)] = 2
-            for value in effective:
-                algorithm.on_slot(int(value))
+            algorithm.on_slots(effective)
 
             had_replies = bool(np.any(counts > 0))
             had_success = bool(np.any(decoded_slots))

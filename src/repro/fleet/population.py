@@ -176,6 +176,12 @@ class TagSet:
         reply_amplitude_v: ``(n,)`` backscatter amplitude at the reader.
         powered: ``(n,)`` power-up mask (unpowered tags never reply).
         mac_rngs: Per-tag generators for slot-counter and RN16 draws.
+            :func:`repro.fleet.collision.run_inventory` draws from them
+            in blocks of raw 32-bit words, so an inventory leaves each
+            contending tag's generator advanced past the whole blocks it
+            drew, not just the words the MAC used (a tag that never
+            contends is left untouched). Rebuild the TagSet to replay a
+            shard.
         global_indices: ``(n,)`` global tag indices (read-order identity).
         depths_m: ``(n,)`` implant depths.
         input_voltage_v: ``(n,)`` harvested rectifier input amplitude

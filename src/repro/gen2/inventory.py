@@ -86,6 +86,23 @@ class QAlgorithm:
         elif n_replies > 1:
             self.q_float = min(15.0, self.q_float + self.c)
 
+    def on_slots(self, counts: Sequence[int]) -> None:
+        """Apply :meth:`on_slot` to each slot outcome of ``counts``, in order.
+
+        One pass over the non-singleton slots on a local float: the same
+        ``max``/``min`` steps in the same order, so Qfp ends bitwise where
+        the per-slot loop leaves it.
+        """
+        counts = np.asarray(counts)
+        q_float = self.q_float
+        c = self.c
+        for n_replies in counts[counts != 1].tolist():
+            if n_replies == 0:
+                q_float = max(0.0, q_float - c)
+            elif n_replies > 1:
+                q_float = min(15.0, q_float + c)
+        self.q_float = q_float
+
 
 class InventoryRound:
     """Drives one inventory round over a set of powered tags.

@@ -94,7 +94,6 @@ def ber_block(
     start: int,
     count: int,
     seed: int,
-    n_words: int,
     noise_std: float,
     samples_per_chip: int,
     miller_orders: Tuple[int, ...],
@@ -103,8 +102,8 @@ def ber_block(
     """Per-scheme bit-error counts for words ``[start, start + count)``.
 
     Bit-identical to the per-word reference chunk in ``tests/reference/``
-    for any chunking: per-word generators come from the same
-    ``spawn_rngs(seed, n_words)`` list and each word's draws (bits, FM0
+    for any chunking: word ``i``'s generator is child ``i`` of
+    ``SeedSequence(seed)`` and each word's draws (bits, FM0
     noise, per-Miller noise, averaged-FM0 noise) happen in the legacy
     order, with the multi-period noise taken in one C-order call.
     """

@@ -321,7 +321,6 @@ def measure_gain_chunk(
     channel_factory: Callable[[np.random.Generator], BlindChannel],
     plan: CarrierPlan,
     seed: int,
-    n_trials: int,
     duration_s: float,
     include_baseline: bool,
     fault_plan: Optional["FaultPlan"] = None,
@@ -421,7 +420,6 @@ def power_up_chunk(
     eirp_per_branch_w: float,
     tag_spec: TagSpec,
     seed: int,
-    n_trials: int,
     fault_plan: Optional["FaultPlan"] = None,
 ) -> int:
     """Power-up successes among trials ``[start, start + count)``.
@@ -664,7 +662,6 @@ def strategy_gain_chunk(
     channel_factory: Callable[[np.random.Generator], BlindChannel],
     strategy_factory: Callable[[BlindChannel], TransmitterStrategy],
     seed: int,
-    n_trials: int,
     duration_s: float,
 ) -> np.ndarray:
     """Strategy-vs-reference gains for trials ``[start, start + count)``.

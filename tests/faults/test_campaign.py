@@ -109,8 +109,7 @@ class TestRunCampaign:
                 fault_kind="antenna_dropout",
                 severities=[1.0, 2.0],
                 chunk_builder=peak_envelope_chunk_builder(
-                    dropout_plan, OFFSETS, 1.0, seed=5, n_trials=12,
-                    aligned=True,
+                    dropout_plan, OFFSETS, 1.0, seed=5, aligned=True,
                 ),
                 n_trials=12,
                 seed=5,
@@ -152,7 +151,6 @@ class TestRunCampaign:
                     payload_bits=(1, 0, 1, 1, 0, 0, 1, 0),
                     samples_per_chip=4,
                     seed=9,
-                    n_trials=16,
                 ),
                 n_trials=16,
                 seed=9,
@@ -163,7 +161,7 @@ class TestRunCampaign:
 
     def test_invalid_arguments(self):
         builder = peak_envelope_chunk_builder(
-            dropout_plan, OFFSETS, 1.0, seed=5, n_trials=4
+            dropout_plan, OFFSETS, 1.0, seed=5
         )
         with obs_context():
             with pytest.raises(ValueError, match="n_trials"):
@@ -180,10 +178,10 @@ class TestRunCampaign:
 def test_peak_envelope_chunk_blind_betas_sit_below_aligned():
     with obs_context():
         aligned = peak_envelope_chunk(
-            0, 16, OFFSETS, None, 1.0, EMPTY_PLAN, 3, 16, aligned=True
+            0, 16, OFFSETS, None, 1.0, EMPTY_PLAN, 3, aligned=True
         )
         blind = peak_envelope_chunk(
-            0, 16, OFFSETS, None, 1.0, EMPTY_PLAN, 3, 16
+            0, 16, OFFSETS, None, 1.0, EMPTY_PLAN, 3
         )
     assert np.all(aligned == pytest.approx(len(OFFSETS), rel=1e-6))
     assert np.all(blind <= aligned + 1e-9)

@@ -88,6 +88,16 @@ class TestSchema:
         with pytest.raises(ValueError):
             validate_fleet_dict(payload)
 
+    @pytest.mark.parametrize("key", ["airtime_s", "read_rate_tags_per_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_or_negative_airtime_and_rate(
+        self, baseline, key, value
+    ):
+        payload = baseline.to_json_dict()
+        payload["rows"][0][key] = value
+        with pytest.raises(ValueError, match=key):
+            validate_fleet_dict(payload)
+
     def test_rejects_empty_rows(self, baseline):
         payload = baseline.to_json_dict()
         payload["rows"] = []

@@ -9,7 +9,6 @@ from tests.reference.ber import word_errors_chunk
 
 _KW = dict(
     seed=54,
-    n_words=30,
     samples_per_chip=10,
     miller_orders=(2, 8),
     averaging_periods=10,

@@ -83,6 +83,15 @@ class TestTablesFlag:
             entry["schema_version"] = 99
         assert run_check(checker, tmp_path, {kind: entry}) == 1
 
+    @pytest.mark.parametrize("key", ["airtime_s", "read_rate_tags_per_s"])
+    def test_nan_fleet_airtime_or_rate_fails(
+        self, checker, entries, key, tmp_path, capsys
+    ):
+        entry = copy.deepcopy(entries["fleet"])
+        entry["rows"][0][key] = float("nan")
+        assert run_check(checker, tmp_path, {"fleet": entry}) == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+
     def test_every_present_kind_is_checked(self, checker, entries, tmp_path):
         assert run_check(checker, tmp_path, dict(entries)) == 0
         broken = copy.deepcopy(entries)

@@ -9,7 +9,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.analysis.mc import spawn_rngs
 from repro.gen2.fm0 import (
     chips_to_waveform,
     decode_chips,
@@ -59,7 +58,6 @@ def word_errors_chunk(
     start: int,
     count: int,
     seed: int,
-    n_words: int,
     noise_std: float,
     samples_per_chip: int,
     miller_orders: Tuple[int, ...],
@@ -75,7 +73,8 @@ def word_errors_chunk(
     for m in miller_orders:
         errors[f"Miller-{m}"] = 0
     errors[f"FM0 avg x{averaging_periods}"] = 0
-    rngs = spawn_rngs(seed, n_words)[start : start + count]
+    children = np.random.SeedSequence(seed).spawn(start + count)[start:]
+    rngs = [np.random.default_rng(child) for child in children]
     for rng in rngs:
         bits = tuple(int(b) for b in rng.integers(0, 2, 16))
         errors["FM0"] += _fm0_trial(bits, noise_std, samples_per_chip, rng)
