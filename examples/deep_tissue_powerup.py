@@ -9,12 +9,10 @@ Run::
     python examples/deep_tissue_powerup.py
 """
 
-import numpy as np
-
 from repro import miniature_tag_spec, paper_plan, standard_tag_spec
 from repro.analysis.mc import spawn_rngs
 from repro.em import GASTRIC_CONTENT, SwinePhantom, WATER, WaterTankPhantom
-from repro.experiments.common import peak_input_voltage_v
+from repro.experiments.common import TankChannelFactory, power_up_trials
 from repro.reader import IvnLink
 
 EIRP_PER_BRANCH_W = 6.0
@@ -28,9 +26,6 @@ def water_depth_sweep() -> None:
     plan = paper_plan()
     specs = {"standard": standard_tag_spec(), "miniature": miniature_tag_spec()}
     depths_cm = (2, 6, 10, 14, 18, 22, 26)
-    header = "  depth  " + "".join(
-        f"{name:>12s}x{n}" for name in specs for n in (1, 8)
-    )
     print("            (v = sensor wakes, . = below threshold)")
     print(f"  {'depth':>6s}  "
           + "  ".join(f"{name[:4]} N=1  {name[:4]} N=8" for name in specs))
@@ -38,22 +33,23 @@ def water_depth_sweep() -> None:
         cells = []
         for name, spec in specs.items():
             for n_antennas in (1, 8):
-                sub_plan = plan.subset(n_antennas)
-                votes = 0
-                for rng in spawn_rngs(depth_cm * 100 + n_antennas, 7):
-                    channel = tank.channel(
-                        n_antennas, depth_cm / 100.0, 915e6, rng=rng
-                    )
-                    voltage = peak_input_voltage_v(
-                        sub_plan, channel, WATER, EIRP_PER_BRANCH_W, spec, rng
-                    )
-                    votes += voltage >= spec.minimum_input_voltage_v()
-                cells.append("v" if votes >= 4 else ".")
-        print(f"  {depth_cm:4d}cm    "
-              + "       ".join(cells[i] for i in range(len(cells))))
+                factory = TankChannelFactory(
+                    tank, n_antennas, depth_cm / 100.0, 915e6
+                )
+                # Seven placements per cell; the sensor wakes on a majority.
+                trials = power_up_trials(
+                    plan.subset(n_antennas),
+                    factory,
+                    WATER,
+                    EIRP_PER_BRANCH_W,
+                    spec,
+                    7,
+                    seed=depth_cm * 100 + n_antennas,
+                )
+                cells.append("v" if trials.successes >= 4 else ".")
+        print(f"  {depth_cm:4d}cm    " + "       ".join(cells))
     print("  The standard tag reaches >20 cm only with the full CIB array;")
     print("  the miniature tag manages ~half that; one antenna wakes neither.")
-    del header
 
 
 def swine_scenario() -> None:

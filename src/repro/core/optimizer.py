@@ -13,9 +13,9 @@ batched pipeline on top of that fact:
 
 * **Stacked scoring** -- C candidate sets x D phase draws become one
   ``(C*D, M)`` spectrum evaluated in chunked inverse FFTs instead of C
-  sequential ``objective()`` calls. The same validated sparse-spectrum
-  builder (:func:`build_sparse_spectrum`) backs the peak objective, the
-  conduction objective, and the envelope-series helper.
+  sequential ``objective()`` calls. One envelope primitive
+  (:func:`sparse_envelope`) backs the peak objective, the conduction
+  objective, the envelope-series helper and the link's per-trial peak.
 * **Coarse-to-fine grids** -- candidates are shortlisted on a small
   power-of-two grid and only survivors are rescored on the full
   ``grid_size`` grid. Two properties make the coarse stage sound: the
@@ -44,13 +44,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-try:  # scipy's pocketfft accepts complex64 without an upcast; numpy's won't.
-    from scipy.fft import ifft as _coarse_ifft
-
-    _HAVE_SINGLE_PRECISION_FFT = True
-except ImportError:  # pragma: no cover - scipy is a standard dependency
-    _coarse_ifft = np.fft.ifft
-    _HAVE_SINGLE_PRECISION_FFT = False
+# scipy's pocketfft accepts complex64 without an upcast; numpy's won't.
+from scipy.fft import ifft as _coarse_ifft
 
 from repro.constants import CIB_CENTER_FREQUENCY_HZ
 from repro.core.constraints import FlatnessConstraint
@@ -291,84 +286,33 @@ def validate_offset_bins(
     return offsets
 
 
-def build_sparse_spectrum(
-    offsets_hz: Sequence[float],
-    betas: np.ndarray,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    amplitudes: Optional[np.ndarray] = None,
-    duration_s: float = 1.0,
+def sparse_envelope(
+    bins: np.ndarray,
+    phases: np.ndarray,
+    amplitudes: np.ndarray,
+    grid_size: int,
 ) -> np.ndarray:
-    """Validated N-sparse spectrum of the carrier sum, one row per draw.
+    """Envelope rows ``|y|`` of the N-sparse carrier spectrum.
 
-    The shared builder behind :func:`peak_amplitudes_fft`, the conduction
-    objective, and :func:`envelope_series_fft`: bin validation happens
-    exactly once, here, so no objective can scatter duplicate or aliased
-    offsets.
+    The one envelope primitive: every peak, series, conduction and
+    per-trial envelope in the package reduces these rows. Each carrier
+    sits on its DFT bin with weight ``amplitude * exp(j * phase)``, so
+    ``ifft(spectrum) * grid_size`` is the carrier sum on the grid.
 
     Args:
-        offsets_hz: Offsets whose products with ``duration_s`` are distinct
-            integers (cycles per observation window).
-        betas: Phase draws, shape (D, N) (a 1-D vector is promoted).
+        bins: Shape (N,) distinct bin indices, already checked by
+            :func:`validate_offset_bins`.
+        phases: Phase draws, shape (D, N).
+        amplitudes: Carrier amplitudes, shape (N,) or per draw (D, N).
         grid_size: Number of spectrum bins / time samples.
-        amplitudes: Optional per-antenna amplitudes, shape (N,), or one
-            vector per draw, shape (D, N).
-        duration_s: Observation window length in seconds.
 
     Returns:
-        Shape (D, grid_size) complex spectrum; ``ifft(...) * grid_size``
-        gives the complex baseband over the window.
+        Shape (D, grid_size) envelope samples.
     """
-    offsets = validate_offset_bins(offsets_hz, grid_size, duration_s)
-    betas = np.atleast_2d(np.asarray(betas, dtype=float))
-    n_draws = betas.shape[0]
-    weights = (
-        np.ones(offsets.size)
-        if amplitudes is None
-        else np.asarray(amplitudes, dtype=float)
-    )
-    spectrum = np.zeros((n_draws, grid_size), dtype=complex)
-    if weights.ndim == 2:
-        if weights.shape != betas.shape:
-            raise ValueError("2-D amplitudes must match the betas shape")
-        spectrum[:, offsets] = weights * np.exp(1j * betas)
-    else:
-        spectrum[:, offsets] = weights[None, :] * np.exp(1j * betas)
-    return spectrum
-
-
-def peak_amplitudes_fft(
-    offsets_hz: Sequence[int],
-    betas: np.ndarray,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    amplitudes: Optional[np.ndarray] = None,
-    duration_s: float = 1.0,
-) -> np.ndarray:
-    """Peak envelope per channel draw via inverse FFT.
-
-    On a uniform ``grid_size``-point grid over ``duration_s`` seconds, each
-    carrier at ``df_i`` lands exactly on DFT bin ``df_i * duration_s`` when
-    that product is an integer, so the envelope is an inverse DFT of a
-    sparse spectrum — identical samples to the direct evaluation, computed
-    in O(M log M) per draw.
-
-    Args:
-        offsets_hz: Offsets whose products with ``duration_s`` are distinct
-            integers (cycles per observation window).
-        betas: Phase draws, shape (D, N).
-        grid_size: Number of time samples across the window.
-        amplitudes: Optional per-antenna amplitudes, shape (N,), or one
-            vector per draw, shape (D, N).
-        duration_s: Observation window length in seconds.
-
-    Returns:
-        Shape (D,) array of ``max_t |y_d(t)|``.
-    """
-    spectrum = build_sparse_spectrum(
-        offsets_hz, betas, grid_size, amplitudes, duration_s
-    )
+    spectrum = np.zeros((phases.shape[0], grid_size), dtype=complex)
+    spectrum[:, bins] = amplitudes * np.exp(1j * phases)
     # ifft includes a 1/M factor; scale back so bins sum like carriers.
-    signal = np.fft.ifft(spectrum, axis=1) * grid_size
-    return np.max(np.abs(signal), axis=1)
+    return np.abs(np.fft.ifft(spectrum, axis=1) * grid_size)
 
 
 def envelope_series_fft(
@@ -384,16 +328,57 @@ def envelope_series_fft(
     grid is ``k * duration_s / n_samples`` and every carrier lands on an
     integer bin -- the situation in the wake-up latency experiment, where
     the rectifier simulation needs the whole multi-period envelope rather
-    than just its peak.
+    than just its peak. The offsets are validated here, once, so no
+    caller can scatter duplicate or aliased bins.
+
+    Args:
+        offsets_hz: Offsets whose products with ``duration_s`` are distinct
+            integers (cycles per observation window).
+        betas: Phase draws, shape (D, N) (a 1-D vector is promoted).
+        n_samples: Number of spectrum bins / time samples.
+        duration_s: Observation window length in seconds.
+        amplitudes: Optional per-antenna amplitudes, shape (N,), or one
+            vector per draw, shape (D, N).
 
     Returns:
-        Shape (D, n_samples) envelope samples (1-D betas are promoted to
-        one row).
+        Shape (D, n_samples) envelope samples.
     """
-    spectrum = build_sparse_spectrum(
-        offsets_hz, betas, n_samples, amplitudes, duration_s
+    bins = validate_offset_bins(offsets_hz, n_samples, duration_s)
+    betas = np.atleast_2d(np.asarray(betas, dtype=float))
+    weights = (
+        np.ones(bins.size)
+        if amplitudes is None
+        else np.asarray(amplitudes, dtype=float)
     )
-    return np.abs(np.fft.ifft(spectrum, axis=1) * n_samples)
+    if weights.ndim == 2 and weights.shape != betas.shape:
+        raise ValueError("2-D amplitudes must match the betas shape")
+    return sparse_envelope(bins, betas, weights, n_samples)
+
+
+def peak_amplitudes_fft(
+    offsets_hz: Sequence[int],
+    betas: np.ndarray,
+    grid_size: int = DEFAULT_GRID_SIZE,
+    amplitudes: Optional[np.ndarray] = None,
+    duration_s: float = 1.0,
+) -> np.ndarray:
+    """Peak envelope per channel draw via inverse FFT.
+
+    On a uniform ``grid_size``-point grid over ``duration_s`` seconds, each
+    carrier at ``df_i`` lands exactly on DFT bin ``df_i * duration_s`` when
+    that product is an integer, so the envelope is an inverse DFT of a
+    sparse spectrum — identical samples to the direct evaluation, computed
+    in O(M log M) per draw. Arguments as :func:`envelope_series_fft`.
+
+    Returns:
+        Shape (D,) array of ``max_t |y_d(t)|``.
+    """
+    return np.max(
+        envelope_series_fft(
+            offsets_hz, betas, grid_size, duration_s, amplitudes
+        ),
+        axis=1,
+    )
 
 
 @dataclass(frozen=True)
@@ -684,9 +669,8 @@ class FrequencyOptimizer:
         if threshold < 0:
             raise ValueError(f"threshold must be >= 0, got {threshold}")
         self.n_evaluations += 1
-        spectrum = build_sparse_spectrum(offsets, self._betas, self.grid_size)
-        signal = np.fft.ifft(spectrum, axis=1) * self.grid_size
-        return float(np.mean(np.abs(signal) > threshold))
+        envelope = envelope_series_fft(offsets, self._betas, self.grid_size)
+        return float(np.mean(envelope > threshold))
 
     def score_candidates(
         self, candidates: Sequence[Sequence[int]]
@@ -732,7 +716,6 @@ class FrequencyOptimizer:
         so the comparison is unchanged.
         """
         rows = np.asarray(candidates, dtype=np.int64)
-        single = shift and _HAVE_SINGLE_PRECISION_FFT
         if shift:
             centers = (rows.min(axis=1) + rows.max(axis=1)) // 2
             scatter = (rows - centers[:, None]) % grid_size
@@ -740,11 +723,11 @@ class FrequencyOptimizer:
             scatter = rows
         return StackedScoreSpec(
             scatter=scatter,
-            phasors=self._phasors_single if single else self._phasors,
+            phasors=self._phasors_single if shift else self._phasors,
             grid_size=int(grid_size),
             kind=kind,
-            cutoff=threshold / grid_size if single else threshold,
-            single=single,
+            cutoff=threshold / grid_size if shift else threshold,
+            single=shift,
         )
 
     def _stacked_values(

@@ -13,9 +13,23 @@ and the power a small antenna can harvest from that field is
 """
 
 import math
+from typing import Union
+
+import numpy as np
 
 from repro.constants import FREE_SPACE_IMPEDANCE
 from repro.em.media import AIR, Medium
+
+
+def field_scale(eirp_watts: float) -> float:
+    """Peak field per unit channel gain, ``sqrt(60 * EIRP)``.
+
+    Channel gains carry the 1/r spreading and tissue loss, so a carrier's
+    field amplitude at the tag is ``field_scale(EIRP) * |gain|``.
+    """
+    if eirp_watts <= 0:
+        raise ValueError(f"EIRP must be positive, got {eirp_watts}")
+    return math.sqrt(60.0 * eirp_watts)
 
 
 def free_space_field_amplitude(
@@ -86,27 +100,35 @@ def tissue_field_amplitude(
 
 
 def harvested_power(
-    field_amplitude_v_per_m: float,
+    field_amplitude_v_per_m: Union[float, np.ndarray],
     medium: Medium,
     frequency_hz: float,
     effective_aperture_m2: float,
-) -> float:
+) -> Union[float, np.ndarray]:
     """Eq. 3: power available to the harvesting circuit.
 
     ``P_L = E_rms^2 / eta * A_eff`` where ``field_amplitude_v_per_m`` is the
-    peak field and eta the magnitude of the medium's wave impedance.
+    peak field and eta the magnitude of the medium's wave impedance. A
+    scalar field gives a float, an array of fields an array of powers.
+    NaN fields pass through as NaN powers.
     """
-    if field_amplitude_v_per_m < 0:
+    fields = np.asarray(field_amplitude_v_per_m, dtype=float)
+    values = fields.ravel().tolist()
+    negative = [value for value in values if value < 0]
+    if negative:
         raise ValueError(
-            f"field amplitude must be non-negative, got {field_amplitude_v_per_m}"
+            f"field amplitude must be non-negative, got {negative[0]}"
         )
     if effective_aperture_m2 <= 0:
         raise ValueError(
             f"effective aperture must be positive, got {effective_aperture_m2}"
         )
     eta = abs(medium.wave_impedance(frequency_hz))
-    e_rms_squared = field_amplitude_v_per_m**2 / 2.0
-    return e_rms_squared / eta * effective_aperture_m2
+    # Square each value as a Python float (libm pow): x * x and numpy's
+    # power round differently from it on some inputs.
+    squared = np.array([value**2 for value in values]).reshape(fields.shape)
+    power = squared / 2.0 / eta * effective_aperture_m2
+    return power if fields.ndim else float(power)
 
 
 def friis_received_power(

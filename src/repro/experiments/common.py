@@ -15,14 +15,12 @@ the regression suite pins the engine to: the direct tier matches them bit
 for bit at fixed seeds, the FFT tier to ~1e-13 relative.
 """
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.core import waveform as waveform_mod
 from repro.core.baselines import TransmitterStrategy
 from repro.core.plan import CarrierPlan
 from repro.em.channel import BlindChannel
@@ -30,7 +28,6 @@ from repro.em.media import Medium
 from repro.em.multipath import MultipathProfile
 from repro.em.phantoms import WaterTankPhantom
 from repro.faults.plan import FaultPlan
-from repro.harvester.tag_power import HarvesterFrontEnd
 from repro.obs.context import current_obs
 from repro.runtime import engine as engine_mod
 from repro.runtime.adaptive import (
@@ -175,43 +172,6 @@ def measure_gain_trials(
         GainSample(cib_gain=float(cib), baseline_gain=float(base))
         for cib, base in zip(cib_gains, baseline_gains)
     ]
-
-
-def peak_input_voltage_v(
-    plan: CarrierPlan,
-    channel: BlindChannel,
-    medium_at_tag: Medium,
-    eirp_per_branch_w: float,
-    tag_spec: TagSpec,
-    rng: np.random.Generator,
-) -> float:
-    """Peak rectifier input amplitude V_s of one CIB trial.
-
-    Mirrors the power-up path of :class:`repro.reader.link.IvnLink` but
-    without the downlink/uplink stages -- the range experiments only need
-    the power-up decision.
-    """
-    if eirp_per_branch_w <= 0:
-        raise ValueError("EIRP must be positive")
-    realization = channel.realize(rng, plan.center_frequency_hz)
-    gains = realization.gains[: plan.n_antennas]
-    betas = rng.uniform(0.0, 2.0 * math.pi, size=gains.size) + np.angle(gains)
-    amplitudes = (
-        math.sqrt(60.0 * eirp_per_branch_w)
-        * np.abs(gains)
-        * plan.amplitudes_array()[: gains.size]
-    )
-    peak_field, _ = waveform_mod.peak_envelope(
-        plan.offsets_array()[: gains.size], betas, 1.0, amplitudes
-    )
-    front_end = HarvesterFrontEnd(
-        antenna=tag_spec.antenna,
-        chip_resistance_ohms=tag_spec.chip_resistance_ohms,
-        liquid_aperture_factor=tag_spec.liquid_aperture_factor,
-    )
-    return front_end.input_voltage_amplitude_v(
-        peak_field, medium_at_tag, plan.center_frequency_hz
-    )
 
 
 @dataclass(frozen=True)

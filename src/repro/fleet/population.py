@@ -34,12 +34,13 @@ from repro.analysis.mc import iter_keyed_rngs, keyed_rngs
 from repro.constants import CIB_CENTER_FREQUENCY_HZ
 from repro.em import media as media_lib
 from repro.em.channel import arc_array_distances
-from repro.em.propagation import field_transmittance
+from repro.em.propagation import field_scale, field_transmittance
 from repro.errors import ConfigurationError
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import EMPTY_PLAN, FaultPlan
 from repro.harvester.tag_power import HarvesterFrontEnd, TagPowerModel
 from repro.hashing import stable_digest
+from repro.reader.out_of_band import backscatter_amplitude_v
 from repro.rf.antenna import MINIATURE_TAG_ANTENNA, STANDARD_TAG_ANTENNA
 
 _FLEET_STREAM_TAG = 0x0F1EE7
@@ -201,37 +202,6 @@ class TagSet:
         return len(self.mac_rngs)
 
 
-def backscatter_amplitude_v(
-    forward_gain: float,
-    tag_aperture_m2: float,
-    reader_eirp_w: float = 2.0,
-    reader_frequency_hz: float = 880e6,
-    rx_gain_linear: float = 10.0 ** 0.7,
-    modulation_depth: float = 0.5,
-    reference_ohms: float = 50.0,
-) -> float:
-    """Deterministic two-way backscatter budget (volts at the reader).
-
-    The same arithmetic as
-    :meth:`repro.reader.out_of_band.OutOfBandReader.backscatter_amplitude_v`
-    with the channel realization replaced by an explicit one-way field
-    gain, so fleet generation needs no RNG for the link budget. The
-    squared dependence on ``forward_gain`` is the physics the capture
-    effect feeds on: a tag 4 cm deeper loses twice the one-way dB on the
-    uplink.
-    """
-    field_at_tag = math.sqrt(60.0 * reader_eirp_w) * forward_gain
-    eta = 376.73
-    captured_w = field_at_tag**2 / (2.0 * eta) * tag_aperture_m2
-    reradiated_w = (modulation_depth**2 / 4.0) * captured_w
-    wavelength = 299792458.0 / reader_frequency_hz
-    back_power_gain = rx_gain_linear * (
-        wavelength * forward_gain / (4.0 * math.pi)
-    ) ** 2
-    received_w = reradiated_w * back_power_gain
-    return math.sqrt(2.0 * received_w * reference_ohms)
-
-
 def generate_shard(
     config: FleetConfig,
     shard: int,
@@ -242,9 +212,9 @@ def generate_shard(
     Per tag (in global-index order) draw its depth, array-placement
     jitter and EPC from its physics stream. Then, over the whole shard as
     ``(tags, elements)`` arrays, evaluate the Eq. 2 per-element fields and
-    their aligned CIB sum. Per tag, push that through the front-end to the
-    Eq. 1 power-up decision and run the reader's two-way budget for the
-    uplink amplitude. Every value is bit-identical to the per-tag loop
+    their aligned CIB sum, push the shard's peaks through the front end to
+    the Eq. 1 power-up decision in one array call, and run the reader's
+    two-way budget per tag for the uplink amplitude. Every value is bit-identical to the per-tag loop
     kept as ``tests/reference/fleet.py::generate_shard_reference``. Fault
     plans enter here exactly as in the degradation campaigns: antenna
     dropout zeroes per-element amplitudes, tag detuning scales the
@@ -294,7 +264,7 @@ def generate_shard(
 
     # Faults keyed on the global tag index: dropout zeroes per-element
     # amplitudes, detuning scales the harvested voltage.
-    voltage_scales = [1.0] * n
+    voltage_scales = np.ones(n)
     if injector.active:
         element_scale = np.empty((n, n_antennas))
         for row, tag_index in enumerate(range(lo, hi)):
@@ -316,28 +286,27 @@ def generate_shard(
     # One-way field gain of the strongest element, for the uplink
     # budget (the reader mounts on the closest array element).
     forward_gains = np.max(
-        element_fields / math.sqrt(60.0 * config.eirp_per_antenna_w), axis=1
+        element_fields / field_scale(config.eirp_per_antenna_w), axis=1
     )
 
-    voltages = np.empty(n)
-    amplitudes = np.empty(n)
-    powered = np.empty(n, dtype=bool)
-    for row, (peak_field, voltage_scale, forward_gain) in enumerate(
-        zip(peak_fields.tolist(), voltage_scales, forward_gains.tolist())
-    ):
-        voltage = front_end.input_voltage_amplitude_v(
-            peak_field, medium, config.frequency_hz
+    voltages = (
+        front_end.input_voltage_amplitude_v(
+            peak_fields, medium, config.frequency_hz
         )
-        voltage *= voltage_scale
-        voltages[row] = voltage
-        powered[row] = model.powers_up_at_peak(voltage)
-        amplitudes[row] = backscatter_amplitude_v(forward_gain, aperture)
+        * voltage_scales
+    )
+    amplitudes = np.array(
+        [
+            backscatter_amplitude_v(forward_gain, aperture)
+            for forward_gain in forward_gains.tolist()
+        ]
+    )
     mac_rngs = keyed_rngs(prefix, range(lo, hi), (_STREAM_MAC,))
 
     return TagSet(
         epc_bits=epc_bits,
         reply_amplitude_v=amplitudes,
-        powered=powered,
+        powered=model.powers_up_at_peak(voltages),
         mac_rngs=mac_rngs,
         global_indices=np.arange(lo, hi),
         depths_m=depths,

@@ -7,9 +7,8 @@ and the rectifier/threshold decides power-up. This is the decision the
 whole paper revolves around.
 """
 
-import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -63,11 +62,11 @@ class HarvesterFrontEnd:
 
     def available_power_w(
         self,
-        field_amplitude_v_per_m: float,
+        field_amplitude_v_per_m: Union[float, np.ndarray],
         medium: Medium,
         frequency_hz: float,
-    ) -> float:
-        """Eq. 3 power available from the incident field."""
+    ) -> Union[float, np.ndarray]:
+        """Eq. 3 power available from the incident field (or fields)."""
         return harvested_power(
             field_amplitude_v_per_m,
             medium,
@@ -77,21 +76,30 @@ class HarvesterFrontEnd:
 
     def input_voltage_amplitude_v(
         self,
-        field_amplitude_v_per_m: float,
+        field_amplitude_v_per_m: Union[float, np.ndarray],
         medium: Medium,
         frequency_hz: float,
-    ) -> float:
-        """RF voltage amplitude V_s presented to the rectifier."""
-        power = self.available_power_w(
-            field_amplitude_v_per_m, medium, frequency_hz
-        )
-        return math.sqrt(2.0 * power * self.chip_resistance_ohms)
+    ) -> Union[float, np.ndarray]:
+        """RF voltage amplitude V_s presented to the rectifier.
 
-    def voltage_from_power(self, available_power_w: float) -> float:
-        """V_s for a known available power (used by link budgets)."""
-        if available_power_w < 0:
+        A scalar field gives a float; an array of fields gives the array
+        of V_s, bit for bit the scalar value of each element.
+        """
+        return self.voltage_from_power(
+            self.available_power_w(
+                field_amplitude_v_per_m, medium, frequency_hz
+            )
+        )
+
+    def voltage_from_power(
+        self, available_power_w: Union[float, np.ndarray]
+    ) -> Union[float, np.ndarray]:
+        """V_s for a known available power (or array of powers)."""
+        powers = np.asarray(available_power_w, dtype=float)
+        if np.count_nonzero(powers < 0):
             raise ValueError("power must be non-negative")
-        return math.sqrt(2.0 * available_power_w * self.chip_resistance_ohms)
+        volts = np.sqrt(2.0 * powers * self.chip_resistance_ohms)
+        return volts if powers.ndim else float(volts)
 
 
 @dataclass
@@ -179,16 +187,21 @@ class TagPowerModel:
             time_to_power_up_s=self.power_manager.time_to_power_up_s(trace, dt_s),
         )
 
-    def powers_up_at_peak(self, peak_input_voltage_v: float) -> bool:
+    def powers_up_at_peak(
+        self, peak_input_voltage_v: Union[float, np.ndarray]
+    ) -> Union[bool, np.ndarray]:
         """Fast threshold test from the peak V_s alone (Eq. 1 inverted).
 
         Used by the range-search experiments where the full time-domain
         simulation would be needlessly slow: the tag powers up iff the peak
-        input voltage clears ``V_th + V_operate / N``.
+        input voltage clears ``V_th + V_operate / N``. A scalar gives a
+        bool, an array of peaks a boolean array (NaN never powers up).
         """
-        if peak_input_voltage_v < 0:
+        voltages = np.asarray(peak_input_voltage_v, dtype=float)
+        if np.count_nonzero(voltages < 0):
             raise ValueError("voltage must be non-negative")
-        return peak_input_voltage_v >= self.minimum_input_voltage_v()
+        powered = voltages >= self.minimum_input_voltage_v()
+        return powered if powered.ndim else bool(powered)
 
     def eq1_output_voltage(self, input_amplitude_v: float) -> float:
         """Analytic Eq. 1 output for this tag's stage count and threshold."""

@@ -22,10 +22,11 @@ import numpy as np
 
 from repro.analysis.stats import dbm_to_watts
 from repro.core import waveform as waveform_mod
-from repro.core.optimizer import validate_offset_bins
+from repro.core.optimizer import sparse_envelope, validate_offset_bins
 from repro.core.plan import CarrierPlan
 from repro.em.channel import BlindChannel
 from repro.em.media import Medium
+from repro.em.propagation import field_scale
 from repro.errors import ConfigurationError
 from repro.gen2.commands import Query
 from repro.gen2.decoder import DecodeResult
@@ -110,15 +111,14 @@ def cib_peak(
 
     Same grid and ``argmax`` as :func:`repro.core.waveform.peak_envelope`.
     When every carrier sits on an integer bin of that grid the envelope is
-    one inverse FFT of the sparse spectrum, built exactly as
-    :func:`repro.core.optimizer.build_sparse_spectrum` builds it (agreeing
-    with the direct sum to about 1e-13 relative); the grid and the
-    validated bins come from a cache keyed on the offsets, so a trial pays
-    only for the spectrum, the inverse FFT and the ``argmax``. Otherwise
-    -- fault-perturbed, fractional offsets -- it falls back to the direct
-    sum, as :func:`repro.runtime.engine.peak_amplitudes` does. The two
-    pick the same grid sample unless the envelope repeats within the
-    period (offsets sharing a common step), where either may pick another,
+    one row of :func:`repro.core.optimizer.sparse_envelope` (agreeing with
+    the direct sum to about 1e-13 relative); the grid and the validated
+    bins come from a cache keyed on the offsets, so a trial pays only for
+    the envelope row and the ``argmax``. Otherwise -- fault-perturbed,
+    fractional offsets -- it falls back to the direct sum, as
+    :func:`repro.runtime.engine.peak_amplitudes` does. The two pick the
+    same grid sample unless the envelope repeats within the period
+    (offsets sharing a common step), where either may pick another,
     equally high repeat.
 
     Returns:
@@ -129,11 +129,12 @@ def cib_peak(
         return waveform_mod.peak_envelope(
             offsets_hz, betas, duration_s=1.0, amplitudes=amplitudes
         )
-    spectrum = np.zeros((1, t.size), dtype=complex)
-    spectrum[:, bins] = np.asarray(amplitudes, dtype=float)[None, :] * np.exp(
-        1j * np.atleast_2d(np.asarray(betas, dtype=float))
-    )
-    y = np.abs(np.fft.ifft(spectrum, axis=1) * t.size)[0]
+    y = sparse_envelope(
+        bins,
+        np.atleast_2d(np.asarray(betas, dtype=float)),
+        np.asarray(amplitudes, dtype=float),
+        t.size,
+    )[0]
     index = int(np.argmax(y))
     return float(y[index]), float(t[index])
 
@@ -220,7 +221,7 @@ class IvnLink:
         self._tag_aperture_m2 = self.tag_spec.antenna.effective_aperture_m2(
             self.reader.carrier_frequency_hz
         )
-        self._field_scale = math.sqrt(60.0 * self.eirp_per_branch_w())
+        self._field_scale = field_scale(self.eirp_per_branch_w())
         self._offsets = _read_only(self.plan.offsets_array())
         self._amplitudes = _read_only(self.plan.amplitudes_array())
         # Query window relative to the envelope peak; a trial adds t_peak.

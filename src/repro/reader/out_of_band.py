@@ -18,6 +18,7 @@ from repro.constants import (
     READER_CARRIER_FREQUENCY_HZ,
 )
 from repro.em.channel import BlindChannel
+from repro.em.propagation import field_scale
 from repro.errors import ConfigurationError
 from repro.gen2.decoder import DecodeResult, decode_fm0_response
 from repro.reader.jamming import JammingEstimate
@@ -37,6 +38,41 @@ class ReaderCapture:
     waveform: np.ndarray
     n_periods: int
     single_period_snr: float
+
+
+def backscatter_amplitude_v(
+    forward_gain: float,
+    tag_aperture_m2: float,
+    reader_eirp_w: float = 2.0,
+    reader_frequency_hz: float = READER_CARRIER_FREQUENCY_HZ,
+    rx_gain_linear: float = 10.0 ** 0.7,
+    modulation_depth: float = 0.5,
+    reference_ohms: float = 50.0,
+) -> float:
+    """Two-way backscatter budget (volts at the reader) for a known gain.
+
+    Reader EIRP -> field at the tag through the one-way field gain
+    ``forward_gain`` -> power captured by the tag aperture -> the
+    modulated fraction re-radiates -> back through the reciprocal path to
+    the reader's aperture. The squared dependence on ``forward_gain`` is
+    the physics the fleet's capture effect feeds on: a tag 4 cm deeper
+    loses twice the one-way dB on the uplink. Defaults are the prototype
+    reader's.
+    """
+    field_at_tag = field_scale(reader_eirp_w) * forward_gain
+    # Captured power through the tag aperture (free-space eta is close
+    # enough here; medium-specific eta enters the harvesting path).
+    eta = 376.73
+    captured_w = field_at_tag**2 / (2.0 * eta) * tag_aperture_m2
+    # The switching antenna re-radiates the modulated sideband.
+    reradiated_w = (modulation_depth**2 / 4.0) * captured_w
+    # Tag-as-transmitter back to the reader: reciprocal channel.
+    wavelength = 299792458.0 / reader_frequency_hz
+    back_power_gain = rx_gain_linear * (
+        wavelength * forward_gain / (4.0 * math.pi)
+    ) ** 2
+    received_w = reradiated_w * back_power_gain
+    return math.sqrt(2.0 * received_w * reference_ohms)
 
 
 class OutOfBandReader:
@@ -106,21 +142,15 @@ class OutOfBandReader:
         # Field gain of the reader->tag path (single reader antenna: use
         # the strongest element as the reader's mount point).
         forward_gain = float(np.max(np.abs(realization.gains)))
-        field_at_tag = math.sqrt(60.0 * self.eirp_w) * forward_gain
-        # Captured power through the tag aperture (free-space eta is close
-        # enough here; medium-specific eta enters the harvesting path).
-        eta = 376.73
-        captured_w = field_at_tag**2 / (2.0 * eta) * tag_aperture_m2
-        # The switching antenna re-radiates the modulated sideband.
-        reradiated_w = (modulation_depth**2 / 4.0) * captured_w
-        # Tag-as-transmitter back to the reader: reciprocal channel.
-        wavelength = 299792458.0 / self.carrier_frequency_hz
-        back_power_gain = (
-            self.rx_gain_linear
-            * (wavelength * forward_gain / (4.0 * math.pi)) ** 2
+        return backscatter_amplitude_v(
+            forward_gain,
+            tag_aperture_m2,
+            self.eirp_w,
+            self.carrier_frequency_hz,
+            self.rx_gain_linear,
+            modulation_depth,
+            self.chain.reference_ohms,
         )
-        received_w = reradiated_w * back_power_gain
-        return math.sqrt(2.0 * received_w * self.chain.reference_ohms)
 
     # -- capture -------------------------------------------------------------------
 

@@ -8,7 +8,7 @@ no caller selects one:
 * ``"fft"`` -- when :func:`fft_compatible` holds (every
   ``offset * duration`` is a distinct integer bin below the capture
   grid's Nyquist bin), the envelope over the grid is an inverse DFT of a
-  sparse spectrum (:func:`repro.core.optimizer.peak_amplitudes_fft`).
+  sparse spectrum (:func:`repro.core.optimizer.sparse_envelope`).
   Batch evaluation is bitwise identical to row-by-row evaluation, and it
   agrees with the direct sum to ~1e-13 relative (the summation order
   differs).
@@ -48,12 +48,13 @@ from repro.core.baselines import (
 )
 from repro.core.optimizer import (
     envelope_series_fft,
-    peak_amplitudes_fft,
+    sparse_envelope,
     validate_offset_bins,
 )
 from repro.core.plan import CarrierPlan
 from repro.em.channel import BlindChannel
 from repro.em.media import Medium
+from repro.em.propagation import field_scale
 from repro.harvester.tag_power import HarvesterFrontEnd
 from repro.kernels import rectifier_batch
 from repro.obs.context import current_obs
@@ -123,50 +124,6 @@ def _peak_tier(
     return "direct"
 
 
-def _direct_peaks(
-    offsets: np.ndarray,
-    betas: np.ndarray,
-    t: np.ndarray,
-    amplitudes: Optional[np.ndarray],
-) -> np.ndarray:
-    n_draws = betas.shape[0]
-    per_row = max(1, offsets.size * t.size)
-    rows = max(1, DIRECT_CHUNK_ELEMENTS // per_row)
-    out = np.empty(n_draws)
-    for start in range(0, n_draws, rows):
-        sl = slice(start, start + rows)
-        chunk_amps = (
-            amplitudes[sl]
-            if amplitudes is not None and amplitudes.ndim == 2
-            else amplitudes
-        )
-        out[sl] = waveform.batch_peak_envelope(offsets, betas[sl], t, chunk_amps)
-    return out
-
-
-def _fft_peaks(
-    offsets: np.ndarray,
-    betas: np.ndarray,
-    duration_s: float,
-    amplitudes: Optional[np.ndarray],
-    grid_size: int,
-) -> np.ndarray:
-    n_draws = betas.shape[0]
-    rows = max(1, FFT_CHUNK_ELEMENTS // max(1, grid_size))
-    out = np.empty(n_draws)
-    for start in range(0, n_draws, rows):
-        sl = slice(start, start + rows)
-        chunk_amps = (
-            amplitudes[sl]
-            if amplitudes is not None and amplitudes.ndim == 2
-            else amplitudes
-        )
-        out[sl] = peak_amplitudes_fft(
-            offsets, betas[sl], grid_size, chunk_amps, duration_s
-        )
-    return out
-
-
 def peak_amplitudes(
     offsets_hz: np.ndarray,
     betas: np.ndarray,
@@ -205,14 +162,37 @@ def _tier_peaks(
     oversample: int = waveform.DEFAULT_OVERSAMPLE,
 ) -> np.ndarray:
     """:func:`peak_amplitudes` on a tier the caller already picked with
-    :func:`_peak_tier`, so a chunk decides its tier once."""
+    :func:`_peak_tier`, so a chunk decides its tier once. Draws go
+    through the tier in row chunks of a bounded working set."""
     offsets = np.asarray(offsets_hz, dtype=float)
     betas = np.atleast_2d(np.asarray(betas, dtype=float))
     amps = None if amplitudes is None else np.asarray(amplitudes, dtype=float)
     t = waveform.time_grid(offsets, duration_s, oversample)
     if tier == "direct":
-        return _direct_peaks(offsets, betas, t, amps)
-    return _fft_peaks(offsets, betas, duration_s, amps, t.size)
+        rows = DIRECT_CHUNK_ELEMENTS // max(1, offsets.size * t.size)
+
+        def peaks(chunk_betas, chunk_amps):
+            return waveform.batch_peak_envelope(
+                offsets, chunk_betas, t, chunk_amps
+            )
+
+    else:
+        rows = FFT_CHUNK_ELEMENTS // max(1, t.size)
+        bins = validate_offset_bins(offsets, t.size, duration_s)
+        if amps is None:
+            amps = np.ones(bins.size)
+
+        def peaks(chunk_betas, chunk_amps):
+            envelope = sparse_envelope(bins, chunk_betas, chunk_amps, t.size)
+            return np.max(envelope, axis=1)
+
+    rows = max(1, rows)
+    per_draw = amps is not None and amps.ndim == 2
+    out = np.empty(betas.shape[0])
+    for start in range(0, betas.shape[0], rows):
+        sl = slice(start, start + rows)
+        out[sl] = peaks(betas[sl], amps[sl] if per_draw else amps)
+    return out
 
 
 def _blind_peaks(
@@ -424,15 +404,16 @@ def power_up_chunk(
 ) -> int:
     """Power-up successes among trials ``[start, start + count)``.
 
-    Batched equivalent of looping
-    :func:`repro.experiments.common.peak_input_voltage_v` over per-trial
-    generators and counting voltages above the tag threshold. A non-empty
-    ``fault_plan`` perturbs each trial's carriers and scales the harvested
-    voltage (tag detuning); an empty plan is bit-identical to omitting it.
+    Per trial: realize the channel and take the CIB envelope peak; then
+    turn the chunk's peaks into V_s in one front-end call and count the
+    voltages that clear the tag threshold. The per-trial oracle is
+    ``power_up_probability_scalar`` in ``tests/reference/measurement.py``
+    (bit for bit on the direct tier). A non-empty ``fault_plan`` perturbs each trial's carriers and
+    scales the harvested voltage (tag detuning); an empty plan is
+    bit-identical to omitting it.
     """
     obs = current_obs()
-    if eirp_per_branch_w <= 0:
-        raise ValueError("EIRP must be positive")
+    scale = field_scale(eirp_per_branch_w)
     offsets = plan.offsets_array()
     injector = _fault_injector(fault_plan, seed)
     # Per-trial offset drift under faults breaks the shared grids.
@@ -442,7 +423,6 @@ def power_up_chunk(
     threshold = tag_spec.minimum_input_voltage_v()
     n_antennas = plan.n_antennas
     plan_amps = plan.amplitudes_array()
-    field_scale = math.sqrt(60.0 * eirp_per_branch_w)
 
     betas = np.empty((count, n_antennas))
     amplitudes = np.empty((count, n_antennas))
@@ -462,7 +442,7 @@ def power_up_chunk(
             betas[index] = rng.uniform(0.0, _TWO_PI, size=gains.size) + np.angle(
                 gains
             )
-            amplitudes[index] = field_scale * np.abs(gains) * plan_amps
+            amplitudes[index] = scale * np.abs(gains) * plan_amps
 
     if obs.profile:
         _profile_chunk(obs, count, betas, amplitudes)
@@ -483,16 +463,12 @@ def power_up_chunk(
         chip_resistance_ohms=tag_spec.chip_resistance_ohms,
         liquid_aperture_factor=tag_spec.liquid_aperture_factor,
     )
-    successes = 0
-    for index, peak_field in enumerate(peak_fields):
-        voltage = front_end.input_voltage_amplitude_v(
-            float(peak_field), medium_at_tag, plan.center_frequency_hz
-        )
-        if voltage_scales is not None:
-            voltage *= voltage_scales[index]
-        if voltage >= threshold:
-            successes += 1
-    return successes
+    voltages = front_end.input_voltage_amplitude_v(
+        peak_fields, medium_at_tag, plan.center_frequency_hz
+    )
+    if voltage_scales is not None:
+        voltages = voltages * voltage_scales
+    return int(np.count_nonzero(voltages >= threshold))
 
 
 def _envelope_block(
@@ -557,8 +533,7 @@ def wakeup_latency_chunk(
     bit-identical to omitting it.
     """
     obs = current_obs()
-    if eirp_per_branch_w <= 0:
-        raise ValueError("EIRP must be positive")
+    scale = field_scale(eirp_per_branch_w)
     if n_trials_per_depth < 1:
         raise ValueError("need >= 1 trial per depth")
     total = len(depths_m) * n_trials_per_depth
@@ -570,7 +545,6 @@ def wakeup_latency_chunk(
     obs.metrics.counter("trials.processed").inc(count)
     offsets = plan.offsets_array()
     n_antennas = plan.n_antennas
-    field_scale = np.sqrt(60.0 * eirp_per_branch_w)
     dt_s = 1.0 / envelope_rate_hz
     n_samples = int(max_periods * envelope_rate_hz)
 
@@ -601,7 +575,7 @@ def wakeup_latency_chunk(
                 betas[row] = rng.uniform(
                     0.0, _TWO_PI, gains.size
                 ) + np.angle(gains)
-                amplitudes[row] = field_scale * np.abs(gains)
+                amplitudes[row] = scale * np.abs(gains)
                 # The scalar path builds a BatteryFreeSensor here, whose
                 # EPC consumes one 96-bit draw; replicate it (value unused)
                 # to keep the per-trial stream aligned.

@@ -4,8 +4,9 @@ The batched pipeline (stacked IFFTs, coarse shortlisting, steepest-ascent
 neighborhood batching, search islands) must select *bit-identical* plans to
 scoring every candidate row on its own under common random numbers --
 these tests pin that contract for ``optimize``, ``optimize_conduction`` and
-``rank_random_sets``, plus the shared sparse-spectrum builder's validation
-and the per-search evaluation accounting.
+``rank_random_sets``, plus the envelope primitive every sparse-spectrum
+path shares, its offset validation and the per-search evaluation
+accounting.
 """
 
 from dataclasses import replace
@@ -16,10 +17,10 @@ import pytest
 from repro.core.optimizer import (
     DEFAULT_GRID_SIZE,
     FrequencyOptimizer,
-    build_sparse_spectrum,
     envelope_series_fft,
     evaluate_stacked_specs,
     peak_amplitudes_fft,
+    sparse_envelope,
     validate_offset_bins,
 )
 from repro.core.waveform import envelope
@@ -57,12 +58,14 @@ class TestSparseSpectrumBuilder:
     def test_duplicate_bins_raise(self):
         betas = np.zeros((2, 4))
         with pytest.raises(ValueError):
-            build_sparse_spectrum((0, 7, 7, 20), betas)
+            envelope_series_fft((0, 7, 7, 20), betas, DEFAULT_GRID_SIZE)
 
     def test_out_of_range_bins_raise(self):
         betas = np.zeros((1, 2))
         with pytest.raises(ValueError):
-            build_sparse_spectrum((0, DEFAULT_GRID_SIZE // 2), betas)
+            envelope_series_fft(
+                (0, DEFAULT_GRID_SIZE // 2), betas, DEFAULT_GRID_SIZE
+            )
 
     def test_fractional_bins_raise(self):
         with pytest.raises(ValueError):
@@ -204,6 +207,68 @@ class TestEvaluationAccounting:
         optimizer.objective((0, 1, 2))
         optimizer.objective((0, 2, 5))
         assert optimizer.n_evaluations == 2
+
+
+def _inline_envelope(bins, betas, amplitudes, grid_size):
+    """The spectrum-then-IFFT expression each caller once wrote out."""
+    spectrum = np.zeros((betas.shape[0], grid_size), dtype=complex)
+    spectrum[:, bins] = amplitudes * np.exp(1j * betas)
+    return np.abs(np.fft.ifft(spectrum, axis=1) * grid_size)
+
+
+class TestSparseEnvelope:
+    GRID = 512
+
+    def _draws(self, seed, n_draws=6, n=5):
+        rng = np.random.default_rng(seed)
+        bins = np.sort(rng.choice(self.GRID // 2, size=n, replace=False))
+        betas = rng.uniform(0.0, 2.0 * np.pi, (n_draws, n))
+        return rng, bins, betas
+
+    @pytest.mark.parametrize("kind", ["ones", "shared", "per_draw"])
+    def test_matches_inline_ifft_bitwise(self, kind):
+        rng, bins, betas = self._draws(11)
+        amplitudes = {
+            "ones": np.ones(bins.size),
+            "shared": rng.uniform(0.0, 3.0, bins.size),
+            "per_draw": rng.uniform(0.0, 3.0, betas.shape),
+        }[kind]
+        got = sparse_envelope(bins, betas, amplitudes, self.GRID)
+        want = _inline_envelope(bins, betas, amplitudes, self.GRID)
+        assert got.tobytes() == want.tobytes()
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        rng, bins, betas = self._draws(12)
+        amplitudes = rng.uniform(0.0, 3.0, betas.shape)
+        batched = sparse_envelope(bins, betas, amplitudes, self.GRID)
+        for row in range(betas.shape[0]):
+            single = sparse_envelope(
+                bins, betas[row : row + 1], amplitudes[row], self.GRID
+            )
+            assert single[0].tobytes() == batched[row].tobytes()
+
+    def test_wrappers_reduce_the_primitive_rows(self):
+        _, bins, betas = self._draws(13)
+        rows = sparse_envelope(bins, betas, np.ones(bins.size), self.GRID)
+        offsets = bins.astype(float)
+        assert (
+            peak_amplitudes_fft(offsets, betas, self.GRID).tobytes()
+            == rows.max(axis=1).tobytes()
+        )
+        assert (
+            envelope_series_fft(offsets, betas, self.GRID).tobytes()
+            == rows.tobytes()
+        )
+
+    def test_conduction_objective_thresholds_the_rows(self):
+        optimizer = FrequencyOptimizer(4, n_draws=8, seed=3)
+        offsets = (0, 5, 17, 40)
+        rows = envelope_series_fft(
+            offsets, optimizer._betas, optimizer.grid_size
+        )
+        assert optimizer.conduction_objective(offsets, 2.0) == float(
+            np.mean(rows > 2.0)
+        )
 
 
 class TestEnvelopeSeriesFft:

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.em import media
 from repro.em.propagation import (
+    field_scale,
     field_transmittance,
     free_space_field_amplitude,
     friis_received_power,
@@ -91,6 +93,33 @@ class TestHarvestedPower:
             harvested_power(-1.0, media.AIR, F, 1e-4)
         with pytest.raises(ValueError):
             harvested_power(1.0, media.AIR, F, 0.0)
+
+
+    def test_array_fields_match_scalar_calls(self):
+        fields = np.random.default_rng(9).lognormal(0.0, 2.0, 2000)
+        fields[:2] = (0.0, np.nan)
+        powers = harvested_power(fields, media.MUSCLE, F, 1e-4)
+        scalar = [
+            harvested_power(field, media.MUSCLE, F, 1e-4)
+            for field in fields.tolist()
+        ]
+        assert powers.tobytes() == np.array(scalar).tobytes()
+        assert type(scalar[2]) is float
+
+    def test_negative_array_element_rejected(self):
+        with pytest.raises(ValueError, match="-2.0"):
+            harvested_power(np.array([1.0, -2.0]), media.AIR, F, 1e-4)
+
+
+class TestFieldScale:
+    def test_is_sqrt_60_eirp(self):
+        for eirp in (0.5, 2.0, 6.0, 7.3):
+            assert field_scale(eirp) == math.sqrt(60.0 * eirp)
+
+    @pytest.mark.parametrize("eirp", [0.0, -1.0])
+    def test_rejects_non_positive_eirp(self, eirp):
+        with pytest.raises(ValueError, match="EIRP"):
+            field_scale(eirp)
 
 
 class TestFriis:

@@ -11,10 +11,10 @@ from repro.experiments.common import (
     GainSample,
     measure_gain_trials,
     measure_strategy_gains,
-    peak_input_voltage_v,
     power_up_probability,
 )
 from repro.sensors.tags import standard_tag_spec
+from tests.reference.measurement import peak_input_voltage_v
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ from repro.faults.plan import (
 from repro.fleet.campaign import FleetCampaignConfig, shard_airtime_s
 from repro.fleet.collision import RoundOutcome, ShardInventoryResult, run_inventory
 from repro.fleet.population import FleetConfig, generate_shard
+from repro.harvester.tag_power import HarvesterFrontEnd
 from tests.reference.fleet import (
     generate_shard_reference,
     shard_airtime_reference,
@@ -90,6 +91,24 @@ def test_generate_shard_matches_reference(config, plan):
         assert [r.bit_generator.state for r in got.mac_rngs] == [
             r.bit_generator.state for r in want.mac_rngs
         ]
+
+
+def test_shard_reaches_voltage_in_one_front_end_call(monkeypatch):
+    calls = []
+    original = HarvesterFrontEnd.input_voltage_amplitude_v
+
+    def counting(self, fields, *args):
+        calls.append(np.shape(fields))
+        return original(self, fields, *args)
+
+    monkeypatch.setattr(
+        HarvesterFrontEnd, "input_voltage_amplitude_v", counting
+    )
+    config, plan = CASES[3]
+    for shard in range(config.n_shards):
+        got = generate_shard(config, shard, fault_plan=plan)
+        assert calls[-1] == (got.n_tags,)
+    assert len(calls) == config.n_shards
 
 
 def test_cases_cover_the_generator_inputs():

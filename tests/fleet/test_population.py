@@ -7,12 +7,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults.plan import antenna_dropout
-from repro.fleet.population import (
-    FleetConfig,
-    backscatter_amplitude_v,
-    generate_shard,
-    shard_bounds,
-)
+from repro.fleet.population import FleetConfig, generate_shard, shard_bounds
+from repro.reader.out_of_band import backscatter_amplitude_v
 
 SMALL = FleetConfig(n_tags=12, n_shards=3, seed=17)
 

@@ -7,8 +7,19 @@ from repro.em import media
 from repro.errors import ConfigurationError
 from repro.harvester.tag_power import HarvesterFrontEnd, TagPowerModel
 from repro.rf.antenna import MINIATURE_TAG_ANTENNA, STANDARD_TAG_ANTENNA
+from tests.reference.measurement import input_voltage_reference
 
 F = 915e6
+
+
+def _pow_sensitive_fields(count=60_000, seed=23):
+    """Fields whose libm ``x**2`` differs from ``x * x`` on this platform.
+
+    These are the values where squaring the array with numpy (``x * x``,
+    ``np.square``) would change V_s bits against the scalar path.
+    """
+    fields = np.random.default_rng(seed).lognormal(0.0, 2.0, count)
+    return np.array([x for x in fields.tolist() if x * x != x**2])
 
 
 @pytest.fixture
@@ -48,6 +59,75 @@ class TestFrontEnd:
             HarvesterFrontEnd(
                 antenna=STANDARD_TAG_ANTENNA, liquid_aperture_factor=0
             )
+
+
+class TestArrayFrontEnd:
+    """The array front end is the scalar path, element by element."""
+
+    @pytest.mark.parametrize("medium", [media.AIR, media.WATER])
+    def test_array_matches_scalar_bitwise(self, medium):
+        front_end = HarvesterFrontEnd(
+            antenna=STANDARD_TAG_ANTENNA, liquid_aperture_factor=0.5
+        )
+        sensitive = _pow_sensitive_fields()
+        fields = np.concatenate(
+            [
+                sensitive,
+                [0.0, np.nan],
+                np.random.default_rng(4).lognormal(0.0, 1.0, 200),
+            ]
+        )
+        got = front_end.input_voltage_amplitude_v(fields, medium, F)
+        want = np.array(
+            [
+                input_voltage_reference(front_end, field, medium, F)
+                for field in fields.tolist()
+            ]
+        )
+        assert got.dtype == np.float64 and got.shape == fields.shape
+        assert got.tobytes() == want.tobytes()
+        assert got[sensitive.size] == 0.0
+        assert np.isnan(got[sensitive.size + 1])
+
+    def test_scalar_in_float_out(self, standard_front_end):
+        voltage = standard_front_end.input_voltage_amplitude_v(
+            1.7, media.AIR, F
+        )
+        assert type(voltage) is float
+        assert voltage == input_voltage_reference(
+            standard_front_end, 1.7, media.AIR, F
+        )
+        assert type(TagPowerModel(standard_front_end).powers_up_at_peak(
+            voltage
+        )) is bool
+
+    def test_two_dimensional_fields_keep_their_shape(self, standard_front_end):
+        fields = np.arange(6.0).reshape(2, 3)
+        voltages = standard_front_end.input_voltage_amplitude_v(
+            fields, media.AIR, F
+        )
+        assert voltages.shape == (2, 3)
+        assert voltages[1, 2] == standard_front_end.input_voltage_amplitude_v(
+            5.0, media.AIR, F
+        )
+
+    def test_negative_element_raises(self, standard_front_end):
+        with pytest.raises(ValueError, match="non-negative"):
+            standard_front_end.input_voltage_amplitude_v(
+                np.array([1.0, np.nan, -0.5]), media.AIR, F
+            )
+        with pytest.raises(ValueError):
+            TagPowerModel(standard_front_end).powers_up_at_peak(
+                np.array([0.9, -1.0])
+            )
+
+    def test_nan_peak_stays_unpowered(self, standard_front_end):
+        model = TagPowerModel(standard_front_end)
+        peaks = np.array([0.0, np.nan, 0.70, 0.80])
+        powered = model.powers_up_at_peak(peaks)
+        assert powered.dtype == bool
+        assert powered.tolist() == [False, False, False, True]
+        assert model.powers_up_at_peak(float("nan")) is False
 
 
 class TestTagPowerModel:

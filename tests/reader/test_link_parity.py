@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import waveform
+from repro.core.optimizer import peak_amplitudes_fft
 from repro.core.plan import CarrierPlan, paper_plan
 from repro.em import media
 from repro.em.multipath import INDOOR_MULTIPATH, NO_MULTIPATH
@@ -218,3 +219,17 @@ class TestCibPeakParity:
             want = cib_peak_reference(offsets, betas, amplitudes)
             assert _bits(got[0]) == _bits(want[0])
             assert _bits(got[1]) == _bits(want[1])
+
+    def test_integer_peak_is_the_shared_primitive_row_max(self):
+        # cib_peak, the runtime engine and the optimizer all reduce the
+        # rows of one envelope primitive: the same peak, bit for bit.
+        rng = np.random.default_rng(78)
+        for _ in range(50):
+            n = int(rng.integers(1, 11))
+            offsets = rng.choice(300, size=n, replace=False).astype(float)
+            betas = rng.uniform(0.0, 2.0 * np.pi, n)
+            amplitudes = rng.uniform(0.0, 5.0, n)
+            grid = waveform.time_grid(offsets, 1.0).size
+            peak, _ = cib_peak(offsets, betas, amplitudes)
+            want = peak_amplitudes_fft(offsets, betas, grid, amplitudes)[0]
+            assert _bits(peak) == _bits(want)

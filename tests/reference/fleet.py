@@ -45,7 +45,6 @@ from repro.fleet.population import (
     TAG_ANTENNAS,
     FleetConfig,
     TagSet,
-    backscatter_amplitude_v,
     shard_bounds,
 )
 from repro.harvester.tag_power import HarvesterFrontEnd, TagPowerModel
@@ -59,7 +58,9 @@ from repro.gen2.fm0 import (
 from repro.gen2.inventory import QAlgorithm
 from repro.gen2.tag_state import Gen2Tag
 from repro.obs.context import current_obs
+from repro.reader.out_of_band import backscatter_amplitude_v
 from tests.reference.kernels import capture_response_scalar
+from tests.reference.measurement import input_voltage_reference
 
 
 def _tag_rng(
@@ -151,8 +152,8 @@ def generate_shard_reference(
             element_scale,
         )
         peak_field = float(np.sum(element_fields * perturbed.amplitudes))
-        voltage = front_end.input_voltage_amplitude_v(
-            peak_field, medium, config.frequency_hz
+        voltage = input_voltage_reference(
+            front_end, peak_field, medium, config.frequency_hz
         )
         voltage *= perturbed.voltage_scale
         forward_gain = float(

@@ -7,8 +7,14 @@ References for :func:`repro.experiments.common.measure_gain_trials`,
 :func:`repro.runtime.engine.peak_amplitudes`. The batched engine's direct
 tier (taken for offsets that are not distinct integer bins) reproduces
 them bit for bit at fixed seeds; its FFT tier agrees to ~1e-13 relative.
+
+:func:`input_voltage_reference` is the scalar Eq. 3 front end that the
+array-valued ``HarvesterFrontEnd.input_voltage_amplitude_v`` must match
+bit for bit; :func:`peak_input_voltage_v` is the one-trial CIB peak ->
+V_s path built on it.
 """
 
+import math
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -24,12 +30,61 @@ from repro.core.baselines import (
 from repro.core.plan import CarrierPlan
 from repro.em.channel import BlindChannel
 from repro.em.media import Medium
-from repro.experiments.common import (
-    CAPTURE_DURATION_S,
-    GainSample,
-    peak_input_voltage_v,
-)
+from repro.experiments.common import CAPTURE_DURATION_S, GainSample
+from repro.harvester.tag_power import HarvesterFrontEnd
 from repro.sensors.tags import TagSpec
+
+
+def input_voltage_reference(
+    front_end: HarvesterFrontEnd,
+    field_amplitude_v_per_m: float,
+    medium: Medium,
+    frequency_hz: float,
+) -> float:
+    """Scalar V_s of one field: Eq. 3 power, then ``sqrt(2 P R)``."""
+    if field_amplitude_v_per_m < 0:
+        raise ValueError("field amplitude must be non-negative")
+    eta = abs(medium.wave_impedance(frequency_hz))
+    aperture = front_end.effective_aperture_in(medium, frequency_hz)
+    power = field_amplitude_v_per_m**2 / 2.0 / eta * aperture
+    return math.sqrt(2.0 * power * front_end.chip_resistance_ohms)
+
+
+def peak_input_voltage_v(
+    plan: CarrierPlan,
+    channel: BlindChannel,
+    medium_at_tag: Medium,
+    eirp_per_branch_w: float,
+    tag_spec: TagSpec,
+    rng: np.random.Generator,
+) -> float:
+    """Peak rectifier input amplitude V_s of one CIB trial.
+
+    The power-up path of :class:`repro.reader.link.IvnLink` without the
+    downlink/uplink stages, on the direct envelope sum; reference for
+    :func:`repro.runtime.engine.power_up_chunk`.
+    """
+    if eirp_per_branch_w <= 0:
+        raise ValueError("EIRP must be positive")
+    realization = channel.realize(rng, plan.center_frequency_hz)
+    gains = realization.gains[: plan.n_antennas]
+    betas = rng.uniform(0.0, 2.0 * math.pi, size=gains.size) + np.angle(gains)
+    amplitudes = (
+        math.sqrt(60.0 * eirp_per_branch_w)
+        * np.abs(gains)
+        * plan.amplitudes_array()[: gains.size]
+    )
+    peak_field, _ = waveform.peak_envelope(
+        plan.offsets_array()[: gains.size], betas, 1.0, amplitudes
+    )
+    front_end = HarvesterFrontEnd(
+        antenna=tag_spec.antenna,
+        chip_resistance_ohms=tag_spec.chip_resistance_ohms,
+        liquid_aperture_factor=tag_spec.liquid_aperture_factor,
+    )
+    return input_voltage_reference(
+        front_end, peak_field, medium_at_tag, plan.center_frequency_hz
+    )
 
 
 def measure_gain_trials_scalar(

@@ -4,7 +4,12 @@ import numpy as np
 
 from repro.core import waveform
 from repro.core.plan import paper_plan
+from repro.em.media import WATER
+from repro.em.phantoms import WaterTankPhantom
+from repro.experiments.common import TankChannelFactory
+from repro.harvester.tag_power import HarvesterFrontEnd
 from repro.runtime import engine
+from repro.sensors.tags import standard_tag_spec
 from tests.reference.measurement import peak_amplitudes_scalar
 
 
@@ -43,14 +48,18 @@ class TestTierFromInput:
     @staticmethod
     def _tiers_taken(monkeypatch, offsets, duration_s):
         taken = []
-        for tier in ("fft", "direct"):
-            original = getattr(engine, f"_{tier}_peaks")
+        kernels = (
+            ("fft", engine, "sparse_envelope"),
+            ("direct", waveform, "batch_peak_envelope"),
+        )
+        for tier, module, name in kernels:
+            original = getattr(module, name)
 
             def spy(*args, _tier=tier, _original=original):
                 taken.append(_tier)
                 return _original(*args)
 
-            monkeypatch.setattr(engine, f"_{tier}_peaks", spy)
+            monkeypatch.setattr(module, name, spy)
         betas = _random_betas(3, len(offsets))
         engine.peak_amplitudes(np.asarray(offsets), betas, duration_s)
         return taken
@@ -118,3 +127,28 @@ class TestPeakAmplitudes:
         np.testing.assert_array_equal(
             fft_full, engine.peak_amplitudes(offsets, betas, 2.0)
         )
+
+
+class TestPowerUpChunk:
+    def test_chunk_reaches_voltage_in_one_front_end_call(self, monkeypatch):
+        calls = []
+        original = HarvesterFrontEnd.input_voltage_amplitude_v
+
+        def counting(self, fields, *args):
+            calls.append(np.shape(fields))
+            return original(self, fields, *args)
+
+        monkeypatch.setattr(
+            HarvesterFrontEnd, "input_voltage_amplitude_v", counting
+        )
+        plan = paper_plan()
+        factory = TankChannelFactory(
+            WaterTankPhantom(standoff_m=0.9),
+            plan.n_antennas,
+            0.16,
+            plan.center_frequency_hz,
+        )
+        engine.power_up_chunk(
+            0, 9, plan, factory, WATER, 6.0, standard_tag_spec(), seed=3
+        )
+        assert calls == [(9,)]
