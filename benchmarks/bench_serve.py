@@ -7,8 +7,8 @@ distinct searches -- is served two ways:
   the per-request cost a naive service would pay; and
 * **batched**: the same requests submitted concurrently to a
   :class:`~repro.serve.service.PlanService`, whose micro-batcher collapses
-  same-key requests into one search and co-stacks the distinct searches'
-  scoring rounds into shared IFFT calls.
+  same-key requests into one search and runs the distinct searches as one
+  runner map.
 
 ``test_serve_throughput_gate`` holds the batched service to a >= 3x
 plans/s advantage while asserting every response is **bit-identical** to
@@ -148,7 +148,7 @@ def test_serve_throughput_gate(benchmark, emit):
     speedup = serial_wall / batched_wall
 
     # Determinism: every response is bit-identical to its cold computation,
-    # regardless of which batch/co-stacking schedule served it.
+    # regardless of which batch schedule served it.
     for request, response, serial in zip(requests, responses, serial_results):
         assert response["result"] == result_to_json(serial), (
             f"served plan for {request.kind}/{request.n_antennas}/"
@@ -185,16 +185,14 @@ def test_serve_throughput_gate(benchmark, emit):
     )
 
 
-def test_serve_co_stacking_distinct_keys(benchmark, emit):
+def test_serve_distinct_keys_batch(benchmark, emit):
     """Informational: all-distinct-key batch vs the same searches solo.
 
     No gate -- with every request a different search there is no
-    coalescing, only co-stacked scoring rounds. On one core the stacked
-    IFFTs do the same FLOPs as solo scoring, so the ratio hovers around
-    break-even (the barrier trades per-call overhead for sync overhead;
-    its real upside is sharding rounds across a multi-worker pool). What
-    this bench pins is the determinism contract: co-stacked results stay
-    bit-identical to cold solo computation.
+    coalescing: the batch runs the six searches one after another
+    in-process, so the ratio hovers around break-even. What this bench
+    pins is the determinism contract: a batch's plans stay bit-identical
+    to cold solo computation.
     """
     requests = [
         parse_request(
@@ -233,10 +231,10 @@ def test_serve_co_stacking_distinct_keys(benchmark, emit):
         assert response["result"] == result_to_json(serial)
 
     table = Table(
-        "Co-stacked scoring -- six distinct searches in one batch",
+        "Distinct-key batch -- six searches in one batch",
         ("quantity", "value"),
     )
     table.add_row("serialized wall (s)", serial_wall)
-    table.add_row("co-stacked wall (s)", batched_wall)
+    table.add_row("batched wall (s)", batched_wall)
     table.add_row("ratio", serial_wall / batched_wall)
     emit(table)

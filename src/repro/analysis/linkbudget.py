@@ -115,8 +115,10 @@ def downlink_budget(
             (the E[max Y]/N of the frequency plan; ~0.8 for good sets).
         orientation_gain: Amplitude factor for tag orientation.
     """
-    if eirp_per_branch_w <= 0:
-        raise ConfigurationError("EIRP must be positive")
+    if not 0 < eirp_per_branch_w < math.inf:
+        raise ConfigurationError(
+            f"EIRP must be positive and finite, got {eirp_per_branch_w}"
+        )
     if n_antennas < 1:
         raise ConfigurationError("need at least one antenna")
     if not 0 < peak_alignment <= 1:

@@ -40,7 +40,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,22 +83,19 @@ engine's 8M-element streaming cap, so the search uses a tighter chunk.
 class StackedScoreSpec:
     """One stacked scoring call, reduced to scatter-ready arrays.
 
-    The picklable currency of the batched scoring kernel: everything
-    :meth:`FrequencyOptimizer._stacked_values` needs to score its candidate
-    rows, with the shift/re-centring and precision decisions already baked
-    in.  Because each row's inverse FFT is independent of whatever rows it
-    is stacked with (the row-stability the batched-search equivalence
-    tests pin down), specs from *different* optimizers -- even different
-    searches serving different requests -- can be co-stacked into one IFFT
-    by :func:`evaluate_stacked_specs` and still score bit-identically to
-    evaluating each spec alone.
+    Everything :meth:`FrequencyOptimizer._stacked_values` needs to score
+    its candidate rows, with the shift/re-centring and precision decisions
+    already baked in. Each row's inverse FFT is independent of whatever
+    rows share its chunk (the row-stability the batched-search equivalence
+    tests pin down), so scoring a spec's rows one at a time through
+    :func:`evaluate_stacked_specs` gives bit-identical values.
 
     Attributes:
         scatter: (C, N) int64 bin indices per candidate row, already
             re-centred (mod ``grid_size``) when the coarse shift applies.
         phasors: (D, N) complex phase factors shared by every candidate
             (``complex64`` on the single-precision coarse path).
-        grid_size: IFFT length; specs only co-stack with equal grids.
+        grid_size: IFFT length.
         kind: ``"peak"`` or ``"conduction"`` reduction.
         cutoff: Conduction threshold on the evaluated scale (already
             divided by ``grid_size`` on the unscaled coarse path).
@@ -135,88 +132,43 @@ def _reduce_stacked_magnitude(
 def evaluate_stacked_specs(
     specs: Sequence[StackedScoreSpec],
 ) -> List[np.ndarray]:
-    """Score many specs, co-stacking compatible ones into shared IFFTs.
+    """Score each spec's candidate rows through chunked stacked IFFTs.
 
-    Specs are grouped by ``(grid_size, single)``; within a group the
-    candidate rows of *all* specs are flattened into one worklist and
-    chunked by the same :data:`FFT_ROW_CHUNK_ELEMENTS` row budget the
-    in-optimizer kernel uses, so one inverse FFT can span candidates from
-    several requests.  Per-candidate reductions keep every value
-    bit-identical to evaluating its spec alone -- the determinism contract
-    the serve batcher relies on.
+    A spec's rows are chunked by the :data:`FFT_ROW_CHUNK_ELEMENTS` row
+    budget (whole candidates per chunk, at least one), each chunk runs one
+    inverse FFT, and every candidate is reduced from its own
+    ``(draws, grid)`` block, so a value never depends on which rows shared
+    its chunk.
 
     Returns:
         One ``(C_i,)`` float array per input spec, in input order.
     """
-    results: List[Optional[np.ndarray]] = [None] * len(specs)
-    groups: Dict[Tuple[int, bool], List[int]] = {}
-    for index, spec in enumerate(specs):
-        if spec.kind not in ("peak", "conduction"):
-            raise ValueError(f"unknown spec kind {spec.kind!r}")
-        groups.setdefault((spec.grid_size, spec.single), []).append(index)
-    for (grid_size, single), indices in groups.items():
-        for position, values in zip(
-            indices,
-            _evaluate_spec_group(
-                [specs[i] for i in indices], grid_size, single
-            ),
-        ):
-            results[position] = values
-    return results  # type: ignore[return-value]
+    return [_evaluate_spec(spec) for spec in specs]
 
 
-def _evaluate_spec_group(
-    group: Sequence[StackedScoreSpec], grid_size: int, single: bool
-) -> List[np.ndarray]:
-    """Score one compatible group of specs through chunked shared IFFTs."""
-    dtype = np.complex64 if single else complex
-    values = [np.empty(spec.n_candidates) for spec in group]
-    row_budget = max(1, FFT_ROW_CHUNK_ELEMENTS // grid_size)
-    pending: List[Tuple[int, int]] = []  # (spec position, candidate index)
-    pending_rows = 0
-
-    def flush() -> None:
-        nonlocal pending, pending_rows
-        if not pending:
-            return
-        spectrum = np.zeros((pending_rows, grid_size), dtype=dtype)
-        offset = 0
-        for position, candidate in pending:
-            spec = group[position]
-            draws = spec.n_draws
-            spectrum[
-                offset : offset + draws, spec.scatter[candidate]
-            ] = spec.phasors
-            offset += draws
-        if single:
+def _evaluate_spec(spec: StackedScoreSpec) -> np.ndarray:
+    """One spec's candidate values, chunk by chunk."""
+    if spec.kind not in ("peak", "conduction"):
+        raise ValueError(f"unknown spec kind {spec.kind!r}")
+    grid_size, draws = spec.grid_size, spec.n_draws
+    dtype = np.complex64 if spec.single else complex
+    values = np.empty(spec.n_candidates)
+    per_chunk = max(1, FFT_ROW_CHUNK_ELEMENTS // grid_size // draws)
+    for lo in range(0, spec.n_candidates, per_chunk):
+        chunk = spec.scatter[lo : lo + per_chunk]
+        spectrum = np.zeros((chunk.shape[0] * draws, grid_size), dtype=dtype)
+        for row, bins in enumerate(chunk):
+            spectrum[row * draws : (row + 1) * draws, bins] = spec.phasors
+        if spec.single:
             signal = _coarse_ifft(spectrum, axis=1)
         else:
             signal = np.fft.ifft(spectrum, axis=1) * grid_size
         magnitude = np.abs(signal)
-        offset = 0
-        for position, candidate in pending:
-            spec = group[position]
-            draws = spec.n_draws
-            values[position][candidate] = _reduce_stacked_magnitude(
-                spec, magnitude[offset : offset + draws]
+        for row in range(chunk.shape[0]):
+            values[lo + row] = _reduce_stacked_magnitude(
+                spec, magnitude[row * draws : (row + 1) * draws]
             )
-            offset += draws
-        pending = []
-        pending_rows = 0
-
-    for position, spec in enumerate(group):
-        draws = spec.n_draws
-        for candidate in range(spec.n_candidates):
-            if pending and pending_rows + draws > row_budget:
-                flush()
-            pending.append((position, candidate))
-            pending_rows += draws
-    flush()
     return values
-
-
-BatchScorer = Callable[[StackedScoreSpec], np.ndarray]
-"""Signature of a :attr:`FrequencyOptimizer.batch_scorer` hook."""
 
 
 @dataclass(frozen=True)
@@ -489,12 +441,6 @@ class FrequencyOptimizer:
         self._phasors_single = self._phasors.astype(np.complex64)
         self.n_evaluations = 0
         self._coarse_grid_size = self._pick_coarse_grid()
-        #: Optional hook receiving every stacked scoring call as a
-        #: :class:`StackedScoreSpec`. The serve batcher installs one so
-        #: concurrent searches rendezvous their scoring rounds into shared
-        #: IFFTs; ``None`` evaluates in-process. Either way the values are
-        #: bit-identical (see :func:`evaluate_stacked_specs`).
-        self.batch_scorer: Optional[BatchScorer] = None
 
     @property
     def n_draws(self) -> int:
@@ -743,13 +689,9 @@ class FrequencyOptimizer:
         Builds the stacked ``(rows * n_draws, grid_size)`` sparse spectrum
         in chunks bounded by :data:`FFT_ROW_CHUNK_ELEMENTS`, runs one
         inverse FFT per chunk, and reduces per candidate (see
-        :func:`evaluate_stacked_specs`, which also lets an installed
-        :attr:`batch_scorer` co-stack this call with concurrent searches
-        without changing any bits).
+        :func:`evaluate_stacked_specs`).
         """
         spec = self._score_spec(candidates, grid_size, shift, kind, threshold)
-        if self.batch_scorer is not None:
-            return np.asarray(self.batch_scorer(spec), dtype=float)
         return evaluate_stacked_specs([spec])[0]
 
     def _score_matrix(

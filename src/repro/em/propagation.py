@@ -19,16 +19,20 @@ import numpy as np
 
 from repro.constants import FREE_SPACE_IMPEDANCE
 from repro.em.media import AIR, Medium
+from repro.errors import ConfigurationError
 
 
 def field_scale(eirp_watts: float) -> float:
     """Peak field per unit channel gain, ``sqrt(60 * EIRP)``.
 
     Channel gains carry the 1/r spreading and tissue loss, so a carrier's
-    field amplitude at the tag is ``field_scale(EIRP) * |gain|``.
+    field amplitude at the tag is ``field_scale(EIRP) * |gain|``. A zero,
+    negative, NaN or infinite EIRP raises :class:`ConfigurationError`.
     """
-    if eirp_watts <= 0:
-        raise ValueError(f"EIRP must be positive, got {eirp_watts}")
+    if not 0 < eirp_watts < math.inf:
+        raise ConfigurationError(
+            f"EIRP must be positive and finite, got {eirp_watts}"
+        )
     return math.sqrt(60.0 * eirp_watts)
 
 

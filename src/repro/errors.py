@@ -5,8 +5,12 @@ class ReproError(Exception):
     """Base class for all library-specific errors."""
 
 
-class ConfigurationError(ReproError):
-    """A component was constructed with inconsistent or invalid parameters."""
+class ConfigurationError(ReproError, ValueError):
+    """A component was constructed with inconsistent or invalid parameters.
+
+    Also a ``ValueError``, so callers validating arguments catch it the
+    same way whichever layer rejected the value.
+    """
 
 
 class ConstraintViolationError(ReproError):

@@ -50,6 +50,7 @@ import dataclasses
 import json
 import sys
 import time
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.experiments import (
@@ -136,40 +137,31 @@ def _run_figure(
     return module.run(config)
 
 
-def _run_ablations(
-    fast: bool,
-    workers: int = 1,
-    record: Optional[dict] = None,
-    adaptive=None,
-):
-    config = (
-        ablations.AblationConfig.fast() if fast else ablations.AblationConfig()
-    )
-    config = _configure(config, workers, adaptive)
-    if record is not None:
-        record["config"] = config
-    return ablations.run(config)
+_MODULES = {
+    "ablations": ablations,
+    "ber": ber,
+    "constraints": constraint_check,
+    "degradation": degradation,
+    "fig04": fig04,
+    "fig05": fig05,
+    "fig06": fig06,
+    "fig09": fig09,
+    "fig10": fig10,
+    "fig11": fig11,
+    "fig12": fig12,
+    "fig13": fig13,
+    "fleet": fleet,
+    "invivo": invivo,
+    "optogenetics": optogenetics,
+    "sensitivity": sensitivity,
+    "throughput": inventory_throughput,
+    "wakeup": wakeup_latency,
+}
 
-
+# Every entry takes ``(fast, workers, record=None, adaptive=None)``;
+# ``_configure`` applies --workers / --adaptive where the config has them.
 EXPERIMENTS: Dict[str, Callable[..., object]] = {
-    "fig04": lambda fast, workers, record=None, adaptive=None: _run_figure(fig04, fast, workers, record, adaptive),
-    "fig05": lambda fast, workers, record=None, adaptive=None: _run_figure(fig05, fast, record=record),
-    "fig06": lambda fast, workers, record=None, adaptive=None: _run_figure(fig06, fast, record=record),
-    "fig09": lambda fast, workers, record=None, adaptive=None: _run_figure(fig09, fast, workers, record, adaptive),
-    "fig10": lambda fast, workers, record=None, adaptive=None: _run_figure(fig10, fast, workers, record, adaptive),
-    "fig11": lambda fast, workers, record=None, adaptive=None: _run_figure(fig11, fast, workers, record, adaptive),
-    "fig12": lambda fast, workers, record=None, adaptive=None: _run_figure(fig12, fast, workers, record),
-    "fig13": lambda fast, workers, record=None, adaptive=None: _run_figure(fig13, fast, workers, record, adaptive),
-    "fleet": lambda fast, workers, record=None, adaptive=None: _run_figure(fleet, fast, workers, record),
-    "invivo": lambda fast, workers, record=None, adaptive=None: _run_figure(invivo, fast, record=record),
-    "optogenetics": lambda fast, workers, record=None, adaptive=None: _run_figure(optogenetics, fast, record=record),
-    "throughput": lambda fast, workers, record=None, adaptive=None: _run_figure(inventory_throughput, fast, record=record),
-    "wakeup": lambda fast, workers, record=None, adaptive=None: _run_figure(wakeup_latency, fast, record=record, adaptive=adaptive),
-    "sensitivity": lambda fast, workers, record=None, adaptive=None: _run_figure(sensitivity, fast, record=record),
-    "ber": lambda fast, workers, record=None, adaptive=None: _run_figure(ber, fast, workers, record, adaptive),
-    "constraints": lambda fast, workers, record=None, adaptive=None: constraint_check.run(),
-    "degradation": lambda fast, workers, record=None, adaptive=None: _run_figure(degradation, fast, workers, record),
-    "ablations": _run_ablations,
+    name: partial(_run_figure, module) for name, module in _MODULES.items()
 }
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.constants import DEFAULT_BACKSCATTER_LINK_FREQUENCY_HZ
 from repro.experiments.report import Table
+from repro.fleet.campaign import shard_airtime_s
 from repro.fleet.collision import run_inventory
 from repro.fleet.population import TagSet
 from repro.gen2.fm0 import symbol_duration_s
@@ -136,7 +137,6 @@ def _population_tag_set(population: int, population_seq) -> TagSet:
 
 
 def run(config: ThroughputConfig = ThroughputConfig()) -> ThroughputResult:
-    airtime = AirtimeModel(blf_hz=config.blf_hz)
     rows: List[Tuple[int, int, float, float, float]] = []
     root = np.random.SeedSequence(config.seed)
     for population, population_seq in zip(
@@ -149,13 +149,11 @@ def run(config: ThroughputConfig = ThroughputConfig()) -> ThroughputResult:
             initial_q=config.initial_q,
             max_rounds=config.max_rounds,
         )
-        total_airtime = 0.0
-        total_slots = 0
-        for outcome in result.rounds:
-            total_airtime += airtime.query_s()
-            for slot in range(outcome.n_replies.size):
-                total_airtime += airtime.slot_s(outcome.legacy_kind(slot))
-                total_slots += 1
+        # Ideal arbitration decodes exactly the one-reply slots, so the
+        # fleet accumulator's decoded/occupied split is the seed MAC's
+        # singleton/collision split.
+        total_airtime = shard_airtime_s(result, config.blf_hz)
+        total_slots = sum(outcome.n_replies.size for outcome in result.rounds)
         read = result.reads
         rate = read / total_airtime if total_airtime > 0 else 0.0
         efficiency = read / total_slots if total_slots else 0.0

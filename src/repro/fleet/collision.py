@@ -149,13 +149,6 @@ class RoundOutcome:
     decoded: np.ndarray
     winners: np.ndarray
 
-    def legacy_kind(self, slot: int) -> str:
-        """The seed MAC's outcome label, from reply counts alone."""
-        count = int(self.n_replies[slot])
-        if count == 0:
-            return "empty"
-        return "singleton" if count == 1 else "collision"
-
 
 @dataclass
 class ShardInventoryResult:

@@ -209,11 +209,11 @@ class IvnLink:
         self.n_averaging_periods = int(n_averaging_periods)
         self.reader_distance_m = float(reader_distance_m)
         self.query = query if query is not None else Query(q=0)
-        if eirp_per_branch_w is not None and eirp_per_branch_w <= 0:
-            raise ConfigurationError("EIRP override must be positive")
         self._eirp_override_w = eirp_per_branch_w
         # Per-link constants: the plan, query, reader and tag are fixed
-        # after construction, so every trial reuses these.
+        # after construction, so every trial reuses these. The field scale
+        # comes first: it rejects a bad EIRP.
+        self._field_scale = field_scale(self.eirp_per_branch_w())
         self._command_envelope = pie_command_envelope(
             self.query.to_bits(), self.reader.sample_rate_hz
         )
@@ -221,7 +221,6 @@ class IvnLink:
         self._tag_aperture_m2 = self.tag_spec.antenna.effective_aperture_m2(
             self.reader.carrier_frequency_hz
         )
-        self._field_scale = field_scale(self.eirp_per_branch_w())
         self._offsets = _read_only(self.plan.offsets_array())
         self._amplitudes = _read_only(self.plan.amplitudes_array())
         # Query window relative to the envelope peak; a trial adds t_peak.

@@ -98,8 +98,10 @@ class OutOfBandReader:
         saw: Optional[SawFilter] = None,
         rx_gain_dbi: float = 7.0,
     ):
-        if eirp_w <= 0:
-            raise ConfigurationError(f"EIRP must be positive, got {eirp_w}")
+        if not 0 < eirp_w < math.inf:
+            raise ConfigurationError(
+                f"EIRP must be positive and finite, got {eirp_w}"
+            )
         self.carrier_frequency_hz = float(carrier_frequency_hz)
         self.eirp_w = float(eirp_w)
         self.sample_rate_hz = float(sample_rate_hz)

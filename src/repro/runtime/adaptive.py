@@ -17,13 +17,12 @@ Running a point adaptively to ``n`` trials is **bitwise identical** to a
 fixed ``n``-trial run, for any batch schedule and any worker count. This
 falls out of two mechanical facts:
 
-1. Chunk functions derive per-trial generators from
-   ``SeedSequence(seed).spawn(n_trials)[start:start + count]``, and
-   SeedSequence children are keyed by their absolute spawn index -- child
-   ``i`` is the same object whether 10 or 10,000 children are spawned.
-   The allocator binds the point's *budget* as the chunk function's
-   ``n_trials`` and always consumes a prefix ``[0, n)`` of absolute
-   indices, so every trial's stream matches the fixed-count run's.
+1. Chunk functions derive trial ``i``'s generator from its absolute
+   index alone (:func:`repro.analysis.mc.spawn_rngs`: child ``i`` is
+   ``SeedSequence(seed, spawn_key=(i,))``, the same child
+   ``SeedSequence(seed).spawn(n)[i]`` builds for any ``n``). The
+   allocator always consumes a prefix ``[0, n)`` of absolute indices, so
+   every trial's stream matches the fixed-count run's.
 2. :meth:`~repro.runtime.runner.TrialRunner.map_range` partitions each
    batch into contiguous spans exactly as ``map_chunks`` would partition
    the whole range, so the chunk functions see the same ``(start,
@@ -257,10 +256,11 @@ def adaptive_map_chunks(
     Args:
         runner: The trial runner to fan batches across (worker count does
             not affect results, only batch partitioning).
-        fn: Chunk function ``fn(start, count)``. Its bound ``n_trials``
-            must equal ``config.budget(n_trials)`` so absolute trial
-            indices match a fixed run of that budget -- every driver in
-            :mod:`repro.experiments.common` binds it that way.
+        fn: Chunk function ``fn(start, count)``. It must derive each
+            trial's randomness from the trial's absolute index alone, so
+            a point stopped after ``n`` trials matches a fixed ``n``-trial
+            run -- every chunk function in :mod:`repro.runtime.engine`
+            does.
         n_trials: The driver's default trial count (the budget when the
             config does not override ``max_trials``).
         config: Allocation policy.

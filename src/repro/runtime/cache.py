@@ -25,7 +25,7 @@ the result the search would have produced.
 import os
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.constants import CIB_CENTER_FREQUENCY_HZ
 from repro.core.constraints import FlatnessConstraint
@@ -397,7 +397,6 @@ def _cached_search(
     workers: Optional[int] = None,
     fault_token: Optional[str] = None,
     adaptive_token: Optional[str] = None,
-    batch_scorer: Optional[Callable] = None,
 ) -> OptimizationResult:
     """The one cached search behind :func:`optimized_plan` and
     :func:`optimized_conduction_plan`: key, look up, else run a fresh
@@ -441,8 +440,6 @@ def _cached_search(
             grid_size=grid_size,
             seed=seed,
         )
-        if batch_scorer is not None and islands == 1:
-            optimizer.batch_scorer = batch_scorer
         search = dict(
             n_candidates=n_candidates,
             refine_rounds=refine_rounds,
@@ -471,8 +468,7 @@ def optimized_plan(
     Keyword arguments: the optimizer's ``center_frequency_hz``,
     ``n_draws``, ``grid_size`` and ``seed``; the search's
     ``refine_steps``; and ``cache`` (default: :func:`get_plan_cache`),
-    ``islands``, ``workers``, ``fault_token``, ``adaptive_token`` and
-    ``batch_scorer``.
+    ``islands``, ``workers``, ``fault_token`` and ``adaptive_token``.
 
     ``islands`` / ``workers`` default to :func:`configure_search` settings;
     the island count is part of the cache key (it changes which candidate
@@ -483,10 +479,6 @@ def optimized_plan(
     another; ``None`` and the empty plan share the healthy key.
     ``adaptive_token`` keys the active adaptive-allocation policy the same
     way (defaulting to the :func:`configure_search` process-wide value).
-    ``batch_scorer`` installs a
-    :attr:`~repro.core.optimizer.FrequencyOptimizer.batch_scorer` hook on
-    the fresh optimizer (value-neutral, so it is *not* part of the key);
-    it only applies to in-process searches (``islands == 1``).
     """
     return _cached_search(
         "peak",

@@ -29,8 +29,9 @@ bounded-size chunks.
 The ``*_chunk`` functions at the bottom are the units of work the
 process-pool :class:`repro.runtime.runner.TrialRunner` fans out. Each one
 re-derives only its own per-trial generators, children ``start .. start +
-count - 1`` of ``SeedSequence(seed).spawn(n_trials)``, and replicates
-the legacy per-trial draw order exactly, which is what makes results
+count - 1`` of ``seed`` (:func:`repro.analysis.mc.spawn_rngs`: child ``i``
+depends on ``i`` alone, not on the trial count), and replicates the
+legacy per-trial draw order exactly, which is what makes results
 bit-identical across chunk sizes and worker counts.
 """
 

@@ -12,10 +12,10 @@ hundreds of small maps (the Fig. 13 bisection probes) pays one pool start,
 not one per map.
 
 The determinism contract lives one level down: every chunk function in
-:mod:`repro.runtime.engine` re-derives its generators from
-``SeedSequence(seed).spawn(n_trials)[start:start + count]``, so per-trial
-random streams do not depend on how trials are grouped or which process
-executes them. The runner only has to keep the spans contiguous and
+:mod:`repro.runtime.engine` re-derives trial ``i``'s generator from
+``SeedSequence(seed, spawn_key=(i,))`` for ``i`` in ``[start, start +
+count)``, so per-trial random streams do not depend on how trials are
+grouped or which process executes them. The runner only has to keep the spans contiguous and
 concatenate results in span order -- which makes outputs bit-identical for
 any ``workers`` / ``chunk_size`` combination.
 

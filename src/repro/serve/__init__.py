@@ -12,7 +12,7 @@ Layering (DESIGN.md section 13)::
     server.py   asyncio front-end: POST /plan, GET /healthz, GET /stats
     service.py  request schema, tiered cache lookup, in-flight dedup,
                 batch execution, power-at-depth answers
-    batcher.py  micro-batching window + cross-request stacked scoring
+    batcher.py  micro-batching window
     store.py    durable SQLite plan store (the backing tier of PlanCache)
 
 Determinism contract: a request's plan is bit-identical no matter what it
@@ -21,7 +21,7 @@ computed or replayed from any cache tier -- the properties the serve test
 suite and ``benchmarks/bench_serve.py`` pin down.
 """
 
-from repro.serve.batcher import MicroBatcher, StackedScorer
+from repro.serve.batcher import MicroBatcher
 from repro.serve.service import (
     PlanRequest,
     PlanService,
@@ -41,7 +41,6 @@ __all__ = [
     "STORE_SCHEMA_VERSION",
     "ServeConfig",
     "ServeRequestError",
-    "StackedScorer",
     "parse_request",
     "run_server",
 ]

@@ -1,6 +1,4 @@
-"""Micro-batching scheduler and the cross-request stacked-scoring barrier.
-
-Two cooperating pieces:
+"""Micro-batching scheduler for the planning service.
 
 :class:`MicroBatcher` lives on the event loop. Concurrent ``submit`` calls
 within a small time window (or up to a size cap) are coalesced into one
@@ -8,23 +6,10 @@ batch handed to a synchronous executor on a worker thread; each caller
 awaits its own future and receives exactly its item's result (or
 exception), so batching changes *when* work runs, never *what* a request
 gets back.
-
-:class:`StackedScorer` lives below the service's batch executor. Each
-distinct search in a batch runs on its own thread with a
-:attr:`~repro.core.optimizer.FrequencyOptimizer.batch_scorer` hook that
-parks the search's next stacked scoring call at a barrier; a coordinator
-collects every parked :class:`~repro.core.optimizer.StackedScoreSpec` and
-evaluates them in one :func:`~repro.core.optimizer.evaluate_stacked_specs`
-call (one shared IFFT pipeline per compatible group). Because the stacked
-kernel is row-stable, each search still sees bit-identical values to
-scoring alone -- co-batching is purely a throughput optimization.
 """
 
 import asyncio
-import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.core.optimizer import StackedScoreSpec
 
 DEFAULT_FLUSH_WINDOW_S = 0.010
 """How long the first request in a batch waits for company."""
@@ -142,108 +127,3 @@ class MicroBatcher:
             "flush_window_s": self.flush_window_s,
             "max_batch": self.max_batch,
         }
-
-
-class StackedScorer:
-    """Rendezvous barrier merging concurrent searches' scoring rounds.
-
-    Usage (all inside one batch execution)::
-
-        scorer = StackedScorer(evaluate)
-        pids = [scorer.register() for _ in searches]   # before any thread
-        # each search thread:  values = scorer.score(pid, spec)  per round
-        #                      scorer.finish(pid)                when done
-        scorer.run()   # coordinator: loops until every participant finished
-
-    ``evaluate`` receives the list of parked specs (one per still-waiting
-    participant) and must return one value array per spec, in order --
-    normally :func:`repro.core.optimizer.evaluate_stacked_specs`, which
-    keeps every participant's values bit-identical to solo scoring.
-
-    Searches make different numbers of scoring calls (candidate scoring,
-    fine rescoring, refinement moves), so the barrier waits only on
-    *unfinished* participants: each round stacks whoever is currently
-    parked, and participants that finish early simply stop arriving.
-    """
-
-    def __init__(
-        self,
-        evaluate: Callable[[List[StackedScoreSpec]], Sequence[Any]],
-    ):
-        self._evaluate = evaluate
-        self._cond = threading.Condition()
-        self._next_pid = 0
-        self._active = 0
-        self._pending: Dict[int, StackedScoreSpec] = {}
-        self._results: Dict[int, Any] = {}
-        self._failure: Optional[BaseException] = None
-        self.rounds = 0
-        self.specs_stacked = 0
-        self.max_stacked = 0
-
-    def register(self) -> int:
-        """Reserve a participant slot; call before its thread starts."""
-        with self._cond:
-            pid = self._next_pid
-            self._next_pid += 1
-            self._active += 1
-            return pid
-
-    def finish(self, pid: int) -> None:
-        """Mark a participant done (always call, even on failure)."""
-        with self._cond:
-            self._active -= 1
-            self._cond.notify_all()
-
-    def score(self, pid: int, spec: StackedScoreSpec) -> Any:
-        """Park ``spec`` at the barrier; block until its values arrive."""
-        with self._cond:
-            self._pending[pid] = spec
-            self._cond.notify_all()
-            while pid not in self._results and self._failure is None:
-                self._cond.wait()
-            if self._failure is not None:
-                raise RuntimeError(
-                    "stacked scoring round failed"
-                ) from self._failure
-            return self._results.pop(pid)
-
-    def run(self) -> None:
-        """Coordinator loop: evaluate rounds until all participants finish.
-
-        Each round waits until every *unfinished* participant has parked a
-        spec, evaluates them in one call (outside the lock), and hands the
-        values back. An ``evaluate`` failure is broadcast to every waiter
-        and re-raised here.
-        """
-        while True:
-            with self._cond:
-                while self._active > 0 and len(self._pending) < self._active:
-                    self._cond.wait()
-                if self._active <= 0 and not self._pending:
-                    return
-                pids = sorted(self._pending)
-                specs = [self._pending.pop(pid) for pid in pids]
-            try:
-                values = list(self._evaluate(specs))
-                if len(values) != len(specs):
-                    raise RuntimeError(
-                        f"stacked evaluate returned {len(values)} arrays "
-                        f"for {len(specs)} specs"
-                    )
-            except BaseException as exc:  # noqa: BLE001 - wake all waiters
-                with self._cond:
-                    self._failure = exc
-                    self._cond.notify_all()
-                raise
-            with self._cond:
-                self.rounds += 1
-                self.specs_stacked += len(specs)
-                self.max_stacked = max(self.max_stacked, len(specs))
-                for pid, value in zip(pids, values):
-                    self._results[pid] = value
-                self._cond.notify_all()
-
-    def hook(self, pid: int) -> Callable[[StackedScoreSpec], Any]:
-        """A ``batch_scorer`` hook bound to one participant slot."""
-        return lambda spec: self.score(pid, spec)

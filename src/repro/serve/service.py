@@ -13,11 +13,12 @@ runtime. One request's life:
    store hits).
 3. Misses dedup against in-flight computations of the same key, then park
    in the :class:`~repro.serve.batcher.MicroBatcher`. A flushed batch runs
-   on a worker thread: same-key requests collapse into one search, and
-   *distinct* searches run on threads joined by a
-   :class:`~repro.serve.batcher.StackedScorer`, so concurrent searches'
-   scoring rounds share IFFT calls (optionally fanned across a persistent
-   :class:`~repro.runtime.runner.TrialRunner` pool).
+   on a worker thread: same-key requests collapse into one search, and the
+   batch's distinct searches run as one map of the service's
+   :class:`~repro.runtime.runner.TrialRunner` -- in order on that thread
+   at ``workers=1``, one search per pool task otherwise. A failed search
+   answers its own requests only; the batch thread stores each plan in the
+   cache tiers.
 4. The response carries the plan, its provenance (``source``), and -- when
    the request names a medium and depth -- the Eq. 2/3 power-at-depth
    answer for the standard tag.
@@ -30,14 +31,10 @@ replay. The serve tests and ``benchmarks/bench_serve.py`` assert this.
 import asyncio
 import itertools
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.constants import CIB_CENTER_FREQUENCY_HZ
 from repro.core.constraints import FlatnessConstraint
@@ -45,15 +42,14 @@ from repro.core.optimizer import (
     DEFAULT_GRID_SIZE,
     SEARCH_REV,
     OptimizationResult,
-    StackedScoreSpec,
+    # perfbench/hooks.py wraps it here; test_benchmark_targets_resolve pins it.
     evaluate_stacked_specs,
 )
 from repro.em.media import MEDIA_LIBRARY
-from repro.errors import ConfigurationError
 from repro.em.propagation import tissue_field_amplitude
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.harvester.tag_power import HarvesterFrontEnd
-from repro.obs.context import ObsContext, current_obs, obs_context
+from repro.obs.context import ObsContext, current_obs
 from repro.runtime.adaptive import AdaptiveConfig
 from repro.runtime.cache import (
     PlanCache,
@@ -69,7 +65,6 @@ from repro.serve.batcher import (
     DEFAULT_FLUSH_WINDOW_S,
     DEFAULT_MAX_BATCH,
     MicroBatcher,
-    StackedScorer,
 )
 from repro.serve.store import PlanStore
 
@@ -235,9 +230,7 @@ def _fault_token(payload: Dict[str, Any]) -> str:
                     ),
                 )
             )
-        except (
-            TypeError, ValueError, OverflowError, ConfigurationError
-        ) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ServeRequestError(f"bad fault_plan event: {exc}") from exc
     try:
         return FaultPlan(tuple(events)).cache_token()
@@ -470,23 +463,19 @@ class PlanService:
             max_entries=self.config.mem_entries,
             backing=self.store,
         )
-        self.runner: Optional[TrialRunner] = (
-            TrialRunner(workers=self.config.workers, persistent=True)
-            if self.config.workers > 1
-            else None
+        # One search per chunk. Spawn the full worker complement before
+        # any traffic: the first batch skips pool startup, and no worker
+        # ever forks while client connections are open.
+        self.runner = TrialRunner(
+            workers=self.config.workers, chunk_size=1, persistent=True
         )
-        if self.runner is not None:
-            # Spawn the full worker complement before any traffic: the
-            # first batch skips pool startup, and no worker ever forks
-            # while client connections are open.
-            self.runner.warm_up()
+        self.runner.warm_up()
         self.batcher = MicroBatcher(
             self._execute_batch,
             flush_window_s=self.config.flush_window_s,
             max_batch=self.config.max_batch,
         )
         self._inflight: Dict[str, asyncio.Future] = {}
-        self._absorb_lock = threading.Lock()
         self._batch_ids = itertools.count(1)
         self.started_unix_s = time.time()
         self.requests = 0
@@ -587,13 +576,10 @@ class PlanService:
             size=len(requests),
             groups=len(groups),
         ) as span:
-            unique = [
-                (key, requests[indices[0]])
-                for key, indices in groups.items()
-            ]
-            outcomes = self._compute_group_results(unique, obs)
-            for (key, _), outcome in zip(unique, outcomes):
-                for index in groups[key]:
+            unique = [requests[indices[0]] for indices in groups.values()]
+            outcomes = self._search_all(unique)
+            for indices, outcome in zip(groups.values(), outcomes):
+                for index in indices:
                     results[index] = outcome
             occupancy = len(requests) / max(1, len(groups))
             span.attrs["occupancy"] = round(occupancy, 3)
@@ -603,123 +589,21 @@ class PlanService:
             obs.metrics.gauge("serve.batch_occupancy").set(occupancy)
         return results
 
-    def _compute_group_results(
-        self,
-        unique: List[Tuple[str, PlanRequest]],
-        obs: ObsContext,
-    ) -> List[Any]:
-        """One result (or exception) per distinct-key request."""
-        if len(unique) == 1:
-            return [
-                self._compute_safe(request, obs, None, None)
-                for _, request in unique
-            ]
-        # Distinct searches rendezvous their scoring rounds at the
-        # stacked barrier: one thread per search, coordinator in this
-        # thread evaluating each round's specs in one stacked call.
-        scorer = StackedScorer(partial(self._evaluate_specs, obs=obs))
-        pids = [scorer.register() for _ in unique]
-        with ThreadPoolExecutor(
-            max_workers=len(unique),
-            thread_name_prefix="serve-search",
-        ) as pool:
-            futures = [
-                pool.submit(
-                    self._compute_safe, request, obs, scorer, pid
-                )
-                for (_, request), pid in zip(unique, pids)
-            ]
-            scorer.run()
-            return [future.result() for future in futures]
+    def _search_all(self, requests: List[PlanRequest]) -> List[Any]:
+        """One plan (or exception) per distinct-key request, in order.
 
-    def _compute_safe(
-        self,
-        request: PlanRequest,
-        obs: ObsContext,
-        scorer: Optional[StackedScorer],
-        pid: Optional[int],
-    ) -> Any:
-        """``_compute`` that returns exceptions instead of raising (so one
-        failed request never poisons its batch) and always releases its
-        barrier slot."""
-        try:
-            return self._compute(request, obs, scorer, pid)
-        except Exception as exc:  # noqa: BLE001 - per-item failure
-            return exc
-        finally:
-            if scorer is not None and pid is not None:
-                scorer.finish(pid)
-
-    def _compute(
-        self,
-        request: PlanRequest,
-        obs: ObsContext,
-        scorer: Optional[StackedScorer],
-        pid: Optional[int],
-    ) -> OptimizationResult:
-        """Run one search. May run on a plain thread, so it opens a fresh
-        obs context (plain threads do not inherit the loop's contextvars)
-        and merges the telemetry back under a lock."""
-        batch_scorer = (
-            scorer.hook(pid)
-            if scorer is not None and pid is not None and request.islands == 1
-            else None
-        )
-        kwargs = dict(
-            n_antennas=request.n_antennas,
-            constraint=request.constraint(),
-            center_frequency_hz=request.center_frequency_hz,
-            n_draws=request.n_draws,
-            grid_size=request.grid_size,
-            seed=request.seed,
-            n_candidates=request.n_candidates,
-            refine_rounds=request.refine_rounds,
-            refine_steps=request.refine_steps,
-            cache=self.cache,
-            islands=request.islands,
-            workers=1,
-            fault_token=request.fault_token,
-            adaptive_token=request.adaptive_token,
-            batch_scorer=batch_scorer,
-        )
-        with obs_context() as local:
-            if request.kind == "conduction":
-                result = optimized_conduction_plan(
-                    threshold=request.threshold, **kwargs
-                )
-            else:
-                result = optimized_plan(**kwargs)
-        with self._absorb_lock:
-            obs.absorb_state(
-                local.export_state(),
-                extra_attrs={"serve_group": request.key[:8]},
-            )
-        return result
-
-    def _evaluate_specs(
-        self, specs: List[StackedScoreSpec], obs: ObsContext
-    ) -> List[np.ndarray]:
-        """Evaluate one barrier round's specs, optionally across the pool.
-
-        With a persistent multi-worker pool and several specs, the specs
-        are sharded across worker processes (each shard evaluated by the
-        same co-stacking kernel); otherwise one in-process call handles
-        the whole round. Per-spec values are bit-identical either way.
+        The searches are one runner map, so the pool's telemetry merges
+        into the batch's context; each plan is stored in the cache tiers
+        here, in this process.
         """
-        with obs.tracer.span("serve.score", specs=len(specs)) as span:
-            if self.runner is not None and len(specs) > 1:
-                chunks = self.runner.map_chunks(
-                    partial(_spec_shard, specs),
-                    len(specs),
-                    label="serve.score_shard",
-                )
-                values = [value for chunk in chunks for value in chunk]
-                span.attrs["pooled"] = True
-            else:
-                values = evaluate_stacked_specs(specs)
-            obs.metrics.counter("serve.stacked_rounds").inc()
-            obs.metrics.counter("serve.stacked_specs").inc(len(specs))
-        return values
+        chunks = self.runner.map_chunks(
+            partial(_search_chunk, requests), len(requests), label="serve.search"
+        )
+        outcomes = [outcome for chunk in chunks for outcome in chunk]
+        for request, outcome in zip(requests, outcomes):
+            if not isinstance(outcome, Exception):
+                self.cache.store(request.key, outcome)
+        return outcomes
 
     # -- response ----------------------------------------------------------------
 
@@ -766,14 +650,43 @@ class PlanService:
     async def close(self) -> None:
         """Drain in-flight batches, stop the pool, close the store."""
         await self.batcher.drain()
-        if self.runner is not None:
-            self.runner.shutdown()
+        self.runner.shutdown()
         if self.store is not None:
             self.store.close()
 
 
-def _spec_shard(
-    specs: Sequence[StackedScoreSpec], start: int, count: int
-) -> List[np.ndarray]:
-    """Worker entry: evaluate a contiguous shard of one barrier round."""
-    return evaluate_stacked_specs(list(specs[start : start + count]))
+def _search(request: PlanRequest) -> OptimizationResult:
+    """One cold search, uncached: the caller stores the plan."""
+    kwargs = dict(
+        n_antennas=request.n_antennas,
+        constraint=request.constraint(),
+        center_frequency_hz=request.center_frequency_hz,
+        n_draws=request.n_draws,
+        grid_size=request.grid_size,
+        seed=request.seed,
+        n_candidates=request.n_candidates,
+        refine_rounds=request.refine_rounds,
+        refine_steps=request.refine_steps,
+        cache=PlanCache(enabled=False),
+        islands=request.islands,
+        workers=1,
+        fault_token=request.fault_token,
+        adaptive_token=request.adaptive_token,
+    )
+    if request.kind == "conduction":
+        return optimized_conduction_plan(threshold=request.threshold, **kwargs)
+    return optimized_plan(**kwargs)
+
+
+def _search_chunk(
+    requests: Sequence[PlanRequest], start: int, count: int
+) -> List[Any]:
+    """Runner chunk: each search's plan, or the exception it raised, so
+    one failed request never fails its batch."""
+    outcomes: List[Any] = []
+    for request in requests[start : start + count]:
+        try:
+            outcomes.append(_search(request))
+        except Exception as exc:  # noqa: BLE001 - per-item failure
+            outcomes.append(exc)
+    return outcomes

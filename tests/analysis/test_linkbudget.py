@@ -95,6 +95,12 @@ class TestDownlinkBudget:
                 peak_alignment=0.0,
             )
 
+    @pytest.mark.parametrize("eirp", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("error", [ValueError, ConfigurationError])
+    def test_rejects_bad_eirp(self, eirp, error):
+        with pytest.raises(error, match="positive and finite"):
+            air_budget(eirp=eirp)
+
 
 class TestAntennasRequired:
     def test_close_range_needs_one(self):

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core import optimizer as optimizer_module
 from repro.core.optimizer import (
     DEFAULT_GRID_SIZE,
     FrequencyOptimizer,
@@ -35,23 +36,32 @@ def _pair(n_antennas, seed, n_draws=16):
     )
 
 
-def _row_by_row(spec):
-    """Score a stacked call one candidate row at a time."""
-    return np.array(
-        [
-            evaluate_stacked_specs(
-                [replace(spec, scatter=spec.scatter[row : row + 1])]
-            )[0][0]
-            for row in range(spec.n_candidates)
-        ]
-    )
+def _row_by_row(specs):
+    """The stacked kernel, scoring every candidate row on its own."""
+    return [
+        np.array(
+            [
+                evaluate_stacked_specs(
+                    [replace(spec, scatter=spec.scatter[row : row + 1])]
+                )[0][0]
+                for row in range(spec.n_candidates)
+            ]
+        )
+        for spec in specs
+    ]
 
 
-def _batched_and_sequential(n_antennas, seed):
-    """A batched optimizer and a twin that scores every row on its own."""
-    batched, sequential = _pair(n_antennas, seed)
-    sequential.batch_scorer = _row_by_row
-    return batched, sequential
+@pytest.fixture
+def row_by_row(monkeypatch):
+    """``row_by_row(call, *args)`` runs ``call`` with the optimizer's
+    kernel swapped for :func:`_row_by_row`."""
+
+    def run(call, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer_module, "evaluate_stacked_specs", _row_by_row)
+            return call(*args)
+
+    return run
 
 
 class TestSparseSpectrumBuilder:
@@ -136,31 +146,33 @@ class TestBatchedScoring:
 
 class TestModeEquivalence:
     @pytest.mark.parametrize("seed", [0, 3, 11])
-    def test_optimize_modes_bit_identical(self, seed):
-        batched, sequential = _batched_and_sequential(5, seed)
+    def test_optimize_modes_bit_identical(self, seed, row_by_row):
+        batched, sequential = _pair(5, seed)
         a = batched.optimize(30, 1)
-        b = sequential.optimize(30, 1)
+        b = row_by_row(sequential.optimize, 30, 1)
         assert a.plan.offsets_hz == b.plan.offsets_hz
         assert a.expected_peak == b.expected_peak
         assert a.history == b.history
         assert a.n_evaluations == b.n_evaluations
 
-    def test_optimize_conduction_modes_bit_identical(self):
-        batched, sequential = _batched_and_sequential(5, 7)
+    def test_optimize_conduction_modes_bit_identical(self, row_by_row):
+        batched, sequential = _pair(5, 7)
         a = batched.optimize_conduction(2.0, 15, 1)
-        b = sequential.optimize_conduction(2.0, 15, 1)
+        b = row_by_row(sequential.optimize_conduction, 2.0, 15, 1)
         assert a.plan.offsets_hz == b.plan.offsets_hz
         assert a.expected_peak == b.expected_peak
         assert a.history == b.history
 
-    def test_rank_random_sets_modes_bit_identical(self):
-        batched, sequential = _batched_and_sequential(6, 2)
-        assert batched.rank_random_sets(20) == sequential.rank_random_sets(20)
+    def test_rank_random_sets_modes_bit_identical(self, row_by_row):
+        batched, sequential = _pair(6, 2)
+        assert batched.rank_random_sets(20) == row_by_row(
+            sequential.rank_random_sets, 20
+        )
 
-    def test_zero_refinement_budget(self):
-        batched, sequential = _batched_and_sequential(4, 5)
+    def test_zero_refinement_budget(self, row_by_row):
+        batched, sequential = _pair(4, 5)
         a = batched.optimize(10, 0)
-        b = sequential.optimize(10, 0)
+        b = row_by_row(sequential.optimize, 10, 0)
         assert a.plan.offsets_hz == b.plan.offsets_hz
         assert a.expected_peak == b.expected_peak
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.em import media
+from repro.errors import ConfigurationError
 from repro.em.propagation import (
     field_scale,
     field_transmittance,
@@ -119,6 +120,12 @@ class TestFieldScale:
     @pytest.mark.parametrize("eirp", [0.0, -1.0])
     def test_rejects_non_positive_eirp(self, eirp):
         with pytest.raises(ValueError, match="EIRP"):
+            field_scale(eirp)
+
+    @pytest.mark.parametrize("eirp", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("error", [ValueError, ConfigurationError])
+    def test_rejects_bad_eirp_as_both_error_types(self, eirp, error):
+        with pytest.raises(error, match="positive and finite"):
             field_scale(eirp)
 
 

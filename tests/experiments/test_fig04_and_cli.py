@@ -62,6 +62,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Fig. 6" in out
 
+    def test_wakeup_honours_workers(self):
+        record = {}
+        EXPERIMENTS["wakeup"](True, 2, record)
+        assert record["config"].workers == 2
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig99"])

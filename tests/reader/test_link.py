@@ -103,6 +103,12 @@ class TestLinkTrial:
         with pytest.raises(ConfigurationError):
             IvnLink(paper_plan(), standard_tag_spec(), eirp_per_branch_w=-1.0)
 
+    @pytest.mark.parametrize("eirp", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("error", [ValueError, ConfigurationError])
+    def test_rejects_bad_eirp_override(self, eirp, error):
+        with pytest.raises(error, match="positive and finite"):
+            IvnLink(paper_plan(), standard_tag_spec(), eirp_per_branch_w=eirp)
+
 
 def integer_plans(rng, count):
     """Random integer-offset plans whose envelope does not repeat in 1 s.

@@ -42,6 +42,12 @@ class TestBudget:
         shallow = reader.backscatter_amplitude_v(make_channel(), 0.01, 0.5, rng)
         assert deep == pytest.approx(2.0 * shallow, rel=0.05)
 
+    @pytest.mark.parametrize("eirp", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("error", [ValueError, ConfigurationError])
+    def test_rejects_bad_eirp(self, eirp, error):
+        with pytest.raises(error, match="positive and finite"):
+            OutOfBandReader(eirp_w=eirp)
+
     def test_validation(self, rng):
         reader = OutOfBandReader()
         with pytest.raises(ConfigurationError):

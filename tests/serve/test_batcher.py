@@ -1,26 +1,27 @@
-"""Micro-batcher and stacked-scorer tests, including the determinism
+"""Micro-batcher and batch-execution tests, including the determinism
 contract: a request's plan is bit-identical no matter how it was
-co-batched or how many workers served it.
+co-batched or how many workers served it, and one failed search answers
+only its own request.
 
 No pytest-asyncio in the toolchain: every async scenario runs under its
 own ``asyncio.run``.
 """
 
 import asyncio
-import threading
+import json
 
 import pytest
 
-from repro.core.optimizer import evaluate_stacked_specs
+from repro.errors import ConfigurationError
 from repro.obs.context import obs_context
-from repro.runtime.cache import result_to_json
-from repro.serve.batcher import MicroBatcher, StackedScorer
+from repro.serve.batcher import MicroBatcher
 from repro.serve.service import (
     PlanService,
     ServeConfig,
     ServeRequestError,
     parse_request,
 )
+from tests.serve.test_server import _UNSATISFIABLE_BODY
 
 _BASE = {
     "kind": "peak",
@@ -166,89 +167,6 @@ class TestMicroBatcher:
             MicroBatcher(lambda items: items, max_batch=0)
 
 
-class TestStackedScorer:
-    def test_merges_concurrent_rounds(self):
-        rounds = []
-
-        def evaluate(specs):
-            rounds.append(len(specs))
-            return [f"r{spec}" for spec in specs]
-
-        scorer = StackedScorer(evaluate)
-        pids = [scorer.register() for _ in range(3)]
-        outputs = {}
-
-        def participant(pid):
-            outputs[pid] = scorer.score(pid, f"spec-{pid}")
-            scorer.finish(pid)
-
-        threads = [
-            threading.Thread(target=participant, args=(pid,))
-            for pid in pids
-        ]
-        for thread in threads:
-            thread.start()
-        scorer.run()
-        for thread in threads:
-            thread.join()
-        assert outputs == {pid: f"rspec-{pid}" for pid in pids}
-        assert rounds == [3]  # one stacked call, not three
-
-    def test_uneven_round_counts_drain_cleanly(self):
-        def evaluate(specs):
-            return [spec * 10 for spec in specs]
-
-        scorer = StackedScorer(evaluate)
-        pids = [scorer.register() for _ in range(2)]
-        calls = {pids[0]: 3, pids[1]: 1}
-        outputs = {pid: [] for pid in pids}
-
-        def participant(pid):
-            for round_index in range(calls[pid]):
-                outputs[pid].append(scorer.score(pid, round_index + 1))
-            scorer.finish(pid)
-
-        threads = [
-            threading.Thread(target=participant, args=(pid,))
-            for pid in pids
-        ]
-        for thread in threads:
-            thread.start()
-        scorer.run()
-        for thread in threads:
-            thread.join()
-        assert outputs[pids[0]] == [10, 20, 30]
-        assert outputs[pids[1]] == [10]
-
-    def test_evaluate_failure_wakes_every_waiter(self):
-        def evaluate(specs):
-            raise ValueError("kernel exploded")
-
-        scorer = StackedScorer(evaluate)
-        pids = [scorer.register() for _ in range(2)]
-        errors = []
-
-        def participant(pid):
-            try:
-                scorer.score(pid, "spec")
-            except RuntimeError as exc:
-                errors.append(exc)
-            finally:
-                scorer.finish(pid)
-
-        threads = [
-            threading.Thread(target=participant, args=(pid,))
-            for pid in pids
-        ]
-        for thread in threads:
-            thread.start()
-        with pytest.raises(ValueError, match="kernel exploded"):
-            scorer.run()
-        for thread in threads:
-            thread.join()
-        assert len(errors) == 2
-
-
 class TestCoBatchingDeterminism:
     """Bit-identical plans under every co-batching schedule."""
 
@@ -288,9 +206,10 @@ class TestCoBatchingDeterminism:
         with obs_context() as obs:
             together = asyncio.run(_serve(requests))
         counters = obs.metrics.counters()
-        # One batch whose three searches were scored at the shared barrier.
+        searches = [s for s in obs.tracer.spans if s.name == "plan_search.peak"]
+        # One batch, and in it one search per distinct key.
         assert counters["serve.batches"] == 1
-        assert counters["serve.stacked_specs"] > counters["serve.stacked_rounds"]
+        assert len(searches) == 3
         for alone, batched in zip(solo, together):
             assert batched["result"] == alone["result"]
 
@@ -307,6 +226,32 @@ class TestCoBatchingDeterminism:
         together = asyncio.run(_serve(requests))
         for alone, batched in zip(solo, together):
             assert batched["result"] == alone["result"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_search_rejects_only_its_own_request(self, workers):
+        good = [_request(0), _request(1)]
+        bad = parse_request(_UNSATISFIABLE_BODY)
+        solo = [asyncio.run(_serve([request]))[0] for request in good]
+
+        async def scenario():
+            service = PlanService(
+                ServeConfig(workers=workers, flush_window_s=0.05)
+            )
+            try:
+                responses = await asyncio.gather(
+                    *(service.submit(r) for r in (good[0], bad, good[1])),
+                    return_exceptions=True,
+                )
+                return responses, service.batcher.batches
+            finally:
+                await service.close()
+
+        (first, failed, second), batches = asyncio.run(scenario())
+        assert batches == 1
+        assert isinstance(failed, ConfigurationError)
+        assert "flatness budget" in str(failed)
+        for alone, batched in zip(solo, (first, second)):
+            assert json.dumps(batched["result"]) == json.dumps(alone["result"])
 
     def test_same_key_requests_collapse_to_one_search(self):
         requests = [

@@ -112,6 +112,12 @@ REMOVED_NAMES = (
     ("repro.obs", "trend_report"),
     ("repro.obs", "env_fingerprint"),
     ("repro.obs", "HISTORY_SCHEMA_VERSION"),
+    ("repro.serve", "StackedScorer"),
+    ("repro.serve.batcher", "StackedScorer"),
+    ("repro.core.optimizer", "BatchScorer"),
+    ("repro.core.optimizer", "FrequencyOptimizer.batch_scorer"),
+    ("repro.serve.service", "PlanService._evaluate_specs"),
+    ("repro.serve.service", "_spec_shard"),
 )
 
 
