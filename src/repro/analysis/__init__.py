@@ -7,7 +7,7 @@ from repro.analysis.stats import (
     to_db,
     from_db,
 )
-from repro.analysis.mc import TrialRunner, spawn_rngs
+from repro.analysis.mc import spawn_rngs
 from repro.analysis.calibration import bisect_increasing, calibrate_scalar
 from repro.analysis.linkbudget import (
     BudgetLine,
@@ -22,7 +22,6 @@ __all__ = [
     "percentile_summary",
     "to_db",
     "from_db",
-    "TrialRunner",
     "spawn_rngs",
     "bisect_increasing",
     "calibrate_scalar",

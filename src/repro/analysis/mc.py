@@ -7,12 +7,10 @@ and trials are statistically independent.
 """
 
 import operator
-from typing import Callable, Iterable, Iterator, List, Sequence, TypeVar
+from typing import Iterable, Iterator, List, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-
-T = TypeVar("T")
 
 
 def spawn_rngs(
@@ -166,49 +164,3 @@ def keyed_rngs(
     of once per key.
     """
     return list(iter_keyed_rngs(prefix, keys, suffix))
-
-
-class TrialRunner:
-    """Runs a per-trial callable across independent random streams.
-
-    Example:
-        >>> runner = TrialRunner(seed=7)
-        >>> gains = runner.run(lambda rng: rng.uniform(), n_trials=10)
-        >>> len(gains)
-        10
-    """
-
-    def __init__(self, seed: int):
-        self._seed = int(seed)
-
-    @property
-    def seed(self) -> int:
-        return self._seed
-
-    def run(self, trial: Callable[[np.random.Generator], T], n_trials: int) -> List[T]:
-        """Execute ``trial`` once per independent generator."""
-        if n_trials <= 0:
-            raise ValueError(f"n_trials must be positive, got {n_trials}")
-        rngs = spawn_rngs(self._seed, n_trials)
-        return [trial(rng) for rng in rngs]
-
-    def run_indexed(
-        self, trial: Callable[[int, np.random.Generator], T], n_trials: int
-    ) -> List[T]:
-        """Like :meth:`run` but passes the trial index as well."""
-        if n_trials <= 0:
-            raise ValueError(f"n_trials must be positive, got {n_trials}")
-        rngs = spawn_rngs(self._seed, n_trials)
-        return [trial(index, rng) for index, rng in enumerate(rngs)]
-
-
-def mean_and_confidence(samples: Sequence[float], z: float = 1.96) -> tuple:
-    """Return ``(mean, half_width)`` of a normal-approximation interval."""
-    data = np.asarray(samples, dtype=float)
-    if data.size == 0:
-        raise ValueError("cannot summarize an empty sample set")
-    mean = float(np.mean(data))
-    if data.size == 1:
-        return mean, float("inf")
-    half_width = z * float(np.std(data, ddof=1)) / float(np.sqrt(data.size))
-    return mean, half_width

@@ -9,6 +9,7 @@ from repro.core.constraints import (
 from repro.core.optimizer import (
     FrequencyOptimizer,
     OptimizationResult,
+    SearchConfig,
     peak_amplitudes_fft,
 )
 from repro.core.beamformer import CIBBeamformer, TransmitFrame
@@ -49,6 +50,7 @@ __all__ = [
     "validate_plan",
     "FrequencyOptimizer",
     "OptimizationResult",
+    "SearchConfig",
     "peak_amplitudes_fft",
     "CIBBeamformer",
     "TransmitFrame",

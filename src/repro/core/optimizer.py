@@ -47,7 +47,11 @@ import numpy as np
 # scipy's pocketfft accepts complex64 without an upcast; numpy's won't.
 from scipy.fft import ifft as _coarse_ifft
 
-from repro.constants import CIB_CENTER_FREQUENCY_HZ
+from repro.constants import (
+    CIB_CENTER_FREQUENCY_HZ,
+    FLATNESS_ALPHA,
+    QUERY_DURATION_S,
+)
 from repro.core.constraints import FlatnessConstraint
 from repro.core.plan import CarrierPlan
 from repro.errors import ConfigurationError
@@ -83,7 +87,7 @@ engine's 8M-element streaming cap, so the search uses a tighter chunk.
 class StackedScoreSpec:
     """One stacked scoring call, reduced to scatter-ready arrays.
 
-    Everything :meth:`FrequencyOptimizer._stacked_values` needs to score
+    What :meth:`FrequencyOptimizer._score_matrix` hands the kernel for
     its candidate rows, with the shift/re-centring and precision decisions
     already baked in. Each row's inverse FFT is independent of whatever
     rows share its chunk (the row-stability the batched-search equivalence
@@ -333,24 +337,95 @@ def peak_amplitudes_fft(
     )
 
 
+DEFAULT_N_DRAWS = 48
+"""Common-random-number phase draws per objective evaluation."""
+
+DEFAULT_REFINE_STEPS = (1, 2, 5, 10, 20)
+"""Offset perturbations the refinement tries per coordinate."""
+
+_KIND_DEFAULTS = {"peak": (120, 2), "conduction": (60, 1)}
+"""Per-kind ``(n_candidates, refine_rounds)`` defaults."""
+
+
 @dataclass(frozen=True)
-class _SearchSpec:
-    """Picklable search configuration shipped to island worker processes."""
+class SearchConfig:
+    """One Eq. 10 search, described completely.
+
+    Every field decides which plan the search selects, so the plan cache
+    keys on exactly these fields (plus the fault and adaptive tokens).
+    ``shortlist`` and ``workers`` stay call arguments, out of the key:
+    cached searches always use the default shortlist, and results are
+    bit-identical for any worker count. ``n_candidates`` /
+    ``refine_rounds`` left as ``None`` take the kind's defaults.
+    ``threshold`` is the conduction objective's level and must be ``None``
+    for a peak search. Picklable: island workers rebuild their optimizer
+    from it.
+    """
 
     n_antennas: int
-    alpha: float
-    query_duration_s: float
-    center_frequency_hz: float
-    n_draws: int
-    grid_size: int
-    seed: int
-    kind: str
-    threshold: float
-    n_candidates: int
-    refine_rounds: int
-    refine_steps: Tuple[int, ...]
-    shortlist: int
-    islands: int
+    kind: str = "peak"
+    alpha: float = FLATNESS_ALPHA
+    query_duration_s: float = QUERY_DURATION_S
+    center_frequency_hz: float = CIB_CENTER_FREQUENCY_HZ
+    n_draws: int = DEFAULT_N_DRAWS
+    grid_size: int = DEFAULT_GRID_SIZE
+    seed: int = 0
+    n_candidates: Optional[int] = None
+    refine_rounds: Optional[int] = None
+    refine_steps: Tuple[int, ...] = DEFAULT_REFINE_STEPS
+    islands: int = 1
+    threshold: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in _KIND_DEFAULTS:
+            raise ConfigurationError(
+                f"kind must be 'peak' or 'conduction', got {self.kind!r}"
+            )
+        candidates, rounds = _KIND_DEFAULTS[self.kind]
+        if self.n_candidates is None:
+            object.__setattr__(self, "n_candidates", candidates)
+        if self.refine_rounds is None:
+            object.__setattr__(self, "refine_rounds", rounds)
+        object.__setattr__(self, "refine_steps", tuple(self.refine_steps))
+        if self.islands < 1:
+            raise ConfigurationError(
+                f"islands must be >= 1, got {self.islands}"
+            )
+        if self.n_candidates < 1:
+            raise ConfigurationError(
+                f"n_candidates must be positive, got {self.n_candidates}"
+            )
+        if self.kind == "peak":
+            if self.threshold is not None:
+                raise ConfigurationError(
+                    "threshold applies only to conduction searches"
+                )
+        elif self.threshold is None or not self.threshold >= 0:
+            raise ConfigurationError(
+                f"threshold must be >= 0, got {self.threshold}"
+            )
+
+    def constraint(self) -> FlatnessConstraint:
+        """The Eq. 9 budget this search respects."""
+        return FlatnessConstraint(self.alpha, self.query_duration_s)
+
+    def optimizer(self) -> "FrequencyOptimizer":
+        """A fresh optimizer for this search (generator at ``seed``)."""
+        return FrequencyOptimizer(
+            self.n_antennas,
+            self.constraint(),
+            center_frequency_hz=self.center_frequency_hz,
+            n_draws=self.n_draws,
+            grid_size=self.grid_size,
+            seed=self.seed,
+        )
+
+    def run(
+        self, *, shortlist: int = DEFAULT_SHORTLIST, workers: int = 1
+    ) -> "OptimizationResult":
+        """This search on a fresh optimizer: what ``optimize`` (or
+        ``optimize_conduction``) returns on a new instance."""
+        return self.optimizer()._run(self, shortlist, workers)
 
 
 @dataclass(frozen=True)
@@ -366,38 +441,26 @@ class _SearchOutcome:
 
 
 def _search_island_chunk(
-    spec: _SearchSpec, start: int, count: int
+    config: SearchConfig, shortlist: int, start: int, count: int
 ) -> List[Tuple[int, _SearchOutcome]]:
     """Run islands ``[start, start + count)`` of a search.
 
-    Rebuilds the optimizer from ``spec`` (same seed, hence the same common
-    random numbers / phase draws as the parent), then runs each island
-    with its own ``SeedSequence(seed).spawn(islands)[i]`` candidate stream
-    so results do not depend on chunking or worker placement.
+    Rebuilds the optimizer from ``config`` (same seed, hence the same
+    common random numbers / phase draws as the parent), then runs each
+    island with its own ``SeedSequence(seed).spawn(islands)[i]`` candidate
+    stream so results do not depend on chunking or worker placement.
     """
-    seeds = np.random.SeedSequence(spec.seed).spawn(spec.islands)
-    optimizer = FrequencyOptimizer(
-        spec.n_antennas,
-        FlatnessConstraint(spec.alpha, spec.query_duration_s),
-        center_frequency_hz=spec.center_frequency_hz,
-        n_draws=spec.n_draws,
-        grid_size=spec.grid_size,
-        seed=spec.seed,
-    )
-    out = []
-    for island in range(start, start + count):
-        rng = np.random.default_rng(seeds[island])
-        outcome = optimizer._search(
-            kind=spec.kind,
-            threshold=spec.threshold,
-            n_candidates=spec.n_candidates,
-            refine_rounds=spec.refine_rounds,
-            refine_steps=spec.refine_steps,
-            shortlist=spec.shortlist,
-            rng=rng,
+    seeds = np.random.SeedSequence(config.seed).spawn(config.islands)
+    optimizer = config.optimizer()
+    return [
+        (
+            island,
+            optimizer._search(
+                config, shortlist, np.random.default_rng(seeds[island])
+            ),
         )
-        out.append((island, outcome))
-    return out
+        for island in range(start, start + count)
+    ]
 
 
 class FrequencyOptimizer:
@@ -414,7 +477,7 @@ class FrequencyOptimizer:
         n_antennas: int,
         constraint: Optional[FlatnessConstraint] = None,
         center_frequency_hz: float = CIB_CENTER_FREQUENCY_HZ,
-        n_draws: int = 48,
+        n_draws: int = DEFAULT_N_DRAWS,
         grid_size: int = DEFAULT_GRID_SIZE,
         seed: int = 0,
     ):
@@ -640,60 +703,6 @@ class FrequencyOptimizer:
 
     # -- batched scoring kernel -------------------------------------------------
 
-    def _score_spec(
-        self,
-        candidates: np.ndarray,
-        grid_size: int,
-        shift: bool,
-        kind: str,
-        threshold: float,
-    ) -> StackedScoreSpec:
-        """Reduce one scoring call to a :class:`StackedScoreSpec`.
-
-        With ``shift``, each candidate's bins are re-centred around zero
-        first (the envelope modulus is invariant under the shift), which is
-        what lets the coarse grid stay small; the coarse stage also runs in
-        single precision and leaves the IFFT's 1/M normalization in place
-        (its values only rank candidates against each other -- selections
-        are always re-ranked by float64 fine scores on the true scale),
-        which roughly halves the memory traffic of the hottest loop. The
-        ranking-only path skips the ``* grid_size`` rescale (a full-size
-        complex multiply); the conduction threshold is divided down instead
-        so the comparison is unchanged.
-        """
-        rows = np.asarray(candidates, dtype=np.int64)
-        if shift:
-            centers = (rows.min(axis=1) + rows.max(axis=1)) // 2
-            scatter = (rows - centers[:, None]) % grid_size
-        else:
-            scatter = rows
-        return StackedScoreSpec(
-            scatter=scatter,
-            phasors=self._phasors_single if shift else self._phasors,
-            grid_size=int(grid_size),
-            kind=kind,
-            cutoff=threshold / grid_size if shift else threshold,
-            single=shift,
-        )
-
-    def _stacked_values(
-        self,
-        candidates: np.ndarray,
-        grid_size: int,
-        shift: bool,
-        kind: str,
-        threshold: float,
-    ) -> np.ndarray:
-        """Score candidate rows on ``grid_size``-point grids, chunked.
-
-        Builds the stacked ``(rows * n_draws, grid_size)`` sparse spectrum
-        in chunks bounded by :data:`FFT_ROW_CHUNK_ELEMENTS`, runs one
-        inverse FFT per chunk, and reduces per candidate (see
-        :func:`evaluate_stacked_specs`).
-        """
-        spec = self._score_spec(candidates, grid_size, shift, kind, threshold)
-        return evaluate_stacked_specs([spec])[0]
-
     def _score_matrix(
         self,
         candidates: np.ndarray,
@@ -701,14 +710,38 @@ class FrequencyOptimizer:
         kind: str,
         threshold: float,
     ) -> np.ndarray:
-        """Level-aware scoring: coarse (shifted small grid) or fine."""
+        """Score candidate rows on the coarse or the fine grid.
+
+        The coarse level re-centres each candidate's bins around zero
+        first (the envelope modulus is invariant under the shift), which
+        is what lets the coarse grid stay small; it also runs in single
+        precision and leaves the IFFT's 1/M normalization in place (its
+        values only rank candidates against each other -- selections are
+        always re-ranked by float64 fine scores on the true scale), which
+        roughly halves the memory traffic of the hottest loop. The
+        ranking-only path skips the ``* grid_size`` rescale (a full-size
+        complex multiply); the conduction threshold is divided down
+        instead so the comparison is unchanged. Scoring itself is
+        :func:`evaluate_stacked_specs`.
+        """
         rows = np.asarray(candidates, dtype=np.int64)
         if rows.ndim == 1:
             rows = rows[None, :]
-        grid_size, shift = self.grid_size, False
-        if level == "coarse" and self._coarse_grid_size is not None:
-            grid_size, shift = self._coarse_grid_size, True
-        return self._stacked_values(rows, grid_size, shift, kind, threshold)
+        grid_size, scatter = self.grid_size, rows
+        coarse = level == "coarse" and self._coarse_grid_size is not None
+        if coarse:
+            grid_size = self._coarse_grid_size
+            centers = (rows.min(axis=1) + rows.max(axis=1)) // 2
+            scatter = (rows - centers[:, None]) % grid_size
+        spec = StackedScoreSpec(
+            scatter=scatter,
+            phasors=self._phasors_single if coarse else self._phasors,
+            grid_size=grid_size,
+            kind=kind,
+            cutoff=threshold / grid_size if coarse else threshold,
+            single=coarse,
+        )
+        return evaluate_stacked_specs([spec])[0]
 
     # -- search ------------------------------------------------------------------
 
@@ -742,12 +775,7 @@ class FrequencyOptimizer:
 
     def _search(
         self,
-        *,
-        kind: str,
-        threshold: float,
-        n_candidates: int,
-        refine_rounds: int,
-        refine_steps: Tuple[int, ...],
+        config: SearchConfig,
         shortlist: int,
         rng: np.random.Generator,
     ) -> _SearchOutcome:
@@ -760,6 +788,8 @@ class FrequencyOptimizer:
         coarse domain, then fine-rescore the refinement trajectory and keep
         the best fine value seen.
         """
+        kind, refine_steps = config.kind, config.refine_steps
+        threshold = 0.0 if config.threshold is None else config.threshold
         coarse_evals = 0
         fine_evals = 0
 
@@ -774,7 +804,7 @@ class FrequencyOptimizer:
                 fine_evals += matrix.shape[0]
             return self._score_matrix(matrix, level, kind, threshold)
 
-        candidates = self.random_candidates(n_candidates, rng=rng)
+        candidates = self.random_candidates(config.n_candidates, rng=rng)
         coarse_values = score(candidates, "coarse")
 
         keep = min(candidates.shape[0], max(1, shortlist))
@@ -802,7 +832,7 @@ class FrequencyOptimizer:
         incumbent_level = float(coarse_values[order[best_position]])
         trajectory: List[np.ndarray] = []
         trajectory_level_values: List[float] = []
-        budget = max(0, refine_rounds) * max(1, self.n_antennas - 1)
+        budget = max(0, config.refine_rounds) * max(1, self.n_antennas - 1)
         moves = 0
         while moves < budget and len(refine_steps) > 0:
             neighborhood = self._neighborhood(incumbent, refine_steps)
@@ -839,16 +869,7 @@ class FrequencyOptimizer:
         )
 
     def _island_search(
-        self,
-        *,
-        kind: str,
-        threshold: float,
-        n_candidates: int,
-        refine_rounds: int,
-        refine_steps: Tuple[int, ...],
-        shortlist: int,
-        islands: int,
-        workers: int,
+        self, config: SearchConfig, shortlist: int, workers: int
     ) -> _SearchOutcome:
         """Merge independent island searches, best value wins (ties: lowest
         island index). Dispatched through :class:`TrialRunner`, so results
@@ -857,26 +878,10 @@ class FrequencyOptimizer:
         # init, so a module-scope import here would be circular.
         from repro.runtime.runner import TrialRunner
 
-        spec = _SearchSpec(
-            n_antennas=self.n_antennas,
-            alpha=self.constraint.alpha,
-            query_duration_s=self.constraint.query_duration_s,
-            center_frequency_hz=self.center_frequency_hz,
-            n_draws=self.n_draws,
-            grid_size=self.grid_size,
-            seed=self.seed,
-            kind=kind,
-            threshold=threshold,
-            n_candidates=n_candidates,
-            refine_rounds=refine_rounds,
-            refine_steps=tuple(refine_steps),
-            shortlist=shortlist,
-            islands=islands,
-        )
         with TrialRunner(workers=workers) as runner:
             chunks = runner.map_chunks(
-                partial(_search_island_chunk, spec),
-                islands,
+                partial(_search_island_chunk, config, shortlist),
+                config.islands,
                 label="search.island_chunk",
             )
         outcomes = [pair for chunk in chunks for pair in chunk]
@@ -884,7 +889,7 @@ class FrequencyOptimizer:
         for island, outcome in outcomes[1:]:
             if outcome.value > best.value:
                 best_island, best = island, outcome
-        current_obs().metrics.counter("search.islands").inc(islands)
+        current_obs().metrics.counter("search.islands").inc(config.islands)
         return _SearchOutcome(
             offsets=best.offsets,
             value=best.value,
@@ -895,54 +900,22 @@ class FrequencyOptimizer:
         )
 
     def _dispatch_search(
-        self,
-        *,
-        kind: str,
-        threshold: float,
-        n_candidates: int,
-        refine_rounds: int,
-        refine_steps: Tuple[int, ...],
-        shortlist: int,
-        islands: int,
-        workers: int,
+        self, config: SearchConfig, shortlist: int, workers: int
     ) -> _SearchOutcome:
         """Run one search (in-process or islands) with obs bookkeeping."""
-        if islands < 1:
-            raise ValueError(f"islands must be >= 1, got {islands}")
-        if n_candidates < 1:
-            raise ValueError(
-                f"n_candidates must be positive, got {n_candidates}"
-            )
         obs = current_obs()
         began = time.perf_counter()
         with obs.stage_span(
-            f"search.{kind}",
-            kind=kind,
-            islands=islands,
+            f"search.{config.kind}",
+            kind=config.kind,
+            islands=config.islands,
             n_antennas=self.n_antennas,
-            candidates=n_candidates,
+            candidates=config.n_candidates,
         ) as span:
-            if islands == 1:
-                outcome = self._search(
-                    kind=kind,
-                    threshold=threshold,
-                    n_candidates=n_candidates,
-                    refine_rounds=refine_rounds,
-                    refine_steps=tuple(refine_steps),
-                    shortlist=shortlist,
-                    rng=self._rng,
-                )
+            if config.islands == 1:
+                outcome = self._search(config, shortlist, self._rng)
             else:
-                outcome = self._island_search(
-                    kind=kind,
-                    threshold=threshold,
-                    n_candidates=n_candidates,
-                    refine_rounds=refine_rounds,
-                    refine_steps=tuple(refine_steps),
-                    shortlist=shortlist,
-                    islands=islands,
-                    workers=workers,
-                )
+                outcome = self._island_search(config, shortlist, workers)
             wall_s = time.perf_counter() - began
             rate = outcome.n_evaluations / wall_s if wall_s > 0 else 0.0
             span.attrs["trials"] = outcome.n_evaluations
@@ -959,11 +932,55 @@ class FrequencyOptimizer:
         self.n_evaluations += outcome.n_evaluations
         return outcome
 
+    def _run(
+        self, config: SearchConfig, shortlist: int, workers: int
+    ) -> OptimizationResult:
+        """The one search path behind :meth:`optimize`,
+        :meth:`optimize_conduction` and :meth:`SearchConfig.run`.
+
+        A single antenna needs no search: its plan is the bare carrier,
+        whose peak is 1 and whose conduction fraction is 1 below a
+        threshold of 1. ``expected_peak`` holds the conduction fraction
+        for a conduction search, which is also its normalized value.
+        """
+        if self.n_antennas == 1:
+            value = 1.0
+            if config.kind == "conduction" and config.threshold >= 1.0:
+                value = 0.0
+            plan = CarrierPlan(self.center_frequency_hz, (0.0,))
+            return OptimizationResult(plan, value, value, 0, (value,))
+        outcome = self._dispatch_search(config, shortlist, workers)
+        plan = CarrierPlan(
+            center_frequency_hz=self.center_frequency_hz,
+            offsets_hz=tuple(float(v) for v in outcome.offsets),
+        )
+        scale = self.n_antennas if config.kind == "peak" else 1
+        return OptimizationResult(
+            plan=plan,
+            expected_peak=outcome.value,
+            normalized_peak=outcome.value / scale,
+            n_evaluations=outcome.n_evaluations,
+            history=outcome.history,
+        )
+
+    def _config(self, **search) -> SearchConfig:
+        """This optimizer's search with the given search fields."""
+        return SearchConfig(
+            n_antennas=self.n_antennas,
+            alpha=self.constraint.alpha,
+            query_duration_s=self.constraint.query_duration_s,
+            center_frequency_hz=self.center_frequency_hz,
+            n_draws=self.n_draws,
+            grid_size=self.grid_size,
+            seed=self.seed,
+            **search,
+        )
+
     def optimize(
         self,
-        n_candidates: int = 120,
-        refine_rounds: int = 2,
-        refine_steps: Tuple[int, ...] = (1, 2, 5, 10, 20),
+        n_candidates: Optional[int] = None,
+        refine_rounds: Optional[int] = None,
+        refine_steps: Tuple[int, ...] = DEFAULT_REFINE_STEPS,
         *,
         shortlist: int = DEFAULT_SHORTLIST,
         islands: int = 1,
@@ -982,38 +999,23 @@ class FrequencyOptimizer:
             islands: Independent candidate streams searched in parallel;
                 ``1`` uses the instance generator in-process.
             workers: Worker processes for ``islands > 1``.
+
+        ``None`` counts take the peak defaults of :class:`SearchConfig`.
         """
-        if self.n_antennas == 1:
-            plan = CarrierPlan(self.center_frequency_hz, (0.0,))
-            return OptimizationResult(plan, 1.0, 1.0, 0, (1.0,))
-        outcome = self._dispatch_search(
-            kind="peak",
-            threshold=0.0,
+        config = self._config(
             n_candidates=n_candidates,
             refine_rounds=refine_rounds,
             refine_steps=refine_steps,
-            shortlist=shortlist,
             islands=islands,
-            workers=workers,
         )
-        plan = CarrierPlan(
-            center_frequency_hz=self.center_frequency_hz,
-            offsets_hz=tuple(float(v) for v in outcome.offsets),
-        )
-        return OptimizationResult(
-            plan=plan,
-            expected_peak=outcome.value,
-            normalized_peak=outcome.value / self.n_antennas,
-            n_evaluations=outcome.n_evaluations,
-            history=outcome.history,
-        )
+        return self._run(config, shortlist, workers)
 
     def optimize_conduction(
         self,
         threshold: float,
-        n_candidates: int = 60,
-        refine_rounds: int = 1,
-        refine_steps: Tuple[int, ...] = (1, 2, 5, 10, 20),
+        n_candidates: Optional[int] = None,
+        refine_rounds: Optional[int] = None,
+        refine_steps: Tuple[int, ...] = DEFAULT_REFINE_STEPS,
         *,
         shortlist: int = DEFAULT_SHORTLIST,
         islands: int = 1,
@@ -1021,41 +1023,24 @@ class FrequencyOptimizer:
     ) -> OptimizationResult:
         """Batched search on the conduction-fraction objective.
 
-        Same pipeline as :meth:`optimize` with the Sec. 3.7 objective; the
-        coarse stage estimates the above-threshold fraction on the
-        subsampled grid (an unbiased subset estimate rather than a bound)
-        and survivors are re-ranked with exact fine-grid fractions.
-        Returns an :class:`OptimizationResult` whose ``expected_peak``
-        field holds the conduction fraction (in [0, 1]) instead of a peak
-        amplitude.
+        Same pipeline and arguments as :meth:`optimize` (``None`` counts
+        take the conduction defaults) with the
+        Sec. 3.7 objective; the coarse stage estimates the above-threshold
+        fraction on the subsampled grid (an unbiased subset estimate
+        rather than a bound) and survivors are re-ranked with exact
+        fine-grid fractions. Returns an :class:`OptimizationResult` whose
+        ``expected_peak`` field holds the conduction fraction (in [0, 1])
+        instead of a peak amplitude.
         """
-        if threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {threshold}")
-        if self.n_antennas == 1:
-            plan = CarrierPlan(self.center_frequency_hz, (0.0,))
-            fraction = 1.0 if threshold < 1.0 else 0.0
-            return OptimizationResult(plan, fraction, fraction, 0, (fraction,))
-        outcome = self._dispatch_search(
+        config = self._config(
             kind="conduction",
             threshold=threshold,
             n_candidates=n_candidates,
             refine_rounds=refine_rounds,
             refine_steps=refine_steps,
-            shortlist=shortlist,
             islands=islands,
-            workers=workers,
         )
-        plan = CarrierPlan(
-            center_frequency_hz=self.center_frequency_hz,
-            offsets_hz=tuple(float(v) for v in outcome.offsets),
-        )
-        return OptimizationResult(
-            plan=plan,
-            expected_peak=outcome.value,
-            normalized_peak=outcome.value,
-            n_evaluations=outcome.n_evaluations,
-            history=outcome.history,
-        )
+        return self._run(config, shortlist, workers)
 
     def rank_random_sets(
         self,

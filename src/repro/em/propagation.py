@@ -42,12 +42,18 @@ def free_space_field_amplitude(
     """Peak electric-field amplitude at ``distance_m`` from an EIRP source.
 
     Uses the standard far-field relation ``E_rms = sqrt(30 * EIRP) / r`` and
-    converts to the peak amplitude used by the rectifier model.
+    converts to the peak amplitude used by the rectifier model. A
+    negative, NaN or infinite EIRP (zero is allowed) or a non-positive,
+    NaN or infinite distance raises :class:`ConfigurationError`.
     """
-    if eirp_watts < 0:
-        raise ValueError(f"EIRP must be non-negative, got {eirp_watts}")
-    if distance_m <= 0:
-        raise ValueError(f"distance must be positive, got {distance_m}")
+    if not 0 <= eirp_watts < math.inf:
+        raise ConfigurationError(
+            f"EIRP must be non-negative and finite, got {eirp_watts}"
+        )
+    if not 0 < distance_m < math.inf:
+        raise ConfigurationError(
+            f"distance must be positive and finite, got {distance_m}"
+        )
     e_rms = math.sqrt(30.0 * eirp_watts) / distance_m
     return e_rms * math.sqrt(2.0)
 
@@ -91,10 +97,13 @@ def tissue_field_amplitude(
     of ``medium``.
 
     A ``depth_m`` of zero reduces to the free-space amplitude times the
-    boundary transmittance (unless the medium is air, where T = 1).
+    boundary transmittance (unless the medium is air, where T = 1). A
+    negative, NaN or infinite depth raises :class:`ConfigurationError`.
     """
-    if depth_m < 0:
-        raise ValueError(f"depth must be non-negative, got {depth_m}")
+    if not 0 <= depth_m < math.inf:
+        raise ConfigurationError(
+            f"depth must be non-negative and finite, got {depth_m}"
+        )
     amplitude = free_space_field_amplitude(eirp_watts, air_distance_m)
     if medium is AIR or medium == AIR:
         return amplitude

@@ -51,6 +51,7 @@ from repro.runtime.cache import (
     get_search_defaults,
     optimized_conduction_plan,
     optimized_plan,
+    search_key,
 )
 from repro.runtime.engine import fft_compatible, peak_amplitudes
 from repro.runtime.runner import TrialRunner
@@ -71,4 +72,5 @@ __all__ = [
     "optimized_conduction_plan",
     "optimized_plan",
     "peak_amplitudes",
+    "search_key",
 ]

@@ -24,17 +24,12 @@ the result the search would have produced.
 
 import os
 import threading
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
-from repro.constants import CIB_CENTER_FREQUENCY_HZ
 from repro.core.constraints import FlatnessConstraint
-from repro.core.optimizer import (
-    DEFAULT_GRID_SIZE,
-    SEARCH_REV,
-    FrequencyOptimizer,
-    OptimizationResult,
-)
+from repro.core.optimizer import SEARCH_REV, OptimizationResult, SearchConfig
 from repro.core.plan import CarrierPlan
 from repro.hashing import stable_digest
 from repro.obs.context import current_obs
@@ -137,87 +132,33 @@ def plan_key(**config) -> str:
     return stable_digest(config, 24)
 
 
-def _search_key(
-    kind: str,
-    threshold: Optional[float],
-    *,
-    n_antennas: int,
-    alpha: float,
-    query_duration_s: float,
-    center_frequency_hz: float = CIB_CENTER_FREQUENCY_HZ,
-    n_draws: int = 48,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    seed: int = 0,
-    n_candidates: int,
-    refine_rounds: int,
-    refine_steps: Tuple[int, ...] = (1, 2, 5, 10, 20),
-    islands: int = 1,
+def search_key(
+    config: SearchConfig,
     fault_token: Optional[str] = None,
     adaptive_token: str = "none",
 ) -> str:
-    """The one key function behind :func:`peak_plan_key` and
-    :func:`conduction_plan_key`; ``threshold`` enters the key only for
-    the conduction search."""
-    config = dict(
-        kind=kind,
-        n_antennas=n_antennas,
-        alpha=alpha,
-        query_duration_s=query_duration_s,
-        center_frequency_hz=center_frequency_hz,
-        n_draws=n_draws,
-        grid_size=grid_size,
-        seed=seed,
-        n_candidates=n_candidates,
-        refine_rounds=refine_rounds,
-        refine_steps=tuple(refine_steps),
-        islands=islands,
-        search_rev=SEARCH_REV,
-        fault_token=fault_token or "none",
-        adaptive_token=adaptive_token,
-    )
-    if threshold is not None:
-        config["threshold"] = threshold
-    return plan_key(**config)
-
-
-def peak_plan_key(
-    *, n_candidates: int = 120, refine_rounds: int = 2, **params
-) -> str:
-    """The cache key :func:`optimized_plan` uses for these parameters.
+    """The plan-cache key of one search: every :class:`SearchConfig` field.
 
     Key hygiene is deliberate: ``search_rev`` is baked in (so persisted
     rows from an older search algorithm can never be served as current),
     ``fault_token`` / ``adaptive_token`` isolate fault-injected and
-    adaptive-allocation plans, and the worker count is **excluded**
-    (results are bit-identical for any fan-out). Exposed
-    publicly so the serve layer can address every cache tier -- memory
-    and the SQLite store -- by exactly the key the search would compute.
+    adaptive-allocation plans, ``threshold`` enters only for the
+    conduction search, and the worker count is **excluded** (results are
+    bit-identical for any fan-out). The serve layer addresses every cache
+    tier -- memory and the SQLite store -- by this key too.
     """
-    return _search_key(
-        "peak",
-        None,
-        n_candidates=n_candidates,
-        refine_rounds=refine_rounds,
-        **params,
+    key = {
+        field.name: getattr(config, field.name)
+        for field in fields(SearchConfig)
+    }
+    if config.threshold is None:
+        del key["threshold"]
+    key.update(
+        search_rev=SEARCH_REV,
+        fault_token=fault_token or "none",
+        adaptive_token=adaptive_token,
     )
-
-
-def conduction_plan_key(
-    *,
-    threshold: float,
-    n_candidates: int = 60,
-    refine_rounds: int = 1,
-    **params,
-) -> str:
-    """The cache key :func:`optimized_conduction_plan` uses (see
-    :func:`peak_plan_key` for the hygiene rules)."""
-    return _search_key(
-        "conduction",
-        threshold,
-        n_candidates=n_candidates,
-        refine_rounds=refine_rounds,
-        **params,
-    )
+    return plan_key(**key)
 
 
 class PlanCache:
@@ -380,95 +321,67 @@ def configure_plan_cache(
 
 
 def _cached_search(
-    kind: str,
-    threshold: Optional[float],
-    n_antennas: int,
-    constraint: Optional[FlatnessConstraint] = None,
+    config: SearchConfig,
     *,
-    center_frequency_hz: float = CIB_CENTER_FREQUENCY_HZ,
-    n_draws: int = 48,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    seed: int = 0,
-    n_candidates: int,
-    refine_rounds: int,
-    refine_steps: Tuple[int, ...] = (1, 2, 5, 10, 20),
     cache: Optional[PlanCache] = None,
-    islands: Optional[int] = None,
     workers: Optional[int] = None,
     fault_token: Optional[str] = None,
     adaptive_token: Optional[str] = None,
 ) -> OptimizationResult:
     """The one cached search behind :func:`optimized_plan` and
-    :func:`optimized_conduction_plan`: key, look up, else run a fresh
-    optimizer's ``optimize`` (peak) or ``optimize_conduction`` and store."""
-    constraint = constraint if constraint is not None else FlatnessConstraint()
+    :func:`optimized_conduction_plan`: key, look up, else run the search
+    on a fresh optimizer and store."""
     cache = cache if cache is not None else get_plan_cache()
-    islands = _SEARCH_DEFAULTS["islands"] if islands is None else islands
     workers = _SEARCH_DEFAULTS["workers"] if workers is None else workers
     if adaptive_token is None:
         adaptive_token = str(_SEARCH_DEFAULTS["adaptive_token"])
-    refine_steps = tuple(refine_steps)
-    key = _search_key(
-        kind,
-        threshold,
-        n_antennas=n_antennas,
-        alpha=constraint.alpha,
-        query_duration_s=constraint.query_duration_s,
-        center_frequency_hz=center_frequency_hz,
-        n_draws=n_draws,
-        grid_size=grid_size,
-        seed=seed,
-        n_candidates=n_candidates,
-        refine_rounds=refine_rounds,
-        refine_steps=refine_steps,
-        islands=islands,
-        fault_token=fault_token,
-        adaptive_token=adaptive_token,
-    )
+    key = search_key(config, fault_token, adaptive_token)
     obs = current_obs()
+    kind = config.kind
     with obs.tracer.span("plan_cache.lookup", kind=kind, key=key) as span:
         result = cache.lookup(key)
         span.attrs["hit"] = result is not None
     if result is not None:
         return result
     with obs.stage_span(f"plan_search.{kind}", kind=kind, key=key):
-        optimizer = FrequencyOptimizer(
-            n_antennas,
-            constraint,
-            center_frequency_hz=center_frequency_hz,
-            n_draws=n_draws,
-            grid_size=grid_size,
-            seed=seed,
-        )
-        search = dict(
-            n_candidates=n_candidates,
-            refine_rounds=refine_rounds,
-            refine_steps=refine_steps,
-            islands=islands,
-            workers=workers,
-        )
-        if threshold is None:
-            result = optimizer.optimize(**search)
-        else:
-            result = optimizer.optimize_conduction(threshold, **search)
+        result = config.run(workers=workers)
     cache.store(key, result)
     return result
+
+
+def _search_config(
+    kind: str,
+    n_antennas: int,
+    constraint: Optional[FlatnessConstraint],
+    search: Dict[str, Any],
+) -> SearchConfig:
+    """The helpers' keywords as a :class:`SearchConfig`: ``constraint``,
+    when given, sets ``alpha`` and ``query_duration_s``, and ``islands``
+    defaults to the :func:`configure_search` setting."""
+    if search.get("islands") is None:
+        search["islands"] = _SEARCH_DEFAULTS["islands"]
+    if constraint is not None:
+        search["alpha"] = constraint.alpha
+        search["query_duration_s"] = constraint.query_duration_s
+    return SearchConfig(n_antennas, kind, **search)
+
+
+_CALL_ONLY = ("cache", "workers", "fault_token", "adaptive_token")
 
 
 def optimized_plan(
     n_antennas: int,
     constraint: Optional[FlatnessConstraint] = None,
-    *,
-    n_candidates: int = 120,
-    refine_rounds: int = 2,
     **search,
 ) -> OptimizationResult:
     """Cached equivalent of ``FrequencyOptimizer(...).optimize(...)``.
 
-    Keyword arguments: the optimizer's ``center_frequency_hz``,
-    ``n_draws``, ``grid_size`` and ``seed``; the search's
-    ``refine_steps``; and ``cache`` (default: :func:`get_plan_cache`),
-    ``islands``, ``workers``, ``fault_token`` and ``adaptive_token``.
+    Keyword arguments: any :class:`SearchConfig` field but ``kind`` and
+    ``threshold`` (the optimizer's ``center_frequency_hz``, ``n_draws``,
+    ``grid_size`` and ``seed``; the search's ``n_candidates``,
+    ``refine_rounds``, ``refine_steps`` and ``islands``), and ``cache``
+    (default: :func:`get_plan_cache`), ``workers``, ``fault_token`` and
+    ``adaptive_token``.
 
     ``islands`` / ``workers`` default to :func:`configure_search` settings;
     the island count is part of the cache key (it changes which candidate
@@ -480,24 +393,15 @@ def optimized_plan(
     ``adaptive_token`` keys the active adaptive-allocation policy the same
     way (defaulting to the :func:`configure_search` process-wide value).
     """
-    return _cached_search(
-        "peak",
-        None,
-        n_antennas,
-        constraint,
-        n_candidates=n_candidates,
-        refine_rounds=refine_rounds,
-        **search,
-    )
+    call = {name: search.pop(name, None) for name in _CALL_ONLY}
+    config = _search_config("peak", n_antennas, constraint, search)
+    return _cached_search(config, **call)
 
 
 def optimized_conduction_plan(
     n_antennas: int,
     threshold: float,
     constraint: Optional[FlatnessConstraint] = None,
-    *,
-    n_candidates: int = 60,
-    refine_rounds: int = 1,
     **search,
 ) -> OptimizationResult:
     """Cached ``FrequencyOptimizer(...).optimize_conduction(threshold, ...)``.
@@ -505,12 +409,7 @@ def optimized_conduction_plan(
     Takes the same keyword arguments as :func:`optimized_plan`, with the
     same meaning.
     """
-    return _cached_search(
-        "conduction",
-        threshold,
-        n_antennas,
-        constraint,
-        n_candidates=n_candidates,
-        refine_rounds=refine_rounds,
-        **search,
-    )
+    call = {name: search.pop(name, None) for name in _CALL_ONLY}
+    search["threshold"] = threshold
+    config = _search_config("conduction", n_antennas, constraint, search)
+    return _cached_search(config, **call)

@@ -4,10 +4,11 @@
 runtime. One request's life:
 
 1. ``parse_request`` validates the JSON payload into a
-   :class:`PlanRequest` and computes its cache key with the *same* public
-   key helpers the cached search uses (``peak_plan_key`` /
-   ``conduction_plan_key``) -- so every tier is addressed by exactly the
-   key a cold search would store under.
+   :class:`PlanRequest` -- a :class:`~repro.core.optimizer.SearchConfig`
+   plus its tokens -- whose key is the *same*
+   :func:`~repro.runtime.cache.search_key` the cached search uses, so
+   every tier is addressed by exactly the key a cold search would store
+   under.
 2. The tiered :class:`~repro.runtime.cache.PlanCache` answers memory /
    SQLite-store hits immediately (``serve.store_hit`` spans mark
    store hits).
@@ -32,16 +33,14 @@ import asyncio
 import itertools
 import math
 import time
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, fields
+from functools import cached_property, partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.constants import CIB_CENTER_FREQUENCY_HZ
-from repro.core.constraints import FlatnessConstraint
 from repro.core.optimizer import (
-    DEFAULT_GRID_SIZE,
     SEARCH_REV,
     OptimizationResult,
+    SearchConfig,
     # perfbench/hooks.py wraps it here; test_benchmark_targets_resolve pins it.
     evaluate_stacked_specs,
 )
@@ -53,11 +52,10 @@ from repro.obs.context import ObsContext, current_obs
 from repro.runtime.adaptive import AdaptiveConfig
 from repro.runtime.cache import (
     PlanCache,
-    conduction_plan_key,
     optimized_conduction_plan,
     optimized_plan,
-    peak_plan_key,
     result_to_json,
+    search_key,
 )
 from repro.runtime.runner import TrialRunner
 from repro.sensors.tags import standard_tag_spec
@@ -99,60 +97,27 @@ class ServeRequestError(ValueError):
 
 
 @dataclass(frozen=True)
-class PlanRequest:
-    """One validated planning request.
+class PlanRequest(SearchConfig):
+    """One validated planning request: its search plus what rides along.
 
-    The search-defining fields feed the cache key; ``medium`` / ``depth_m``
-    / ``eirp_watts`` / ``air_distance_m`` only shape the power-at-depth
-    answer computed *from* the plan, so requests for different depths in
-    the same medium share one search -- the coalescing the batcher
-    exploits.
+    The :class:`SearchConfig` fields and the fault / adaptive tokens make
+    the cache key; ``medium`` / ``depth_m`` / ``eirp_watts`` /
+    ``air_distance_m`` only shape the power-at-depth answer computed
+    *from* the plan, so requests for different depths in the same medium
+    share one search -- the coalescing the batcher exploits.
     """
 
-    kind: str
-    n_antennas: int
-    threshold: float
-    alpha: float
-    query_duration_s: float
-    center_frequency_hz: float
-    n_draws: int
-    grid_size: int
-    seed: int
-    n_candidates: int
-    refine_rounds: int
-    refine_steps: Tuple[int, ...]
-    islands: int
-    fault_token: str
-    adaptive_token: str
+    fault_token: str = "none"
+    adaptive_token: str = "none"
     medium: Optional[str] = None
     depth_m: Optional[float] = None
     eirp_watts: float = DEFAULT_EIRP_WATTS
     air_distance_m: float = DEFAULT_AIR_DISTANCE_M
 
-    @property
+    @cached_property
     def key(self) -> str:
         """The plan-cache key this request's search stores under."""
-        common = dict(
-            n_antennas=self.n_antennas,
-            alpha=self.alpha,
-            query_duration_s=self.query_duration_s,
-            center_frequency_hz=self.center_frequency_hz,
-            n_draws=self.n_draws,
-            grid_size=self.grid_size,
-            seed=self.seed,
-            n_candidates=self.n_candidates,
-            refine_rounds=self.refine_rounds,
-            refine_steps=self.refine_steps,
-            islands=self.islands,
-            fault_token=self.fault_token,
-            adaptive_token=self.adaptive_token,
-        )
-        if self.kind == "conduction":
-            return conduction_plan_key(threshold=self.threshold, **common)
-        return peak_plan_key(**common)
-
-    def constraint(self) -> FlatnessConstraint:
-        return FlatnessConstraint(self.alpha, self.query_duration_s)
+        return search_key(self, self.fault_token, self.adaptive_token)
 
 
 _REQUEST_FIELDS = {
@@ -280,18 +245,19 @@ def parse_request(payload: Any) -> PlanRequest:
         raise ServeRequestError(
             f"kind must be 'peak' or 'conduction', got {kind!r}"
         )
+    conduction = kind == "conduction"
+    defaults = SearchConfig(1, kind, threshold=0.0 if conduction else None)
     grid_size = _positive_int(
-        payload, "grid_size", DEFAULT_GRID_SIZE, MAX_GRID_SIZE
+        payload, "grid_size", defaults.grid_size, MAX_GRID_SIZE
     )
     # Every antenna needs its own offset bin below the grid's Nyquist bin.
     n_antennas = _positive_int(payload, "n_antennas", 0, grid_size // 2)
     threshold = _number(payload, "threshold", 0.0)
-    if kind == "conduction" and threshold < 0:
+    if conduction and threshold < 0:
         raise ServeRequestError("threshold must be >= 0")
-    constraint_defaults = FlatnessConstraint()
-    alpha = _number(payload, "alpha", constraint_defaults.alpha)
+    alpha = _number(payload, "alpha", defaults.alpha)
     query_duration_s = _number(
-        payload, "query_duration_s", constraint_defaults.query_duration_s
+        payload, "query_duration_s", defaults.query_duration_s
     )
     if alpha <= 0 or query_duration_s <= 0:
         raise ServeRequestError(
@@ -315,7 +281,7 @@ def parse_request(payload: Any) -> PlanRequest:
             raise ServeRequestError("depth_m must be >= 0")
         if medium is None:
             raise ServeRequestError("depth_m requires a medium")
-    refine_steps = payload.get("refine_steps", (1, 2, 5, 10, 20))
+    refine_steps = payload.get("refine_steps", defaults.refine_steps)
     if not isinstance(refine_steps, (list, tuple)):
         raise ServeRequestError("refine_steps must be a list of integers")
     if len(refine_steps) > MAX_REFINE_STEPS:
@@ -336,10 +302,9 @@ def parse_request(payload: Any) -> PlanRequest:
         raise ServeRequestError(
             f"refine_steps must be at most grid_size // 2 = {grid_size // 2}"
         )
-    seed = payload.get("seed", 0)
+    seed = payload.get("seed", defaults.seed)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ServeRequestError("seed must be a non-negative integer")
-    candidates, rounds = (120, 2) if kind == "peak" else (60, 1)
     eirp_watts = _number(payload, "eirp_watts", DEFAULT_EIRP_WATTS)
     air_distance_m = _number(
         payload, "air_distance_m", DEFAULT_AIR_DISTANCE_M
@@ -351,23 +316,27 @@ def parse_request(payload: Any) -> PlanRequest:
     return PlanRequest(
         kind=kind,
         n_antennas=n_antennas,
-        threshold=threshold,
+        threshold=threshold if conduction else None,
         alpha=alpha,
         query_duration_s=query_duration_s,
         center_frequency_hz=_number(
-            payload, "center_frequency_hz", CIB_CENTER_FREQUENCY_HZ
+            payload, "center_frequency_hz", defaults.center_frequency_hz
         ),
-        n_draws=_positive_int(payload, "n_draws", 48, MAX_DRAWS),
+        n_draws=_positive_int(
+            payload, "n_draws", defaults.n_draws, MAX_DRAWS
+        ),
         grid_size=grid_size,
         seed=seed,
         n_candidates=_positive_int(
-            payload, "n_candidates", candidates, MAX_CANDIDATES
+            payload, "n_candidates", defaults.n_candidates, MAX_CANDIDATES
         ),
         refine_rounds=_positive_int(
-            payload, "refine_rounds", rounds, MAX_REFINE_ROUNDS
+            payload, "refine_rounds", defaults.refine_rounds, MAX_REFINE_ROUNDS
         ),
         refine_steps=refine_steps,
-        islands=_positive_int(payload, "islands", 1, MAX_ISLANDS),
+        islands=_positive_int(
+            payload, "islands", defaults.islands, MAX_ISLANDS
+        ),
         fault_token=_fault_token(payload),
         adaptive_token=_adaptive_token(payload),
         medium=medium,
@@ -657,25 +626,21 @@ class PlanService:
 
 def _search(request: PlanRequest) -> OptimizationResult:
     """One cold search, uncached: the caller stores the plan."""
-    kwargs = dict(
-        n_antennas=request.n_antennas,
-        constraint=request.constraint(),
-        center_frequency_hz=request.center_frequency_hz,
-        n_draws=request.n_draws,
-        grid_size=request.grid_size,
-        seed=request.seed,
-        n_candidates=request.n_candidates,
-        refine_rounds=request.refine_rounds,
-        refine_steps=request.refine_steps,
+    search = {
+        field.name: getattr(request, field.name)
+        for field in fields(SearchConfig)
+    }
+    if search.pop("kind") == "peak":
+        helper = optimized_plan
+    else:
+        helper = optimized_conduction_plan
+    return helper(
+        **search,
         cache=PlanCache(enabled=False),
-        islands=request.islands,
         workers=1,
         fault_token=request.fault_token,
         adaptive_token=request.adaptive_token,
     )
-    if request.kind == "conduction":
-        return optimized_conduction_plan(threshold=request.threshold, **kwargs)
-    return optimized_plan(**kwargs)
 
 
 def _search_chunk(

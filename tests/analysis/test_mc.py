@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.mc import (
-    TrialRunner,
-    iter_keyed_rngs,
-    keyed_rngs,
-    mean_and_confidence,
-    spawn_rngs,
-)
+from repro.analysis.mc import iter_keyed_rngs, keyed_rngs, spawn_rngs
 
 
 def _states(rngs):
@@ -104,36 +98,3 @@ class TestKeyedRngs:
             iter_keyed_rngs((1,), [-1])
         lazy = iter_keyed_rngs((1,), range(3))
         assert _states(lazy) == _states(_seeded((1,), range(3)))
-
-
-class TestTrialRunner:
-    def test_run_reproducible(self):
-        runner = TrialRunner(seed=7)
-        first = runner.run(lambda rng: rng.normal(), 10)
-        second = TrialRunner(seed=7).run(lambda rng: rng.normal(), 10)
-        assert first == second
-
-    def test_run_indexed(self):
-        runner = TrialRunner(seed=7)
-        results = runner.run_indexed(lambda i, rng: i, 5)
-        assert results == [0, 1, 2, 3, 4]
-
-    def test_invalid_trials(self):
-        with pytest.raises(ValueError):
-            TrialRunner(seed=0).run(lambda rng: 1, 0)
-
-
-class TestMeanConfidence:
-    def test_mean(self):
-        mean, half = mean_and_confidence([1.0, 2.0, 3.0])
-        assert mean == pytest.approx(2.0)
-        assert half > 0
-
-    def test_single_sample_infinite_interval(self):
-        mean, half = mean_and_confidence([5.0])
-        assert mean == 5.0
-        assert half == float("inf")
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            mean_and_confidence([])

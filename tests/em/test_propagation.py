@@ -38,6 +38,19 @@ class TestFreeSpaceField:
         with pytest.raises(ValueError):
             free_space_field_amplitude(1.0, 0.0)
 
+    def test_zero_eirp_gives_zero_field(self):
+        assert free_space_field_amplitude(0.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("eirp", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_eirp(self, eirp):
+        with pytest.raises(ConfigurationError, match="EIRP"):
+            free_space_field_amplitude(eirp, 1.0)
+
+    @pytest.mark.parametrize("distance", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_distance(self, distance):
+        with pytest.raises(ConfigurationError, match="distance"):
+            free_space_field_amplitude(1.0, distance)
+
 
 class TestBoundary:
     def test_air_tissue_loss_is_3_to_5_db(self):
@@ -76,6 +89,25 @@ class TestTissueField:
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
             tissue_field_amplitude(1.0, 0.5, -0.01, media.MUSCLE, F)
+
+    @pytest.mark.parametrize("depth", [-0.01, math.nan, math.inf])
+    def test_rejects_bad_depth(self, depth):
+        with pytest.raises(ConfigurationError, match="depth"):
+            tissue_field_amplitude(1.0, 0.5, depth, media.MUSCLE, F)
+
+    @pytest.mark.parametrize(
+        "eirp, distance",
+        [(math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan), (1.0, math.inf)],
+    )
+    def test_rejects_non_finite_source(self, eirp, distance):
+        with pytest.raises(ConfigurationError):
+            tissue_field_amplitude(eirp, distance, 0.05, media.MUSCLE, F)
+
+    def test_fig04_rejects_nan_eirp(self):
+        from repro.experiments.fig04 import Fig04Config, run
+
+        with pytest.raises(ConfigurationError, match="EIRP"):
+            run(Fig04Config(eirp_w=math.nan, n_trials=4))
 
 
 class TestHarvestedPower:

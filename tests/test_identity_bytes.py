@@ -8,25 +8,30 @@ helpers were merged into :func:`repro.hashing.stable_digest`.
 
 import hashlib
 
+from repro.core.optimizer import SearchConfig
 from repro.faults.plan import EMPTY_PLAN, FaultPlan, antenna_dropout, trigger_desync
 from repro.fleet.population import FleetConfig
 from repro.hashing import stable_digest
 from repro.runtime.adaptive import AdaptiveConfig
-from repro.runtime.cache import conduction_plan_key, peak_plan_key, plan_key
+from repro.runtime.cache import plan_key, search_key
 
 PAPER_CONSTRAINT = dict(alpha=0.5, query_duration_s=800e-6)
 
 
 def test_plan_keys():
-    assert peak_plan_key(n_antennas=8, **PAPER_CONSTRAINT) == "89a2c094e79ac490cdd56b89"
-    every_field = peak_plan_key(
-        n_antennas=5, alpha=1.0, query_duration_s=1e-3,
-        center_frequency_hz=900e6, n_draws=16, grid_size=4096, seed=3,
-        n_candidates=30, refine_rounds=1, refine_steps=(1, 2), islands=2,
+    assert search_key(SearchConfig(n_antennas=8, **PAPER_CONSTRAINT)) == "89a2c094e79ac490cdd56b89"
+    every_field = search_key(
+        SearchConfig(
+            n_antennas=5, alpha=1.0, query_duration_s=1e-3,
+            center_frequency_hz=900e6, n_draws=16, grid_size=4096, seed=3,
+            n_candidates=30, refine_rounds=1, refine_steps=(1, 2), islands=2,
+        ),
         fault_token="faults:abc", adaptive_token="tok",
     )
     assert every_field == "f3821bdbbe41e035e26714ed"
-    conduction = conduction_plan_key(n_antennas=8, threshold=2.5, **PAPER_CONSTRAINT)
+    conduction = search_key(
+        SearchConfig(n_antennas=8, kind="conduction", threshold=2.5, **PAPER_CONSTRAINT)
+    )
     assert conduction == "2a0a11a22ef5ebb6a38f3ff0"
     # Values JSON cannot encode enter through their repr.
     assert plan_key(a=1, b=(1, 2), c=1 + 2j) == "2154ea5ae29525208e8ab8ee"

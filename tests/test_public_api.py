@@ -118,6 +118,15 @@ REMOVED_NAMES = (
     ("repro.core.optimizer", "FrequencyOptimizer.batch_scorer"),
     ("repro.serve.service", "PlanService._evaluate_specs"),
     ("repro.serve.service", "_spec_shard"),
+    ("repro.core.optimizer", "_SearchSpec"),
+    ("repro.core.optimizer", "FrequencyOptimizer._stacked_values"),
+    ("repro.core.optimizer", "FrequencyOptimizer._score_spec"),
+    ("repro.runtime.cache", "_search_key"),
+    ("repro.runtime.cache", "peak_plan_key"),
+    ("repro.runtime.cache", "conduction_plan_key"),
+    ("repro.analysis", "TrialRunner"),
+    ("repro.analysis.mc", "TrialRunner"),
+    ("repro.analysis.mc", "mean_and_confidence"),
 )
 
 

@@ -195,7 +195,12 @@ async def drive(
 
 
 def spawn_server(args) -> Tuple[subprocess.Popen, str, int]:
-    """Start a planning server subprocess; returns (proc, host, port)."""
+    """Start a planning server subprocess; returns (proc, host, port).
+
+    The server runs from the repository root, so its output paths are
+    resolved against the caller's working directory first, where
+    ``--report`` lands too.
+    """
     repo = Path(__file__).resolve().parent.parent
     command = [
         sys.executable,
@@ -215,10 +220,14 @@ def spawn_server(args) -> Tuple[subprocess.Popen, str, int]:
     ]
     for flag, value in (
         ("--store", args.store),
-        ("--store-max-entries", args.store_max_entries),
-        ("--mem-entries", args.mem_entries),
         ("--trace-out", args.trace_out),
         ("--metrics-out", args.metrics_out),
+    ):
+        if value is not None:
+            command.extend([flag, str(Path(value).resolve())])
+    for flag, value in (
+        ("--store-max-entries", args.store_max_entries),
+        ("--mem-entries", args.mem_entries),
     ):
         if value is not None:
             command.extend([flag, str(value)])
