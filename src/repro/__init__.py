@@ -5,7 +5,10 @@ Miniature Medical Devices* (SIGCOMM 2018): coherently-incoherent
 beamforming (CIB) for powering and communicating with battery-free
 sensors through deep tissue, plus every substrate the evaluation needs --
 tissue propagation, energy harvesting, the EPC Gen2 backscatter stack,
-an SDR front-end model, and the out-of-band reader.
+PA, antenna and receiver front-end models, and the out-of-band reader.
+The sample-level SDR chain that stands in for the USRP array is a test
+oracle (``tests/reference/sdr.py``) for the CIB envelope model, not part
+of the package.
 
 Quickstart::
 
@@ -38,7 +41,6 @@ from repro.core import (
     BeamsteeringTransmitter,
     BlindSameFrequencyTransmitter,
     CarrierPlan,
-    CIBBeamformer,
     CIBTransmitter,
     DutyCycleScheduler,
     FlatnessConstraint,
@@ -78,7 +80,6 @@ __all__ = [
     "BeamsteeringTransmitter",
     "BlindSameFrequencyTransmitter",
     "CarrierPlan",
-    "CIBBeamformer",
     "CIBTransmitter",
     "DutyCycleScheduler",
     "FlatnessConstraint",

@@ -12,7 +12,6 @@ from repro.core.optimizer import (
     SearchConfig,
     peak_amplitudes_fft,
 )
-from repro.core.beamformer import CIBBeamformer, TransmitFrame
 from repro.core.baselines import (
     BeamsteeringTransmitter,
     BlindSameFrequencyTransmitter,
@@ -52,8 +51,6 @@ __all__ = [
     "OptimizationResult",
     "SearchConfig",
     "peak_amplitudes_fft",
-    "CIBBeamformer",
-    "TransmitFrame",
     "BeamsteeringTransmitter",
     "BlindSameFrequencyTransmitter",
     "CIBTransmitter",

@@ -45,6 +45,15 @@ class FlatnessConstraint:
             raise ConstraintViolationError(
                 f"query duration must be positive, got {self.query_duration_s}"
             )
+        try:
+            budget = self.max_mean_square_offset_hz2
+        except (OverflowError, ZeroDivisionError):
+            budget = math.inf
+        if not 0.0 < budget < math.inf:
+            raise ConstraintViolationError(
+                f"query duration {self.query_duration_s} s leaves no finite "
+                "Eq. 9 budget"
+            )
 
     @property
     def max_mean_square_offset_hz2(self) -> float:

@@ -11,8 +11,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-
 DEFAULT_OVERSAMPLE = 16
 """Time-grid oversampling relative to the envelope bandwidth."""
 
@@ -247,24 +245,3 @@ def worst_case_peak_fluctuation(
         offsets, aligned, window_s, start_s=0.0, n_samples=n_samples,
         amplitudes=amplitudes,
     )
-
-
-def synthesize_samples(
-    offsets_hz: np.ndarray,
-    betas: np.ndarray,
-    sample_rate_hz: float,
-    duration_s: float,
-    amplitudes: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Complex baseband samples at a fixed sample rate (for link simulation)."""
-    if sample_rate_hz <= 0:
-        raise ConfigurationError(
-            f"sample rate must be positive, got {sample_rate_hz}"
-        )
-    n = int(round(sample_rate_hz * duration_s))
-    if n <= 0:
-        raise ConfigurationError(
-            f"duration {duration_s} too short for sample rate {sample_rate_hz}"
-        )
-    t = np.arange(n) / sample_rate_hz
-    return complex_baseband(offsets_hz, betas, t, amplitudes)

@@ -11,7 +11,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.analysis.stats import empirical_cdf
 from repro.core.optimizer import FrequencyOptimizer, peak_amplitudes_fft
 from repro.experiments.report import Table
 
@@ -72,10 +71,6 @@ class Fig06Result:
                 worst / self.optimal_gain,
             )
         return table
-
-    def cdfs(self):
-        """``((best_x, best_y), (worst_x, worst_y))`` CDF curves."""
-        return empirical_cdf(self.best_gains), empirical_cdf(self.worst_gains)
 
 
 def _gain_distribution(

@@ -11,7 +11,6 @@ from typing import List
 
 import numpy as np
 
-from repro.analysis.stats import empirical_cdf
 from repro.constants import TANK_STANDOFF_POWER_GAIN_M
 from repro.core.plan import paper_plan
 from repro.em.phantoms import WaterTankPhantom
@@ -62,9 +61,6 @@ class Fig12Result:
         table.add_row("frac > 1x", self.fraction_above_one)
         table.add_row("max", self.max_ratio)
         return table
-
-    def cdf(self):
-        return empirical_cdf(self.ratios)
 
 
 def run(config: Fig12Config = Fig12Config()) -> Fig12Result:

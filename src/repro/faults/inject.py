@@ -9,19 +9,19 @@ independent of chunk boundaries, worker count, and evaluation order. That
 is the determinism contract the campaign runner and the ``--workers {1,4}``
 equality tests rely on.
 
-The injector is deliberately passive: host modules (``rf.sdr``,
-``rf.sync``, ``core.beamformer``, ``reader.link``, ``gen2.decoder``,
-``runtime.engine``) accept an optional injector and call the hook matching
-their plane. An inactive injector (or ``None``) must leave every host
-bit-identical to the pre-fault code path; hosts guarantee that by
-short-circuiting on :attr:`FaultInjector.active` before touching any
-state and by never letting the injector draw from the trial's main
-generator.
+The injector is deliberately passive: host modules (``reader.link``,
+``gen2.decoder``, ``runtime.engine``, ``faults.campaign``,
+``fleet.population``, ``fleet.collision``) accept an optional injector and
+call the hook matching their plane. An inactive injector (or ``None``)
+must leave every host bit-identical to the pre-fault code path; hosts
+guarantee that by short-circuiting on :attr:`FaultInjector.active` before
+touching any state and by never letting the injector draw from the trial's
+main generator.
 """
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -40,13 +40,13 @@ _STREAM_TAG = 0x1FA017
 
 STREAM_DROPOUT = 0
 STREAM_PERTURB = 1
-STREAM_TRIGGER = 2
-STREAM_CHIPS = 3
 STREAM_WAVEFORM = 4
 STREAM_ENVELOPE = 5
 """Per-purpose sub-streams: each hook draws from its own generator, so
 calling hooks in any combination or order cannot shift another hook's
-randomness within the same trial."""
+randomness within the same trial. Ids 2 and 3 belonged to retired hooks
+(sample-level trigger errors and hard-chip flips); they stay unused so the
+remaining streams keep their draws."""
 
 
 @dataclass(frozen=True)
@@ -225,64 +225,6 @@ class FaultInjector:
             events_applied=tuple(applied),
         )
 
-    # -- hardware plane ----------------------------------------------------------
-
-    def extra_trigger_offsets_s(
-        self, trial_index: int, n_radios: int
-    ) -> np.ndarray:
-        """Additional per-radio trigger error beyond the sync-domain spec."""
-        extra = np.zeros(n_radios)
-        if not self.active:
-            return extra
-        rng = self.trial_rng(trial_index, STREAM_TRIGGER)
-        fired = False
-        for event in self.plan.events:
-            if event.kind != "trigger_desync":
-                continue
-            if rng.random() >= event.probability:
-                continue
-            extra += rng.normal(
-                0.0, TRIGGER_DESYNC_STD_S * event.severity, size=n_radios
-            )
-            fired = True
-        if fired:
-            current_obs().metrics.counter("faults.trigger_desyncs").inc()
-        return extra
-
-    def apply_to_oscillators(
-        self, trial_index: int, oscillators: Sequence
-    ) -> None:
-        """Mutate PLL oscillators in place: relock jumps + holdover drift.
-
-        The sample-level counterpart of :meth:`perturb_trial` for hosts
-        that own :class:`~repro.rf.oscillator.Oscillator` objects
-        (``rf.sdr.RadioArray``). Uses the same perturb stream so both
-        planes realize the same faults for the same trial.
-        """
-        if not self.active:
-            return
-        n = len(oscillators)
-        rng = self.trial_rng(trial_index, STREAM_PERTURB)
-        for event in self.plan.events:
-            if event.kind == "antenna_dropout":
-                continue
-            if rng.random() >= event.probability:
-                continue
-            if event.kind == "pll_relock":
-                jumps = rng.uniform(
-                    -RELOCK_MAX_JUMP_RAD, RELOCK_MAX_JUMP_RAD, size=n
-                )
-                for index in self._targets(event.antennas, n):
-                    oscillators[index].apply_phase_jump(
-                        event.severity * jumps[index]
-                    )
-            elif event.kind == "reference_holdover":
-                drift = rng.normal(
-                    0.0, HOLDOVER_DRIFT_STD_HZ * event.severity, size=n
-                )
-                for index in range(n):
-                    oscillators[index].enter_holdover(drift[index])
-
     # -- link plane --------------------------------------------------------------
 
     def _corruption_rates(self, rng: np.random.Generator) -> List[float]:
@@ -295,24 +237,6 @@ class FaultInjector:
                 continue
             rates.append(BIT_CORRUPTION_MAX_RATE * event.severity)
         return rates
-
-    def corrupt_chips(
-        self, trial_index: int, chips: Sequence[int]
-    ) -> Tuple[int, ...]:
-        """Flip each hard chip independently at the plan's corruption rate."""
-        chips = tuple(int(c) for c in chips)
-        if not self.active:
-            return chips
-        rng = self.trial_rng(trial_index, STREAM_CHIPS)
-        flipped = 0
-        out = np.asarray(chips, dtype=int)
-        for rate in self._corruption_rates(rng):
-            flips = rng.random(out.size) < rate
-            out = np.where(flips, 1 - out, out)
-            flipped += int(np.count_nonzero(flips))
-        if flipped:
-            current_obs().metrics.counter("faults.chips_flipped").inc(flipped)
-        return tuple(int(c) for c in out)
 
     def corrupt_waveform(
         self,

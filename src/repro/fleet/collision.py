@@ -190,14 +190,6 @@ class ShardInventoryResult:
             for outcome in self.rounds
         )
 
-    @property
-    def n_failed_slots(self) -> int:
-        """Occupied slots the reader could not decode."""
-        return sum(
-            int(np.count_nonzero(~outcome.decoded & (outcome.n_replies > 0)))
-            for outcome in self.rounds
-        )
-
     def signature(self) -> Tuple:
         """Hashable full-outcome fingerprint (parity / determinism tests)."""
         return (

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, ProtocolError
-from repro.gen2.commands import Ack, Query, QueryAdjust, QueryRep, Select
+from repro.gen2.commands import Ack, Query, QueryRep, Select
 from repro.gen2.crc import append_crc16
 
 
@@ -75,7 +75,6 @@ class Gen2Tag:
         self.selected = False
         self.inventoried: dict = {s: "A" for s in range(4)}
         self._session: Optional[int] = None
-        self._q = 0
 
     # -- power management -----------------------------------------------------
 
@@ -168,7 +167,6 @@ class Gen2Tag:
         if self.inventoried[command.session] != command.target:
             return None
         self._session = command.session
-        self._q = int(command.q)
         self.slot_counter = int(self._rng.integers(0, 2**command.q))
         if self.slot_counter == 0:
             self.rn16 = self._draw_rn16()
@@ -195,27 +193,6 @@ class Gen2Tag:
             return TagReply(bits=self.rn16, kind="rn16")
         return None
 
-    def handle_query_adjust(self, command: QueryAdjust) -> Optional[TagReply]:
-        """Adjust the stored Q and re-draw the slot counter."""
-        if not self.is_powered or self._session != command.session:
-            return None
-        if self.state is TagState.ACKNOWLEDGED:
-            # Like Query and QueryRep, a QueryAdjust ends the round for an
-            # acknowledged tag: toggle the inventoried flag and drop out
-            # (Gen2 6.3.2.6.2 lists all three round-starting commands).
-            self._toggle_inventoried(command.session)
-            self.state = TagState.READY
-            return None
-        if self.state not in (TagState.ARBITRATE, TagState.REPLY):
-            return None
-        self._q = int(np.clip(self._q + command.up_down, 0, 15))
-        self.slot_counter = int(self._rng.integers(0, 2**self._q))
-        if self.slot_counter == 0:
-            self.rn16 = self._draw_rn16()
-            self.state = TagState.REPLY
-            return TagReply(bits=self.rn16, kind="rn16")
-        return None
-
     def handle_ack(self, command: Ack) -> Optional[TagReply]:
         """Reply with PC + EPC + CRC-16 when the RN16 echoes correctly."""
         if not self.is_powered or self.state is not TagState.REPLY:
@@ -231,7 +208,3 @@ class Gen2Tag:
     def _toggle_inventoried(self, session: int) -> None:
         flag = self.inventoried[session]
         self.inventoried[session] = "B" if flag == "A" else "A"
-
-    def epc_reply_bits(self) -> Tuple[int, ...]:
-        """The PC+EPC+CRC16 payload this tag would backscatter."""
-        return append_crc16(self.DEFAULT_PC + self.epc_bits)

@@ -22,7 +22,6 @@ from repro.harvester.tag_power import (
     PowerUpResult,
     TagPowerModel,
 )
-from repro.harvester.carrier_sim import DicksonPump, PumpState
 
 __all__ = [
     "DiodeModel",
@@ -39,6 +38,4 @@ __all__ = [
     "HarvesterFrontEnd",
     "PowerUpResult",
     "TagPowerModel",
-    "DicksonPump",
-    "PumpState",
 ]

@@ -27,16 +27,6 @@ class DiodeModel(ABC):
     def current(self, voltage: np.ndarray) -> np.ndarray:
         """Diode current (A) as a function of the voltage across it (V)."""
 
-    def current_scalar(self, voltage: float) -> float:
-        """Diode current for a single voltage, without array round-trips.
-
-        Sample-stepped circuit simulations call this in their inner loop;
-        subclasses override it with a pure-scalar computation that applies
-        the same operations as :meth:`current`, so the two stay
-        bit-identical. This fallback routes through the array path.
-        """
-        return float(self.current(np.array([voltage]))[0])
-
     @abstractmethod
     def conducts(self, voltage: np.ndarray) -> np.ndarray:
         """Boolean mask: where the diode meaningfully conducts."""
@@ -59,10 +49,6 @@ class IdealDiode(DiodeModel):
     def current(self, voltage: np.ndarray) -> np.ndarray:
         voltage = np.asarray(voltage, dtype=float)
         return np.where(voltage > 0.0, voltage * self.on_conductance_s, 0.0)
-
-    def current_scalar(self, voltage: float) -> float:
-        voltage = float(voltage)
-        return voltage * self.on_conductance_s if voltage > 0.0 else 0.0
 
     def conducts(self, voltage: np.ndarray) -> np.ndarray:
         return np.asarray(voltage, dtype=float) > 0.0
@@ -98,10 +84,6 @@ class ThresholdDiode(DiodeModel):
         voltage = np.asarray(voltage, dtype=float)
         excess = voltage - self.threshold_v
         return np.where(excess > 0.0, excess * self.on_conductance_s, 0.0)
-
-    def current_scalar(self, voltage: float) -> float:
-        excess = float(voltage) - self.threshold_v
-        return excess * self.on_conductance_s if excess > 0.0 else 0.0
 
     def conducts(self, voltage: np.ndarray) -> np.ndarray:
         return np.asarray(voltage, dtype=float) > self.threshold_v
@@ -147,14 +129,6 @@ class ShockleyDiode(DiodeModel):
             voltage / (self.ideality * self.thermal_voltage_v), None, 80.0
         )
         return self.saturation_current_a * (np.exp(exponent) - 1.0)
-
-    def current_scalar(self, voltage: float) -> float:
-        # np.exp (not math.exp): the two can differ in the last ulp, and
-        # this path must stay bit-identical to the array computation.
-        exponent = min(
-            float(voltage) / (self.ideality * self.thermal_voltage_v), 80.0
-        )
-        return self.saturation_current_a * (float(np.exp(exponent)) - 1.0)
 
     def conducts(self, voltage: np.ndarray) -> np.ndarray:
         return self.current(voltage) >= self.conduction_current_a

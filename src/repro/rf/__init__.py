@@ -1,6 +1,5 @@
-"""Radio front-end substrate: oscillators, amplifiers, antennas, radios."""
+"""Radio front-end substrate: amplifiers, antennas and the receive chain."""
 
-from repro.rf.oscillator import Oscillator, SoftOffsetSynthesizer
 from repro.rf.amplifier import PowerAmplifier
 from repro.rf.antenna import (
     Antenna,
@@ -9,36 +8,22 @@ from repro.rf.antenna import (
     RFX900_MONITOR,
     STANDARD_TAG_ANTENNA,
 )
-from repro.rf.sync import ReferenceClock, SyncDomain
 from repro.rf.receiver import (
     AnalogToDigitalConverter,
     ReceiveChain,
     SawFilter,
     thermal_noise_power_watts,
 )
-from repro.rf.transmitter import TransmitChain
-from repro.rf.sdr import RadioArray, SoftwareRadio
-from repro.rf.spectrum import Spectrum, ensemble_spectrum, periodogram
 
 __all__ = [
-    "Oscillator",
-    "SoftOffsetSynthesizer",
     "PowerAmplifier",
     "Antenna",
     "MINIATURE_TAG_ANTENNA",
     "MT242025_PANEL",
     "RFX900_MONITOR",
     "STANDARD_TAG_ANTENNA",
-    "ReferenceClock",
-    "SyncDomain",
     "AnalogToDigitalConverter",
     "ReceiveChain",
     "SawFilter",
     "thermal_noise_power_watts",
-    "TransmitChain",
-    "RadioArray",
-    "SoftwareRadio",
-    "Spectrum",
-    "ensemble_spectrum",
-    "periodogram",
 ]

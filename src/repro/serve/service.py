@@ -37,6 +37,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.constraints import FlatnessConstraint
 from repro.core.optimizer import (
     SEARCH_REV,
     OptimizationResult,
@@ -46,6 +47,7 @@ from repro.core.optimizer import (
 )
 from repro.em.media import MEDIA_LIBRARY
 from repro.em.propagation import tissue_field_amplitude
+from repro.errors import ConstraintViolationError
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.harvester.tag_power import HarvesterFrontEnd
 from repro.obs.context import ObsContext, current_obs
@@ -259,10 +261,13 @@ def parse_request(payload: Any) -> PlanRequest:
     query_duration_s = _number(
         payload, "query_duration_s", defaults.query_duration_s
     )
-    if alpha <= 0 or query_duration_s <= 0:
-        raise ServeRequestError(
-            "alpha and query_duration_s must be positive"
-        )
+    # The search builds its Eq. 9 budget from these two; one it cannot
+    # build (alpha outside (0, 0.5], a duration with no finite budget) is
+    # the client's error, not a failed search.
+    try:
+        FlatnessConstraint(alpha, query_duration_s)
+    except ConstraintViolationError as exc:
+        raise ServeRequestError(str(exc)) from exc
     medium = payload.get("medium")
     if medium is not None:
         if (

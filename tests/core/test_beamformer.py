@@ -1,12 +1,12 @@
-"""Tests for repro.core.beamformer."""
+"""Tests for the sample-level CIB beamformer oracle."""
 
 import numpy as np
 import pytest
 
-from repro.core.beamformer import CIBBeamformer, TransmitFrame
 from repro.core.plan import CarrierPlan, paper_plan
 from repro.em.channel import ChannelRealization
 from repro.errors import ConfigurationError
+from tests.reference.beamformer import CIBBeamformer
 
 
 class TestConstruction:

@@ -155,16 +155,10 @@ class TestFluctuation:
 
 
 class TestSynthesis:
-    def test_sample_count(self):
-        samples = waveform.synthesize_samples(
-            OFFSETS, np.zeros(10), sample_rate_hz=10e3, duration_s=0.1
-        )
-        assert samples.size == 1000
-
     def test_matches_envelope(self, rng):
         betas = rng.uniform(0, 2 * math.pi, 10)
-        samples = waveform.synthesize_samples(OFFSETS, betas, 10e3, 0.01)
         t = np.arange(100) / 10e3
+        samples = waveform.complex_baseband(OFFSETS, betas, t)
         assert np.allclose(np.abs(samples), waveform.envelope(OFFSETS, betas, t))
 
     def test_time_grid_resolution(self):

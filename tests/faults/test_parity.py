@@ -24,7 +24,6 @@ from repro.faults.plan import EMPTY_PLAN, reference_holdover
 from repro.gen2 import fm0
 from repro.gen2.decoder import decode_fm0_response
 from repro.reader.link import IvnLink
-from repro.rf.sdr import RadioArray
 from repro.runtime.runner import TrialRunner
 from repro.sensors.tags import standard_tag_spec
 
@@ -96,18 +95,6 @@ class TestDecoderParity:
             trial_index=5,
         )
         assert plain == hooked
-
-
-class TestRadioArrayParity:
-    def test_transmit_identical_with_inactive_injector(self):
-        envelope = np.ones(64)
-        plain = RadioArray(PLAN, np.random.default_rng(7)).synchronized_transmit(
-            envelope
-        )
-        hooked = RadioArray(PLAN, np.random.default_rng(7)).synchronized_transmit(
-            envelope, faults=FaultInjector(EMPTY_PLAN, 7), trial_index=3
-        )
-        np.testing.assert_array_equal(plain, hooked)
 
 
 class TestLinkParity:

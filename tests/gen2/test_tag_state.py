@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.gen2.commands import Ack, Query, QueryAdjust, QueryRep, Select
+from repro.gen2.commands import Ack, Query, QueryRep, Select
 from repro.gen2.crc import check_crc16
 from repro.gen2.tag_state import Gen2Tag, TagState
 
@@ -108,19 +108,6 @@ class TestInventoryFlow:
         tag.handle_query(Query(q=4, session=1))
         assert tag.handle_query_rep(QueryRep(session=2)) is None
 
-    def test_query_adjust_redraws(self):
-        tag = make_tag(seed=5)
-        tag.power_up()
-        reply = tag.handle_query(Query(q=6))
-        if reply is not None:
-            pytest.skip("tag drew slot 0")
-        # Adjust down repeatedly: eventually Q=0 forces a reply.
-        for _ in range(10):
-            reply = tag.handle_query_adjust(QueryAdjust(session=0, up_down=-1))
-            if reply is not None:
-                break
-        assert reply is not None
-
 
 class TestSelect:
     def test_select_matching_mask_sets_flag(self):
@@ -218,13 +205,5 @@ class TestSessionPersistence:
         # The next round-starting Query toggles the flag first, so the
         # tag no longer matches target A and stays quiet.
         assert tag.handle_query(Query(q=0, session=2)) is None
-        assert tag.inventoried[2] == "B"
-        assert tag.state is TagState.READY
-
-    def test_query_adjust_ends_round_for_acknowledged_tag(self):
-        tag = make_tag()
-        tag.power_up()
-        acknowledge(tag, session=2)
-        assert tag.handle_query_adjust(QueryAdjust(session=2)) is None
         assert tag.inventoried[2] == "B"
         assert tag.state is TagState.READY

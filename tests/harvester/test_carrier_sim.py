@@ -1,12 +1,12 @@
-"""Tests for repro.harvester.carrier_sim: Eq. 1 validated at carrier level."""
+"""Tests for the Dickson pump oracle: Eq. 1 validated at carrier level."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.harvester.carrier_sim import DicksonPump
 from repro.harvester.diode import IdealDiode
 from repro.harvester.rectifier import ideal_output_voltage
+from tests.reference.dickson import DicksonPump
 
 
 class TestSingleCell:

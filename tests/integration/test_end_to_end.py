@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import CIBBeamformer, paper_plan
+from repro.core import paper_plan
 from repro.em import AIR, SwinePhantom, WaterTankPhantom, GASTRIC_CONTENT, WATER
 from repro.gen2 import Gen2Tag, inventory_until_quiet
 from repro.gen2.pie import PIEEncoder
 from repro.reader import IvnLink, OutOfBandReader
 from repro.rf import SawFilter
 from repro.sensors import miniature_tag_spec, standard_tag_spec
+from tests.reference.beamformer import CIBBeamformer
 
 
 class TestFullLink:

@@ -8,7 +8,7 @@ is detected at the right layer with the right symptom.
 import numpy as np
 import pytest
 
-from repro.core import CIBBeamformer, CarrierPlan, paper_plan
+from repro.core import CarrierPlan, paper_plan
 from repro.em.channel import ChannelRealization
 from repro.errors import ConstraintViolationError, DecodingError, ProtocolError
 from repro.gen2 import (
@@ -22,6 +22,7 @@ from repro.gen2 import (
 from repro.gen2.pie import PIEDecoder, PIEEncoder
 from repro.reader import OutOfBandReader
 from repro.sensors import BatteryFreeSensor, standard_tag_spec
+from tests.reference.beamformer import CIBBeamformer
 
 
 class TestDesynchronization:

@@ -1,4 +1,4 @@
-"""Tests for repro.rf.oscillator."""
+"""Tests for the PLL and soft-offset models of the SDR oracle."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.rf.oscillator import Oscillator, SoftOffsetSynthesizer
+from tests.reference.sdr import Oscillator, SoftOffsetSynthesizer
 
 
 class TestOscillator:

@@ -1,19 +1,18 @@
-"""Tests for repro.rf.sdr."""
+"""Tests for the radio array of the SDR oracle."""
 
 import numpy as np
 import pytest
 
 from repro.core.plan import paper_plan
 from repro.errors import ConfigurationError
-from repro.rf.sdr import RadioArray
-from repro.rf.sync import SyncDomain
+from tests.reference.sdr import RadioArray, SyncDomain
 
 
 class TestRadioArray:
     def test_one_radio_per_offset(self, rng):
         array = RadioArray(paper_plan(), rng)
         assert array.n_radios == 10
-        offsets = [radio.chain.offset_hz for radio in array.radios]
+        offsets = [chain.offset_hz for chain in array.chains]
         assert offsets == list(paper_plan().offsets_hz)
 
     def test_sync_domain_size_must_match(self, rng):

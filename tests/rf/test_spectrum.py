@@ -1,12 +1,12 @@
-"""Tests for repro.rf.spectrum: CIB stays in one channel."""
+"""Tests for the spectrum oracle: CIB stays in one channel."""
 
 import numpy as np
 import pytest
 
-from repro.core.beamformer import CIBBeamformer
 from repro.core.plan import paper_plan
 from repro.errors import ConfigurationError
-from repro.rf.spectrum import Spectrum, ensemble_spectrum, periodogram
+from tests.reference.beamformer import CIBBeamformer
+from tests.reference.spectrum import ensemble_spectrum, periodogram
 
 
 class TestPeriodogram:

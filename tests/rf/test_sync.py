@@ -1,10 +1,10 @@
-"""Tests for repro.rf.sync."""
+"""Tests for the reference clock and trigger domain of the SDR oracle."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.rf.sync import ReferenceClock, SyncDomain
+from tests.reference.sdr import ReferenceClock, SyncDomain
 
 
 class TestReferenceClock:

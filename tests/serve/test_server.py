@@ -169,6 +169,25 @@ class TestRoutes:
         ):
             assert status == 400, (body, payload)
 
+    def test_alpha_outside_flatness_bounds_gets_400(self):
+        """Eq. 9 holds for alpha in (0, 0.5]: both ends of that interval
+        are client errors past it, and the closed end is served."""
+
+        async def scenario(port, service):
+            return [
+                await _http(port, "POST", "/plan", {**_PLAN, "alpha": alpha})
+                for alpha in (0, 0.7, 0.5)
+            ]
+
+        zero, above, at_bound = asyncio.run(
+            _with_server(ServeConfig(flush_window_s=0.001), scenario)
+        )
+        for status, payload in (zero, above):
+            assert status == 400, payload
+            assert "alpha must be in (0, 0.5]" in payload["error"]
+        assert at_bound[0] == 200, at_bound[1]
+        assert at_bound[1]["status"] == "ok"
+
     def test_malformed_request_line_gets_400(self):
         async def scenario(port, service):
             return await _http(port, "", "", raw=b"garbage\r\n\r\n")

@@ -127,6 +127,45 @@ REMOVED_NAMES = (
     ("repro.analysis", "TrialRunner"),
     ("repro.analysis.mc", "TrialRunner"),
     ("repro.analysis.mc", "mean_and_confidence"),
+    ("repro", "CIBBeamformer"),
+    ("repro.core", "CIBBeamformer"),
+    ("repro.core", "TransmitFrame"),
+    ("repro.core.waveform", "synthesize_samples"),
+    ("repro.harvester", "DicksonPump"),
+    ("repro.harvester", "PumpState"),
+    ("repro.harvester.diode", "DiodeModel.current_scalar"),
+    ("repro.harvester.diode", "ThresholdDiode.current_scalar"),
+    ("repro.rf", "Oscillator"),
+    ("repro.rf", "SoftOffsetSynthesizer"),
+    ("repro.rf", "ReferenceClock"),
+    ("repro.rf", "SyncDomain"),
+    ("repro.rf", "TransmitChain"),
+    ("repro.rf", "RadioArray"),
+    ("repro.rf", "SoftwareRadio"),
+    ("repro.rf", "Spectrum"),
+    ("repro.rf", "ensemble_spectrum"),
+    ("repro.rf", "periodogram"),
+    ("repro.faults.inject", "FaultInjector.apply_to_oscillators"),
+    ("repro.faults.inject", "FaultInjector.extra_trigger_offsets_s"),
+    ("repro.faults.inject", "FaultInjector.corrupt_chips"),
+    ("repro.faults.inject", "STREAM_TRIGGER"),
+    ("repro.faults.inject", "STREAM_CHIPS"),
+    ("repro.gen2.tag_state", "Gen2Tag.handle_query_adjust"),
+    ("repro.gen2.tag_state", "Gen2Tag.epc_reply_bits"),
+    ("repro.experiments.fig06", "Fig06Result.cdfs"),
+    ("repro.experiments.fig12", "Fig12Result.cdf"),
+    ("repro.fleet.collision", "ShardInventoryResult.n_failed_slots"),
+)
+
+# Validation-only models that now live in tests/reference/ as oracles.
+REMOVED_MODULES = (
+    "repro.core.beamformer",
+    "repro.harvester.carrier_sim",
+    "repro.rf.oscillator",
+    "repro.rf.sdr",
+    "repro.rf.spectrum",
+    "repro.rf.sync",
+    "repro.rf.transmitter",
 )
 
 
@@ -137,6 +176,12 @@ def test_removed_names_do_not_resolve(module_name, dotted):
     for owner in owners:
         obj = getattr(obj, owner)
     assert not hasattr(obj, last), f"{module_name}.{dotted} still exists"
+
+
+@pytest.mark.parametrize("module_name", REMOVED_MODULES)
+def test_removed_modules_do_not_import(module_name):
+    with pytest.raises(ImportError):
+        importlib.import_module(module_name)
 
 
 def test_no_implementation_switches():
