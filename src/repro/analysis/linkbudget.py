@@ -10,12 +10,11 @@ antennas, a different band, a bigger tag) can be attributed precisely.
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.analysis.stats import to_db, watts_to_dbm
-from repro.constants import DIODE_THRESHOLD_V
 from repro.em.layers import LayeredPath
-from repro.em.media import AIR, Medium
+from repro.em.media import Medium
 from repro.em.propagation import free_space_field_amplitude
 from repro.errors import ConfigurationError
 from repro.harvester.tag_power import HarvesterFrontEnd

@@ -9,7 +9,6 @@ repeated periods estimates the link margin, which feeds the
 conduction-angle stage.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 

@@ -13,7 +13,7 @@ re-probing the others -- an epsilon-greedy policy that tracks slow scene
 changes without ever needing channel state.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -129,7 +129,11 @@ def _reduce_stacked_magnitude(
     """One candidate's objective from its (draws, grid) envelope block."""
     if spec.kind == "peak":
         return float(np.mean(np.max(magnitude, axis=1)))
-    above = np.count_nonzero(magnitude > spec.cutoff)
+    # The cutoff is cast to the block's dtype. One past float32 range
+    # becomes inf (nothing is above it) with an overflow warning; silence
+    # only that, so every cutoff compares exactly as the cast gives it.
+    with np.errstate(over="ignore"):
+        above = np.count_nonzero(magnitude > spec.cutoff)
     return float(above / (spec.n_draws * spec.grid_size))
 
 

@@ -6,7 +6,7 @@ amplitudes. The paper's published 10-antenna plan is available via
 :func:`paper_plan`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np

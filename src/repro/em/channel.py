@@ -20,7 +20,7 @@ Three phase models are provided:
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -33,6 +33,9 @@ PHASE_MODES = ("random", "geometric", "perturbed")
 
 #: Fractional uncertainty on tissue electrical length used by "perturbed".
 TISSUE_PHASE_UNCERTAINTY = 0.25
+
+#: Placement jitter of arc elements, as a fraction of the standoff.
+ARC_JITTER_FRACTION = 0.02
 
 
 @dataclass(frozen=True)
@@ -187,7 +190,7 @@ class BlindChannel:
 def arc_array_distances(
     standoff_m: float,
     n_antennas: int,
-    jitter_fraction: float = 0.02,
+    jitter_fraction: float = ARC_JITTER_FRACTION,
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
     """Air distances for antennas arranged on an arc around the target.
@@ -195,20 +198,40 @@ def arc_array_distances(
     This is the Fig. 7 configuration: the elements surround the container
     at a common standoff, so each is (nearly) equidistant from the sensor.
     A small placement jitter keeps the model honest about hand-positioned
-    hardware.
+    hardware: one ``rng.random(n_antennas)`` draw through
+    :func:`arc_jitter_distances`.
     """
     if standoff_m <= 0:
         raise ValueError(f"standoff must be positive, got {standoff_m}")
     if n_antennas < 1:
         raise ValueError(f"need at least one antenna, got {n_antennas}")
-    if jitter_fraction < 0:
+    if not 0 <= jitter_fraction < math.inf:
         raise ValueError(
-            f"jitter_fraction must be non-negative, got {jitter_fraction}"
+            "jitter_fraction must be non-negative and finite, got "
+            f"{jitter_fraction}"
         )
     if rng is None or jitter_fraction == 0:
         return np.full(n_antennas, standoff_m)
-    jitter = rng.uniform(-jitter_fraction, jitter_fraction, size=n_antennas)
-    return standoff_m * (1.0 + jitter)
+    return arc_jitter_distances(
+        standoff_m, rng.random(n_antennas), jitter_fraction
+    )
+
+
+def arc_jitter_distances(
+    standoff_m: float,
+    uniforms: np.ndarray,
+    jitter_fraction: float = ARC_JITTER_FRACTION,
+) -> np.ndarray:
+    """Jittered arc distances from ``[0, 1)`` doubles, one per element.
+
+    ``uniforms`` may have any shape: :func:`arc_array_distances` passes one
+    array's ``(n_antennas,)`` draw, a fleet shard its ``(tags, elements)``
+    table. NumPy draws ``uniform(low, high)`` as ``low + (high - low) *
+    random()``, so this is ``standoff * (1 + uniform(-f, f))`` of the same
+    doubles, bit for bit.
+    """
+    low, high = -jitter_fraction, jitter_fraction
+    return standoff_m * (1.0 + (low + (high - low) * uniforms))
 
 
 def linear_array_distances(

@@ -9,10 +9,9 @@ improve performance"; this module models the per-band fading such a hopper
 must react to.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 

@@ -13,11 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.constants import (
-    SPEED_OF_LIGHT,
-    VACUUM_PERMEABILITY,
-    VACUUM_PERMITTIVITY,
-)
+from repro.constants import VACUUM_PERMEABILITY, VACUUM_PERMITTIVITY
 from repro.errors import ConfigurationError
 
 NEPERS_TO_DB = 20.0 / math.log(10.0)

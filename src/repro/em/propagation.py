@@ -17,7 +17,6 @@ from typing import Union
 
 import numpy as np
 
-from repro.constants import FREE_SPACE_IMPEDANCE
 from repro.em.media import AIR, Medium
 from repro.errors import ConfigurationError
 
@@ -112,6 +111,20 @@ def tissue_field_amplitude(
     return amplitude * transmittance * math.exp(-alpha * depth_m)
 
 
+def libm_squares(values: Union[float, np.ndarray]) -> np.ndarray:
+    """``value ** 2`` of each element, squared as a Python float.
+
+    Python's ``**`` calls libm's ``pow``, which rounds differently from
+    ``x * x`` (and so from numpy's ``**``) on about 0.08% of doubles. The
+    scalar models square with ``**``, so an array path that must match
+    them bit for bit squares through this.
+    """
+    values = np.asarray(values, dtype=float)
+    return np.array(
+        [value**2 for value in values.ravel().tolist()]
+    ).reshape(values.shape)
+
+
 def harvested_power(
     field_amplitude_v_per_m: Union[float, np.ndarray],
     medium: Medium,
@@ -137,10 +150,7 @@ def harvested_power(
             f"effective aperture must be positive, got {effective_aperture_m2}"
         )
     eta = abs(medium.wave_impedance(frequency_hz))
-    # Square each value as a Python float (libm pow): x * x and numpy's
-    # power round differently from it on some inputs.
-    squared = np.array([value**2 for value in values]).reshape(fields.shape)
-    power = squared / 2.0 / eta * effective_aperture_m2
+    power = libm_squares(fields) / 2.0 / eta * effective_aperture_m2
     return power if fields.ndim else float(power)
 
 

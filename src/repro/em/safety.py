@@ -12,7 +12,6 @@ enough to wake a deep implant. This module quantifies that:
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

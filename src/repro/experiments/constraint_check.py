@@ -9,8 +9,6 @@ within the first-order Eq. 8 prediction.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.constants import PAPER_RMS_DELTA_F_BOUND_HZ
 from repro.core.constraints import FlatnessConstraint
 from repro.core.optimizer import DEFAULT_GRID_SIZE, validate_offset_bins

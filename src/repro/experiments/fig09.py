@@ -11,7 +11,7 @@ from typing import List, Optional
 
 from repro.analysis.stats import percentile_summary
 from repro.constants import TANK_STANDOFF_POWER_GAIN_M
-from repro.core.plan import CarrierPlan, paper_plan
+from repro.core.plan import paper_plan
 from repro.em.phantoms import WaterTankPhantom
 from repro.experiments.common import TankChannelFactory, measure_gain_trials
 from repro.experiments.report import Table

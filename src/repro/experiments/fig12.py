@@ -7,7 +7,6 @@ tail past 100x where the baseline happens to interfere destructively.
 """
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 

@@ -20,12 +20,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.mc import spawn_rngs
-from repro.core.plan import CarrierPlan, paper_plan
+from repro.core.plan import paper_plan
 from repro.em.media import FAT, GASTRIC_CONTENT, Medium
 from repro.em.phantoms import SwinePhantom
 from repro.experiments.report import Table
 from repro.reader.link import IvnLink, LinkTrialResult
-from repro.sensors.tags import TagSpec, miniature_tag_spec, standard_tag_spec
+from repro.sensors.tags import miniature_tag_spec, standard_tag_spec
 
 PLACEMENT_MEDIA: Dict[str, Medium] = {
     "gastric": GASTRIC_CONTENT,

@@ -16,7 +16,7 @@ operation only with the array) should hold across the whole band.
 """
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

@@ -26,14 +26,14 @@ makes capture-effect arbitration matter.
 
 import math
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.analysis.mc import iter_keyed_rngs, keyed_rngs
 from repro.constants import CIB_CENTER_FREQUENCY_HZ
 from repro.em import media as media_lib
-from repro.em.channel import arc_array_distances
+from repro.em.channel import arc_jitter_distances
 from repro.em.propagation import field_scale, field_transmittance
 from repro.errors import ConfigurationError
 from repro.faults.inject import FaultInjector
@@ -209,17 +209,20 @@ def generate_shard(
 ) -> TagSet:
     """Realize one shard of the fleet as a :class:`TagSet`.
 
-    Per tag (in global-index order) draw its depth, array-placement
-    jitter and EPC from its physics stream. Then, over the whole shard as
-    ``(tags, elements)`` arrays, evaluate the Eq. 2 per-element fields and
-    their aligned CIB sum, push the shard's peaks through the front end to
-    the Eq. 1 power-up decision in one array call, and run the reader's
-    two-way budget per tag for the uplink amplitude. Every value is bit-identical to the per-tag loop
-    kept as ``tests/reference/fleet.py::generate_shard_reference``. Fault
-    plans enter here exactly as in the degradation campaigns: antenna
-    dropout zeroes per-element amplitudes, tag detuning scales the
-    harvested voltage (both keyed on the global tag index, so a tag's
-    faults follow it across any sharding).
+    Per tag (in global-index order) draw its ``1 + A`` uniform doubles
+    (depth, then one placement jitter per element) and its EPC from its
+    physics stream. Then, over the whole shard as ``(tags, elements)``
+    arrays, turn those doubles into depths and arc distances, evaluate
+    the Eq. 2 per-element fields and their aligned CIB sum, push the
+    shard's peaks through the front end to the Eq. 1 power-up decision in
+    one array call, and run the reader's two-way budget on the array of
+    strongest-element gains for the uplink amplitudes. Every value is
+    bit-identical to the per-tag loop kept as
+    ``tests/reference/fleet.py::generate_shard_reference``. Fault plans
+    enter here exactly as in the degradation campaigns: antenna dropout
+    zeroes per-element amplitudes, tag detuning scales the harvested
+    voltage (both keyed on the global tag index, so a tag's faults follow
+    it across any sharding).
     """
     lo, hi = shard_bounds(config, shard)
     n = hi - lo
@@ -234,17 +237,18 @@ def generate_shard(
     prefix = (_FLEET_STREAM_TAG, config.seed_material(), config.seed)
 
     epc_bits = np.empty((n, 96), dtype=int)
-    depths = np.empty(n)
-    distances = np.empty((n, n_antennas))
+    uniforms = np.empty((n, 1 + n_antennas))
     # Each physics stream is built, drawn from and dropped in turn, so the
     # shard never holds a second list of n generators beside mac_rngs.
     physics_rngs = iter_keyed_rngs(prefix, range(lo, hi), (_STREAM_PHYSICS,))
     for row, rng in enumerate(physics_rngs):
-        depths[row] = rng.uniform(config.depth_min_m, config.depth_max_m)
-        distances[row] = arc_array_distances(
-            config.standoff_m, n_antennas, rng=rng
-        )
+        rng.random(out=uniforms[row])
         epc_bits[row] = rng.integers(0, 2, size=96)
+    # NumPy draws uniform(low, high) as low + (high - low) * random(), so
+    # these are the per-tag uniform depth and jitter draws bit for bit.
+    low, high = config.depth_min_m, config.depth_max_m
+    depths = low + (high - low) * uniforms[:, 0]
+    distances = arc_jitter_distances(config.standoff_m, uniforms[:, 1:])
 
     # Eq. 2 for every (tag, element) pair, in the operation order of
     # tissue_field_amplitude: free-space amplitude, boundary
@@ -295,12 +299,7 @@ def generate_shard(
         )
         * voltage_scales
     )
-    amplitudes = np.array(
-        [
-            backscatter_amplitude_v(forward_gain, aperture)
-            for forward_gain in forward_gains.tolist()
-        ]
-    )
+    amplitudes = backscatter_amplitude_v(forward_gains, aperture)
     mac_rngs = keyed_rngs(prefix, range(lo, hi), (_STREAM_MAC,))
 
     return TagSet(

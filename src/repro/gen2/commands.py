@@ -7,7 +7,7 @@ envelopes and the beamformer modulates them onto every carrier.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import ProtocolError
 from repro.gen2.crc import append_crc16, append_crc5, check_crc16, check_crc5

@@ -15,7 +15,6 @@ where RTcal = len(data-0) + len(data-1) calibrates the slicer threshold and
 TRcal sets the tag's backscatter link frequency.
 """
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 

@@ -7,12 +7,12 @@ everything -- the defining property of a battery-free device.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError
 from repro.gen2.commands import Ack, Query, QueryRep, Select
 from repro.gen2.crc import append_crc16
 

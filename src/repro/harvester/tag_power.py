@@ -7,7 +7,7 @@ and the rectifier/threshold decides power-up. This is the decision the
 whole paper revolves around.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np

@@ -39,6 +39,11 @@ import numpy as np
 
 from repro.obs.context import current_obs
 
+CAPTURE_BLOCK_ELEMENTS = 50_000
+"""Cap on the ``(rows, P, 2, T)`` float64 noise draws one
+:func:`capture_block` block holds (about 0.4 MB, so a block's draws and
+temporaries stay in a core's L2 cache)."""
+
 
 def _complex_staged(signal: np.ndarray) -> np.ndarray:
     """Coerce to a complex array, preserving precision.
@@ -188,6 +193,11 @@ def capture_block(
     ``A`` separate ``capture_batch`` calls -- and therefore to the scalar
     per-period loop those are pinned against.
 
+    The signals go through the chain in blocks of rows sized by
+    :data:`CAPTURE_BLOCK_ELEMENTS`, every block reusing one draw buffer,
+    so the working set stays cache-resident however many attempts a round
+    stacks. A row's value never depends on which rows share its block.
+
     Args:
         chain: A :class:`repro.rf.receiver.ReceiveChain`-shaped object.
         signals: Complex baseband samples, shape ``(A, T)`` (amplitudes
@@ -215,26 +225,51 @@ def capture_block(
     base = staged * chain.saw.amplitude_response(chain.tuned_frequency_hz)
     base_i = np.ascontiguousarray(base.real)
     base_q = np.ascontiguousarray(base.imag)
-
-    draws = np.empty((n_signals, n_periods, 2, n_samples))
-    for index, rng in enumerate(rngs):
-        draws[index] = rng.normal(size=(n_periods, 2, n_samples))
-    xdraws = draws.astype(real_dtype, copy=False)
-
     factor = chain.noise_std() / math.sqrt(2.0)
-    in_phase = base_i[:, None, :] + factor * xdraws[:, :, 0, :]
-    quadrature = base_q[:, None, :] + factor * xdraws[:, :, 1, :]
-
     adc = getattr(chain, "adc", None)
-    if adc is not None:
-        peaks = np.maximum(
-            np.max(np.abs(in_phase), axis=2),
-            np.max(np.abs(quadrature), axis=2),
-        )
-        gains = _agc_gains(peaks, agc_target, adc.full_scale)
-        in_phase = _quantize_scaled(in_phase, gains[:, :, None], adc)
 
-    averaged = np.mean(in_phase, axis=1)
+    rows = max(1, CAPTURE_BLOCK_ELEMENTS // (n_periods * 2 * n_samples))
+    draws = np.empty((min(rows, n_signals), n_periods, 2, n_samples))
+    averaged = np.empty((n_signals, n_samples), dtype=real_dtype)
+    for start in range(0, n_signals, rows):
+        stop = min(start + rows, n_signals)
+        block = draws[: stop - start]
+        for row, rng in zip(block, rngs[start:stop]):
+            rng.standard_normal(out=row)
+        # ``normal(size=...)`` is ``0.0 + 1.0 * x`` of these same draws
+        # x; ``1.0 * x`` is exact and ``0.0 + x`` is x except that it
+        # turns -0.0 into +0.0, so this in-place add makes the buffer
+        # bitwise what ``capture_batch``'s ``normal`` call returns.
+        np.add(block, 0.0, out=block)
+        # Then the chain of capture_batch on this block, in place:
+        # ``base + factor * draw`` (both operations commute exactly).
+        noise = block.astype(real_dtype, copy=False)
+        np.multiply(noise, factor, out=noise)
+        in_phase = np.add(
+            noise[:, :, 0, :], base_i[start:stop, None, :],
+            out=noise[:, :, 0, :],
+        )
+        if adc is not None:
+            quadrature = np.add(
+                noise[:, :, 1, :], base_q[start:stop, None, :],
+                out=noise[:, :, 1, :],
+            )
+            # The quadrature is only needed for its peak, so its storage
+            # then holds |in_phase| for the in-phase peak.
+            quadrature_peaks = np.max(
+                np.abs(quadrature, out=quadrature), axis=2
+            )
+            in_phase_peaks = np.max(
+                np.abs(in_phase, out=quadrature), axis=2
+            )
+            gains = _agc_gains(
+                np.maximum(in_phase_peaks, quadrature_peaks),
+                agc_target,
+                adc.full_scale,
+            )
+            in_phase = _quantize_scaled(in_phase, gains[:, :, None], adc)
+        np.mean(in_phase, axis=1, out=averaged[start:stop])
+
     current_obs().metrics.counter("kernels.capture_samples").inc(
         n_signals * n_periods * n_samples
     )

@@ -9,7 +9,7 @@ and coherently averages one capture per CIB period.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from repro.constants import (
     READER_CARRIER_FREQUENCY_HZ,
 )
 from repro.em.channel import BlindChannel
-from repro.em.propagation import field_scale
+from repro.em.propagation import field_scale, libm_squares
 from repro.errors import ConfigurationError
 from repro.gen2.decoder import DecodeResult, decode_fm0_response
 from repro.reader.jamming import JammingEstimate
@@ -41,14 +41,14 @@ class ReaderCapture:
 
 
 def backscatter_amplitude_v(
-    forward_gain: float,
+    forward_gain: Union[float, np.ndarray],
     tag_aperture_m2: float,
     reader_eirp_w: float = 2.0,
     reader_frequency_hz: float = READER_CARRIER_FREQUENCY_HZ,
     rx_gain_linear: float = 10.0 ** 0.7,
     modulation_depth: float = 0.5,
     reference_ohms: float = 50.0,
-) -> float:
+) -> Union[float, np.ndarray]:
     """Two-way backscatter budget (volts at the reader) for a known gain.
 
     Reader EIRP -> field at the tag through the one-way field gain
@@ -57,22 +57,27 @@ def backscatter_amplitude_v(
     the reader's aperture. The squared dependence on ``forward_gain`` is
     the physics the fleet's capture effect feeds on: a tag 4 cm deeper
     loses twice the one-way dB on the uplink. Defaults are the prototype
-    reader's.
+    reader's. A scalar gain gives a float, an array of gains (a fleet
+    shard's) the array of amplitudes, each bit for bit the same budget in
+    Python floats: the squares go through libm's pow (see
+    :func:`~repro.em.propagation.libm_squares`), as Python's ``**`` does.
     """
-    field_at_tag = field_scale(reader_eirp_w) * forward_gain
+    gains = np.asarray(forward_gain, dtype=float)
+    field_at_tag = field_scale(reader_eirp_w) * gains
     # Captured power through the tag aperture (free-space eta is close
     # enough here; medium-specific eta enters the harvesting path).
     eta = 376.73
-    captured_w = field_at_tag**2 / (2.0 * eta) * tag_aperture_m2
+    captured_w = libm_squares(field_at_tag) / (2.0 * eta) * tag_aperture_m2
     # The switching antenna re-radiates the modulated sideband.
     reradiated_w = (modulation_depth**2 / 4.0) * captured_w
     # Tag-as-transmitter back to the reader: reciprocal channel.
     wavelength = 299792458.0 / reader_frequency_hz
-    back_power_gain = rx_gain_linear * (
-        wavelength * forward_gain / (4.0 * math.pi)
-    ) ** 2
+    back_power_gain = rx_gain_linear * libm_squares(
+        wavelength * gains / (4.0 * math.pi)
+    )
     received_w = reradiated_w * back_power_gain
-    return math.sqrt(2.0 * received_w * reference_ohms)
+    amplitude = np.sqrt(2.0 * received_w * reference_ohms)
+    return amplitude if gains.ndim else float(amplitude)
 
 
 class OutOfBandReader:

@@ -36,7 +36,7 @@ bit-identical across chunk sizes and worker counts.
 """
 
 import math
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 import numpy as np
 

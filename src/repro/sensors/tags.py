@@ -12,7 +12,7 @@ the standard tag, ~0.5 m for the miniature one); everything multi-antenna
 then emerges from the model.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.constants import DEFAULT_RECTIFIER_STAGES, DIODE_THRESHOLD_V

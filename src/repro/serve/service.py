@@ -318,7 +318,7 @@ def parse_request(payload: Any) -> PlanRequest:
         raise ServeRequestError(
             "eirp_watts and air_distance_m must be positive"
         )
-    return PlanRequest(
+    request = PlanRequest(
         kind=kind,
         n_antennas=n_antennas,
         threshold=threshold if conduction else None,
@@ -349,6 +349,9 @@ def parse_request(payload: Any) -> PlanRequest:
         eirp_watts=eirp_watts,
         air_distance_m=air_distance_m,
     )
+    if depth_m is not None:
+        _check_power_answer(request)
+    return request
 
 
 @dataclass
@@ -366,15 +369,21 @@ class ServeConfig:
 
 def power_at_depth(
     request: PlanRequest, result: OptimizationResult
-) -> Optional[Dict[str, float]]:
+) -> Optional[Dict[str, Any]]:
     """Eq. 2/3 power answer for a planned peak at the requested depth.
 
     The per-branch field at depth (Eq. 2) scales by the plan's expected
     coherent peak gain; the standard tag's detuning-aware front end turns
-    the peak field into available power (Eq. 3).
+    the peak field into available power (Eq. 3). A power that underflows
+    to zero has no dBm value: ``harvested_dbm`` is then ``None`` (JSON
+    ``null``), never ``-inf``, which strict JSON cannot carry.
     """
     if request.medium is None or request.depth_m is None:
         return None
+    return _power_answer(request, result.expected_peak)
+
+
+def _power_answer(request: PlanRequest, peak_gain: float) -> Dict[str, Any]:
     medium = MEDIA_LIBRARY[request.medium]
     frequency_hz = request.center_frequency_hz
     branch_field = tissue_field_amplitude(
@@ -384,7 +393,7 @@ def power_at_depth(
         medium,
         frequency_hz,
     )
-    peak_field = branch_field * result.expected_peak
+    peak_field = branch_field * peak_gain
     tag = standard_tag_spec()
     front_end = HarvesterFrontEnd(
         antenna=tag.antenna,
@@ -405,9 +414,33 @@ def power_at_depth(
         "harvested_dbm": (
             10.0 * math.log10(harvested_w * 1e3)
             if harvested_w > 0
-            else -math.inf
+            else None
         ),
     }
+
+
+def _check_power_answer(request: PlanRequest) -> None:
+    """Reject depth inputs whose power answer leaves float range.
+
+    The answer grows with the plan's peak gain. That gain is a mean of
+    envelope maxima of unit phasors, so it is at most ``n_antennas`` up
+    to the float64 IFFT's rounding (relative ~1e-14); checking just past
+    that bound accepts exactly the requests whose every plan has a finite
+    answer.
+    """
+    try:
+        answer = _power_answer(request, request.n_antennas * (1.0 + 1e-9))
+    except OverflowError:
+        answer = None
+    if answer is None or not all(
+        math.isfinite(value)
+        for value in answer.values()
+        if isinstance(value, float)
+    ):
+        raise ServeRequestError(
+            "eirp_watts, air_distance_m and depth_m put the power at depth "
+            "outside float range"
+        )
 
 
 class PlanService:

@@ -9,7 +9,9 @@ path shares, its offset validation and the per-search evaluation
 accounting.
 """
 
+import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,6 +144,46 @@ class TestBatchedScoring:
         )
         with pytest.raises(ConfigurationError):
             cramped.random_candidates(5)
+
+
+class TestConductionCutoff:
+    """The conduction count compares a float32 block with a float64
+    cutoff: in-range cutoffs compare as their float32 cast, and one past
+    float32 range counts nothing, without an overflow warning."""
+
+    MAX32 = float(np.finfo(np.float32).max)
+
+    def _count(self, magnitude, cutoff):
+        spec = SimpleNamespace(
+            kind="conduction", cutoff=cutoff, n_draws=1, grid_size=1
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return optimizer_module._reduce_stacked_magnitude(spec, magnitude)
+
+    def test_in_range_cutoffs_compare_as_float32(self):
+        rng = np.random.default_rng(5)
+        magnitude = np.concatenate(
+            [rng.random(500).astype(np.float32), [self.MAX32, 0.0]]
+        ).astype(np.float32)[None, :]
+        for cutoff in (0.0, 0.25, 0.5 + 1e-12, 1.0, 1e30, self.MAX32):
+            want = np.count_nonzero(magnitude > np.float32(cutoff))
+            assert self._count(magnitude, cutoff) == want
+
+    @pytest.mark.parametrize("cutoff", [1e39, 1e300, float("inf")])
+    def test_cutoff_past_float32_range_counts_nothing(self, cutoff):
+        magnitude = np.full((1, 64), self.MAX32, dtype=np.float32)
+        assert self._count(magnitude, cutoff) == 0.0
+
+    def test_conduction_search_threshold_past_float32_range(self):
+        optimizer = FrequencyOptimizer(5, n_draws=8, seed=9)
+        candidates = optimizer.random_candidates(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = optimizer._score_matrix(
+                candidates, "coarse", "conduction", 1e300
+            )
+        assert values.tolist() == [0.0] * 6
 
 
 class TestModeEquivalence:

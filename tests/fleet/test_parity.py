@@ -63,7 +63,30 @@ def _random_cases(count=32, seed=2026):
     return cases
 
 
-CASES = _random_cases()
+def _fused_draw_cases():
+    """One ``random(1 + A)`` call per tag must give the reference's
+    separate ``uniform`` depth and jitter draws at 1, 2, 8 and 16
+    elements, in a narrow and a wide depth band, clean and under antenna
+    dropout plus tag detuning."""
+    return [
+        (
+            FleetConfig(
+                n_tags=60,
+                depth_min_m=low,
+                depth_max_m=high,
+                n_antennas=n_antennas,
+                n_shards=3,
+                seed=9000 + n_antennas,
+            ),
+            plan,
+        )
+        for n_antennas in (1, 2, 8, 16)
+        for low, high in ((0.05, 0.05 + 1e-9), (0.0, 0.3))
+        for plan in (EMPTY_PLAN, _PLANS[4])
+    ]
+
+
+CASES = _random_cases() + _fused_draw_cases()
 
 
 def _assert_same_array(got, want):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.constants import READER_CARRIER_FREQUENCY_HZ
 from repro.errors import ConfigurationError
 from repro.faults.plan import antenna_dropout
 from repro.fleet.population import FleetConfig, generate_shard, shard_bounds
@@ -143,3 +144,25 @@ class TestBackscatterBudget:
         one = backscatter_amplitude_v(1e-3, 1e-4)
         double = backscatter_amplitude_v(2e-3, 1e-4)
         assert double == pytest.approx(4.0 * one, rel=1e-12)
+
+    def test_array_matches_python_float_budget_bitwise(self):
+        """An array of gains gives, per gain, the budget computed in Python
+        floats, including gains whose squares libm's pow and ``x * x``
+        round apart; a scalar gain gives a float of the same value."""
+        rng = np.random.default_rng(12)
+        gains = rng.random(4000) * 10.0 ** rng.uniform(-5, 0, 4000)
+        assert any(g**2 != g * g for g in gains.tolist())
+
+        def python_budget(gain, aperture):
+            field = math.sqrt(60.0 * 2.0) * gain
+            captured = field**2 / (2.0 * 376.73) * aperture
+            reradiated = (0.5**2 / 4.0) * captured
+            wavelength = 299792458.0 / READER_CARRIER_FREQUENCY_HZ
+            back = 10.0 ** 0.7 * (wavelength * gain / (4.0 * math.pi)) ** 2
+            return math.sqrt(2.0 * (reradiated * back) * 50.0)
+
+        want = np.array([python_budget(g, 1.7e-4) for g in gains.tolist()])
+        got = backscatter_amplitude_v(gains, 1.7e-4)
+        assert got.tobytes() == want.tobytes()
+        one = backscatter_amplitude_v(float(gains[0]), 1.7e-4)
+        assert type(one) is float and one == want[0]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.faults.plan import FaultPlan, bit_corruption
-from repro.kernels import capture_batch
+from repro.kernels import capture_batch, capture_block
+from repro.kernels.capture import CAPTURE_BLOCK_ELEMENTS
 from repro.reader.jamming import JammingEstimate
 from repro.reader.out_of_band import OutOfBandReader
 from tests.reference.kernels import capture_response_scalar
@@ -103,6 +104,60 @@ class TestCaptureParity:
         )
         assert decoded_kernel.bits == decoded_scalar.bits
         assert decoded_kernel.success == decoded_scalar.success
+
+
+class _ChainWithoutAdc:
+    """The reader chain minus its ADC: no AGC, no quantization."""
+
+    def __init__(self, chain):
+        self.saw = chain.saw
+        self.tuned_frequency_hz = chain.tuned_frequency_hz
+        self.noise_std = chain.noise_std
+
+
+class TestCaptureBlockRows:
+    """``capture_block`` receives its rows in blocks; every row must equal
+    its own un-jammed ``capture_batch`` call, on both sides of each block
+    boundary, and leave its generator where that call leaves it."""
+
+    N_PERIODS = 8
+    N_SAMPLES = 92
+    ROWS = CAPTURE_BLOCK_ELEMENTS // (N_PERIODS * 2 * N_SAMPLES)
+
+    @pytest.mark.parametrize(
+        "n_signals",
+        [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3],
+    )
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("adc", [True, False])
+    def test_matches_stacked_capture_batch(self, n_signals, dtype, adc):
+        assert self.ROWS > 1
+        chain = OutOfBandReader().chain
+        if not adc:
+            chain = _ChainWithoutAdc(chain)
+        rng = np.random.default_rng(n_signals)
+        shape = (n_signals, self.N_SAMPLES)
+        signals = (
+            2e-4 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        ).astype(dtype)
+        def generators():
+            return [np.random.default_rng(500 + a) for a in range(n_signals)]
+
+        block_rngs, batch_rngs = generators(), generators()
+
+        got = capture_block(chain, signals, self.N_PERIODS, block_rngs)
+        want = np.stack(
+            [
+                capture_batch(chain, signal, self.N_PERIODS, generator)
+                for signal, generator in zip(signals, batch_rngs)
+            ]
+        )
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert [g.bit_generator.state for g in block_rngs] == [
+            g.bit_generator.state for g in batch_rngs
+        ]
 
 
 class TestValidation:

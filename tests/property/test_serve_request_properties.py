@@ -3,19 +3,28 @@
 ``PlanningServer`` answers 400 for :class:`ServeRequestError` and
 :class:`ConfigurationError`, and 500 for anything else. So every body that
 :func:`parse_request` accepts must yield a search whose flatness budget and
-optimizer build; otherwise a client's input reaches the search and fails
-there. No search runs here.
+optimizer build, and, when it asks for a depth, a power answer that strict
+JSON can carry for any plan's peak gain; otherwise a client's input
+reaches the search or the response and fails there. No search runs here.
 """
 
+import json
 import math
+from types import SimpleNamespace
 
-from hypothesis import given, settings
+import pytest
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.em.media import MEDIA_LIBRARY
 from repro.errors import ConfigurationError
 from repro.faults.plan import FAULT_KINDS
-from repro.serve.service import ServeRequestError, parse_request
+from repro.serve.service import (
+    ServeRequestError,
+    parse_request,
+    power_at_depth,
+)
 
 # Any JSON value, including the non-finite floats Python's json accepts.
 junk = st.one_of(
@@ -115,6 +124,12 @@ def check(body):
     assert 0.0 < constraint.max_rms_offset_hz < math.inf
     optimizer = request.optimizer()
     assert optimizer.n_antennas == request.n_antennas
+    if request.depth_m is None:
+        return
+    # A plan's expected peak gain lies in [0, n_antennas].
+    for peak in (0.0, 0.5, float(request.n_antennas)):
+        answer = power_at_depth(request, SimpleNamespace(expected_peak=peak))
+        json.dumps(answer, allow_nan=False)
 
 
 @settings(max_examples=400, deadline=None)
@@ -131,3 +146,57 @@ def test_parsed_body_builds_its_search(body):
 def test_any_flatness_budget_parses_or_builds(alpha, query_duration_s):
     """The two Eq. 9 inputs over the whole float range, the rest valid."""
     check({"n_antennas": 4, "alpha": alpha, "query_duration_s": query_duration_s})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+@example(depth_m=0.05, air_distance_m=1e-200, eirp_watts=4.0)
+@example(depth_m=1e300, air_distance_m=0.1, eirp_watts=4.0)
+def test_any_power_inputs_parse_or_answer(
+    depth_m, air_distance_m, eirp_watts
+):
+    """The three Eq. 2 inputs of the power answer over the whole float
+    range, the rest valid."""
+    check(
+        {
+            "n_antennas": 4,
+            "medium": "muscle",
+            "depth_m": depth_m,
+            "air_distance_m": air_distance_m,
+            "eirp_watts": eirp_watts,
+        }
+    )
+
+
+def test_power_check_refuses_only_what_some_plan_overflows():
+    """The closest accepted air distance has a finite power answer at the
+    largest peak gain a plan can reach (``n_antennas``), and the next
+    closer distances are refused. A check at twice that gain (four times
+    the power) would refuse this body, though no plan overflows it."""
+    base = {"n_antennas": 4, "medium": "muscle", "depth_m": 0.0}
+
+    def accepted(distance):
+        try:
+            parse_request({**base, "air_distance_m": distance})
+        except ServeRequestError:
+            return False
+        return True
+
+    lo, hi = 1e-300, 1.0
+    assert not accepted(lo) and accepted(hi)
+    for _ in range(200):
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (lo, mid) if accepted(mid) else (mid, hi)
+    request = parse_request({**base, "air_distance_m": hi})
+    answer = power_at_depth(request, SimpleNamespace(expected_peak=4.0))
+    json.dumps(answer, allow_nan=False)
+    assert answer["harvested_w"] > 0
+    assert not accepted(hi * (1 - 1e-6))
+    with pytest.raises(OverflowError):
+        power_at_depth(request, SimpleNamespace(expected_peak=8.0))

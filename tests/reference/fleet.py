@@ -25,7 +25,7 @@ from repro.errors import DecodingError, ProtocolError
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import EMPTY_PLAN, FaultPlan
 from repro.em import media as media_lib
-from repro.em.channel import arc_array_distances
+from repro.em.channel import ARC_JITTER_FRACTION
 from repro.em.propagation import tissue_field_amplitude
 from repro.fleet.collision import (
     _DECODE_STREAM_TAG,
@@ -104,7 +104,11 @@ def generate_shard_reference(
     shard: int,
     fault_plan: FaultPlan = EMPTY_PLAN,
 ) -> TagSet:
-    """Per-tag loop of fleet generation: scalar Eq. 2, one stream per tag."""
+    """Per-tag loop of fleet generation: scalar Eq. 2, one stream per tag.
+
+    Each tag draws its depth and arc jitter with ``Generator.uniform``,
+    the draws the batched path replaces with one ``random`` call per tag.
+    """
     lo, hi = shard_bounds(config, shard)
     n = hi - lo
     medium = media_lib.get_medium(config.medium)
@@ -127,8 +131,13 @@ def generate_shard_reference(
         depth = float(
             rng.uniform(config.depth_min_m, config.depth_max_m)
         )
-        distances = arc_array_distances(
-            config.standoff_m, config.n_antennas, rng=rng
+        distances = config.standoff_m * (
+            1.0
+            + rng.uniform(
+                -ARC_JITTER_FRACTION,
+                ARC_JITTER_FRACTION,
+                size=config.n_antennas,
+            )
         )
         epc_bits[row] = rng.integers(0, 2, size=96)
 

@@ -188,6 +188,33 @@ class TestRoutes:
         assert at_bound[0] == 200, at_bound[1]
         assert at_bound[1]["status"] == "ok"
 
+    def test_power_answer_is_strict_json_or_400(self):
+        """A depth whose power overflows is a client error; one whose
+        power underflows to zero is served with a null dBm value."""
+
+        async def scenario(port, service):
+            return [
+                await _http(port, "POST", "/plan", {**_PLAN, **extra})
+                for extra in (
+                    {"air_distance_m": 1e-200},
+                    {"depth_m": 1e300},
+                    {},
+                )
+            ]
+
+        overflow, underflow, plain = asyncio.run(
+            _with_server(ServeConfig(flush_window_s=0.001), scenario)
+        )
+        assert overflow[0] == 400, overflow
+        assert "outside float range" in overflow[1]["error"]
+        assert underflow[0] == 200, underflow
+        assert underflow[1]["power"]["harvested_w"] == 0.0
+        assert underflow[1]["power"]["harvested_dbm"] is None
+        assert plain[0] == 200, plain
+        assert isinstance(plain[1]["power"]["harvested_dbm"], float)
+        for _, payload in (underflow, plain):
+            json.dumps(payload, allow_nan=False)
+
     def test_malformed_request_line_gets_400(self):
         async def scenario(port, service):
             return await _http(port, "", "", raw=b"garbage\r\n\r\n")
