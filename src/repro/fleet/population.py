@@ -52,6 +52,29 @@ _STREAM_MAC = 1
 """Per-tag sub-streams: placement/EPC draws and MAC draws are separated so
 adding a physics draw can never shift a slot-counter draw."""
 
+EPC_BITS = 96
+"""Bits of a tag's EPC."""
+
+
+def epc_bits_from_words(words: np.ndarray) -> np.ndarray:
+    """EPCs from raw generator words, as ``integers(0, 2, size=96)`` draws.
+
+    ``words`` is ``(..., 48)`` raw 64-bit outputs of each tag's bit
+    generator (``bit_generator.random_raw(48)``). NumPy draws each value
+    of ``integers(0, 2)`` by Lemire's method from one 32-bit half of a raw
+    word, low half first; for a range of two it never rejects and the
+    value is the half's top bit. So the 96 bits are bits 31 and 63 of
+    each word, in order, and the 48 words leave the generator exactly
+    where the ``integers`` call would -- provided it holds no buffered
+    32-bit half, which ``random_raw`` would skip (a generator that has
+    drawn only doubles, as a physics stream has, holds none).
+    """
+    bits = np.empty(words.shape[:-1] + (2 * words.shape[-1],), dtype=int)
+    bits[..., 0::2] = (words >> 31) & 1
+    bits[..., 1::2] = words >> 63
+    return bits
+
+
 TAG_ANTENNAS = {
     "standard": STANDARD_TAG_ANTENNA,
     "miniature": MINIATURE_TAG_ANTENNA,
@@ -173,7 +196,7 @@ class TagSet:
     experiment builds idealized ones from its legacy seed tree.
 
     Attributes:
-        epc_bits: ``(n, 96)`` EPC bits.
+        epc_bits: ``(n, EPC_BITS)`` EPC bits.
         reply_amplitude_v: ``(n,)`` backscatter amplitude at the reader.
         powered: ``(n,)`` power-up mask (unpowered tags never reply).
         mac_rngs: Per-tag generators for slot-counter and RN16 draws.
@@ -236,14 +259,15 @@ def generate_shard(
     # Hashing the config is costly; every tag stream shares the material.
     prefix = (_FLEET_STREAM_TAG, config.seed_material(), config.seed)
 
-    epc_bits = np.empty((n, 96), dtype=int)
+    epc_words = np.empty((n, EPC_BITS // 2), dtype=np.uint64)
     uniforms = np.empty((n, 1 + n_antennas))
     # Each physics stream is built, drawn from and dropped in turn, so the
     # shard never holds a second list of n generators beside mac_rngs.
     physics_rngs = iter_keyed_rngs(prefix, range(lo, hi), (_STREAM_PHYSICS,))
     for row, rng in enumerate(physics_rngs):
         rng.random(out=uniforms[row])
-        epc_bits[row] = rng.integers(0, 2, size=96)
+        epc_words[row] = rng.bit_generator.random_raw(EPC_BITS // 2)
+    epc_bits = epc_bits_from_words(epc_words)
     # NumPy draws uniform(low, high) as low + (high - low) * random(), so
     # these are the per-tag uniform depth and jitter draws bit for bit.
     low, high = config.depth_min_m, config.depth_max_m

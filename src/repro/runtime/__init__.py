@@ -10,8 +10,8 @@ the production trial engine the experiment drivers share instead:
   batched-FFT envelope path (or a chunked direct-envelope path when the
   offsets are not FFT-compatible), eliminating the per-trial loop.
 * :mod:`repro.runtime.runner` -- **process-pool fan-out**:
-  :class:`TrialRunner` chunks trials across a
-  ``concurrent.futures.ProcessPoolExecutor`` with deterministic per-chunk
+  :class:`TrialRunner` chunks trials across its own pool of worker
+  processes, driven over one pipe each, with deterministic per-chunk
   ``SeedSequence`` spawning, so results are bit-identical regardless of
   worker count (``workers=1`` runs in-process); a runner's pool lives as
   long as the runner, so one runner per experiment run forks once.

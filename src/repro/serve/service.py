@@ -383,6 +383,19 @@ def power_at_depth(
     return _power_answer(request, result.expected_peak)
 
 
+def _standard_front_end() -> HarvesterFrontEnd:
+    tag = standard_tag_spec()
+    return HarvesterFrontEnd(
+        antenna=tag.antenna,
+        chip_resistance_ohms=tag.chip_resistance_ohms,
+        liquid_aperture_factor=tag.liquid_aperture_factor,
+    )
+
+
+_STANDARD_FRONT_END = _standard_front_end()
+"""The standard tag's front end every power answer uses (built once)."""
+
+
 def _power_answer(request: PlanRequest, peak_gain: float) -> Dict[str, Any]:
     medium = MEDIA_LIBRARY[request.medium]
     frequency_hz = request.center_frequency_hz
@@ -394,13 +407,7 @@ def _power_answer(request: PlanRequest, peak_gain: float) -> Dict[str, Any]:
         frequency_hz,
     )
     peak_field = branch_field * peak_gain
-    tag = standard_tag_spec()
-    front_end = HarvesterFrontEnd(
-        antenna=tag.antenna,
-        chip_resistance_ohms=tag.chip_resistance_ohms,
-        liquid_aperture_factor=tag.liquid_aperture_factor,
-    )
-    harvested_w = front_end.available_power_w(
+    harvested_w = _STANDARD_FRONT_END.available_power_w(
         peak_field, medium, frequency_hz
     )
     return {

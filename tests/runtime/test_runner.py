@@ -276,3 +276,138 @@ class TestPersistentPool:
         assert np.concatenate(healthy).tolist() == list(range(8))
         assert counters["runner.pool_restarts"] == 1
         assert counters["runner.pool_starts"] == 2
+
+
+def seeded_draws(seed: int, start: int, count: int) -> np.ndarray:
+    """Per-trial generator draws, as the engine's chunk functions make them."""
+    return np.concatenate(
+        [
+            np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(i,))
+            ).standard_normal(3)
+            for i in range(start, start + count)
+        ]
+    )
+
+
+class CountingChunk:
+    """Picklable chunk function that counts, in this process, its picklings."""
+
+    pickled = 0
+
+    def __reduce__(self):
+        CountingChunk.pickled += 1
+        return (CountingChunk, ())
+
+    def __call__(self, start: int, count: int):
+        return list(range(start, start + count))
+
+
+class TestDirectPipes:
+    """The pool's own dispatch: one pickle per map, shared, self-healing."""
+
+    def test_map_pickles_its_chunk_function_once(self):
+        CountingChunk.pickled = 0
+        with TrialRunner(workers=2, chunk_size=1) as runner:
+            parts = runner.map_chunks(CountingChunk(), 8)
+        assert [v for part in parts for v in part] == list(range(8))
+        assert CountingChunk.pickled == 1
+
+    @pytest.mark.parametrize("persistent", [False, True])
+    def test_concurrent_maps_match_in_process(self, persistent):
+        import sys
+        import threading
+        from functools import partial
+
+        jobs = [(seed, n) for seed, n in zip(range(4), (9, 12, 7, 16))]
+        serial = TrialRunner(workers=1)
+        expected = [
+            np.concatenate(
+                serial.map_chunks(partial(seeded_draws, seed), n)
+            ).tobytes()
+            for seed, n in jobs
+        ]
+        results = [None] * len(jobs)
+        barrier = threading.Barrier(len(jobs))
+
+        # Four mapping threads over three workers: a worker handed to two
+        # maps at once would cross their replies.
+        switch = sys.getswitchinterval()
+        with TrialRunner(
+            workers=3, chunk_size=2, persistent=persistent
+        ) as runner:
+            # Start the workers before any thread exists, as a server does.
+            runner.map_chunks(span_indices, 6)
+
+            def job(k):
+                seed, n = jobs[k]
+                barrier.wait(30)
+                results[k] = [
+                    np.concatenate(
+                        runner.map_chunks(partial(seeded_draws, seed), n)
+                    ).tobytes()
+                    for _ in range(3)
+                ]
+
+            threads = [
+                threading.Thread(target=job, args=(k,))
+                for k in range(len(jobs))
+            ]
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+            finally:
+                sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[want] * 3 for want in expected]
+
+    @pytest.mark.parametrize("persistent", [False, True])
+    def test_worker_killed_between_maps_is_replaced(self, persistent):
+        import os
+        import signal
+        from functools import partial
+
+        from repro.obs.context import obs_context
+
+        fn = partial(seeded_draws, 5)
+        expected = np.concatenate(TrialRunner().map_chunks(fn, 8)).tobytes()
+        with obs_context() as obs:
+            with TrialRunner(workers=2, persistent=persistent) as runner:
+                victim = int(runner.map_chunks(worker_pid_chunk, 2)[0][0])
+                os.kill(victim, signal.SIGKILL)
+                for child in multiprocessing.active_children():
+                    if child.pid == victim:
+                        child.join(10)
+                parts = runner.map_chunks(fn, 8)
+                again = runner.map_chunks(fn, 8)
+            counters = obs.metrics.counters()
+        assert np.concatenate(parts).tobytes() == expected
+        assert np.concatenate(again).tobytes() == expected
+        # The dead worker was noticed before any chunk was sent to it.
+        assert counters["runner.pool_restarts"] == 1
+        assert counters["runner.pool_starts"] == 2
+        assert "runner.chunk_retries" not in counters
+
+
+def unpicklable_result_chunk(start: int, count: int):
+    """A chunk whose value cannot cross back from a worker."""
+    return [lambda: start]
+
+
+def test_unpicklable_result_retries_and_keeps_the_pool():
+    from repro.obs.context import obs_context
+
+    with obs_context() as obs:
+        with TrialRunner(workers=2, chunk_size=2) as runner:
+            with pytest.warns(RuntimeWarning, match="retrying once"):
+                parts = runner.map_chunks(unpicklable_result_chunk, 4)
+            healthy = runner.map_chunks(span_indices, 4)
+        counters = obs.metrics.counters()
+    assert [part[0]() for part in parts] == [0, 2]
+    assert np.concatenate(healthy).tolist() == list(range(4))
+    assert counters["runner.chunk_retries"] == 2
+    assert counters["runner.pool_starts"] == 1
+    assert "runner.pool_restarts" not in counters
