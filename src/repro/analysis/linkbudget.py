@@ -17,7 +17,6 @@ from repro.em.layers import LayeredPath
 from repro.em.media import Medium
 from repro.em.propagation import free_space_field_amplitude
 from repro.errors import ConfigurationError
-from repro.harvester.tag_power import HarvesterFrontEnd
 from repro.sensors.tags import TagSpec
 
 
@@ -172,11 +171,7 @@ def downlink_budget(
         )
     )
 
-    front_end = HarvesterFrontEnd(
-        antenna=tag.antenna,
-        chip_resistance_ohms=tag.chip_resistance_ohms,
-        liquid_aperture_factor=tag.liquid_aperture_factor,
-    )
+    front_end = tag.front_end()
     ideal_aperture = tag.antenna.effective_aperture_m2(frequency_hz) / (
         tag.antenna.aperture_efficiency
     )

@@ -125,16 +125,20 @@ class StackedScoreSpec:
 
 def _reduce_stacked_magnitude(
     spec: StackedScoreSpec, magnitude: np.ndarray
-) -> float:
-    """One candidate's objective from its (draws, grid) envelope block."""
+) -> np.ndarray:
+    """Candidate objectives from ``(..., draws, grid)`` envelope blocks.
+
+    Reduces the last two axes, so a ``(C, D, M)`` chunk gives ``(C,)``
+    values; each value is the same float a lone ``(D, M)`` block gives.
+    """
     if spec.kind == "peak":
-        return float(np.mean(np.max(magnitude, axis=1)))
+        return np.mean(np.max(magnitude, axis=-1), axis=-1)
     # The cutoff is cast to the block's dtype. One past float32 range
     # becomes inf (nothing is above it) with an overflow warning; silence
     # only that, so every cutoff compares exactly as the cast gives it.
     with np.errstate(over="ignore"):
-        above = np.count_nonzero(magnitude > spec.cutoff)
-    return float(above / (spec.n_draws * spec.grid_size))
+        above = np.sum(magnitude > spec.cutoff, axis=(-2, -1))
+    return above / (spec.n_draws * spec.grid_size)
 
 
 def evaluate_stacked_specs(
@@ -155,27 +159,34 @@ def evaluate_stacked_specs(
 
 
 def _evaluate_spec(spec: StackedScoreSpec) -> np.ndarray:
-    """One spec's candidate values, chunk by chunk."""
+    """One spec's candidate values, chunk by chunk.
+
+    Each chunk is one scatter into a ``(C, D, M)`` spectrum, one IFFT
+    over its ``C * D`` rows and one reduction of the last two axes.
+    """
     if spec.kind not in ("peak", "conduction"):
         raise ValueError(f"unknown spec kind {spec.kind!r}")
     grid_size, draws = spec.grid_size, spec.n_draws
     dtype = np.complex64 if spec.single else complex
     values = np.empty(spec.n_candidates)
     per_chunk = max(1, FFT_ROW_CHUNK_ELEMENTS // grid_size // draws)
+    draw_index = np.arange(draws)[None, :, None]
     for lo in range(0, spec.n_candidates, per_chunk):
         chunk = spec.scatter[lo : lo + per_chunk]
-        spectrum = np.zeros((chunk.shape[0] * draws, grid_size), dtype=dtype)
-        for row, bins in enumerate(chunk):
-            spectrum[row * draws : (row + 1) * draws, bins] = spec.phasors
+        rows = chunk.shape[0]
+        spectrum = np.zeros((rows, draws, grid_size), dtype=dtype)
+        spectrum[
+            np.arange(rows)[:, None, None], draw_index, chunk[:, None, :]
+        ] = spec.phasors
+        flat = spectrum.reshape(rows * draws, grid_size)
         if spec.single:
-            signal = _coarse_ifft(spectrum, axis=1)
+            signal = _coarse_ifft(flat, axis=1)
         else:
-            signal = np.fft.ifft(spectrum, axis=1) * grid_size
-        magnitude = np.abs(signal)
-        for row in range(chunk.shape[0]):
-            values[lo + row] = _reduce_stacked_magnitude(
-                spec, magnitude[row * draws : (row + 1) * draws]
-            )
+            signal = np.fft.ifft(flat, axis=1)
+            signal *= grid_size
+        values[lo : lo + rows] = _reduce_stacked_magnitude(
+            spec, np.abs(signal).reshape(rows, draws, grid_size)
+        )
     return values
 
 
@@ -758,24 +769,21 @@ class FrequencyOptimizer:
         steepest-ascent argmax tie-breaks deterministically.
         """
         base = np.asarray(incumbent, dtype=np.int64)
-        base_key = tuple(int(v) for v in base)
-        seen = {base_key}
-        trials: List[np.ndarray] = []
-        for index in range(1, self.n_antennas):
-            for step in refine_steps:
-                for direction in (step, -step):
-                    trial = base.copy()
-                    trial[index] += direction
-                    trial[1:] = np.sort(trial[1:])
-                    key = tuple(int(v) for v in trial)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if self.is_feasible(key):
-                        trials.append(trial)
-        if not trials:
-            return np.empty((0, self.n_antennas), dtype=np.int64)
-        return np.stack(trials)
+        steps = np.asarray(refine_steps, dtype=np.int64)
+        # (step, -step) per step, the whole run once per moved index.
+        deltas = np.stack([steps, -steps], axis=1).reshape(-1)
+        moved = np.repeat(np.arange(1, self.n_antennas), deltas.size)
+        trials = np.tile(base, (moved.size, 1))
+        trials[np.arange(moved.size), moved] += np.tile(
+            deltas, self.n_antennas - 1
+        )
+        if trials.shape[0] == 0:
+            return trials
+        trials[:, 1:] = np.sort(trials[:, 1:], axis=1)
+        _, first = np.unique(trials, axis=0, return_index=True)
+        trials = trials[np.sort(first)]
+        trials = trials[np.any(trials != base, axis=1)]
+        return trials[self._feasible_rows(trials)]
 
     def _search(
         self,

@@ -36,7 +36,7 @@ bit-identical across chunk sizes and worker counts.
 """
 
 import math
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -56,7 +56,6 @@ from repro.core.plan import CarrierPlan
 from repro.em.channel import BlindChannel
 from repro.em.media import Medium
 from repro.em.propagation import field_scale
-from repro.harvester.tag_power import HarvesterFrontEnd
 from repro.kernels import rectifier_batch
 from repro.obs.context import current_obs
 from repro.sensors.tags import TagSpec
@@ -89,40 +88,53 @@ _SINGLE_SAMPLE_T = np.zeros(1)
 """One-sample grid for strategies whose envelope is constant in time."""
 
 
+class FftGrid(NamedTuple):
+    """What the FFT tier needs of one offset set: its grid and bins."""
+
+    size: int
+    bins: np.ndarray
+
+
 def fft_compatible(
     offsets_hz: np.ndarray,
     duration_s: float,
     oversample: int = waveform.DEFAULT_OVERSAMPLE,
-) -> bool:
+) -> Optional[FftGrid]:
     """Whether the FFT tier can evaluate this offset set exactly.
 
     Requires every ``offset * duration`` to be a distinct non-negative
     integer below half the capture grid size, so each carrier lands on its
     own DFT bin -- the same rule the optimizer's shared sparse-spectrum
     builder enforces, so the decision is delegated to its validator.
+
+    Returns:
+        The grid size and validated bins when it can (a truthy tuple the
+        tier then evaluates on), else None.
     """
     if duration_s <= 0:
-        return False
+        return None
     offsets = np.asarray(offsets_hz, dtype=float)
     if offsets.ndim != 1 or offsets.size == 0:
-        return False
-    grid = waveform.time_grid(offsets, duration_s, oversample).size
+        return None
+    size = waveform.time_grid(offsets, duration_s, oversample).size
     try:
-        validate_offset_bins(offsets, grid, duration_s)
+        bins = validate_offset_bins(offsets, size, duration_s)
     except ValueError:
-        return False
-    return True
+        return None
+    return FftGrid(size, bins)
 
 
 def _peak_tier(
     offsets: np.ndarray,
     duration_s: float,
     oversample: int = waveform.DEFAULT_OVERSAMPLE,
-) -> str:
-    """The tier that evaluates this offset set: ``"fft"`` or ``"direct"``."""
-    if fft_compatible(offsets, duration_s, oversample):
-        return "fft"
-    return "direct"
+) -> Tuple[str, Optional[FftGrid]]:
+    """The tier that evaluates this offset set, ``"fft"`` or ``"direct"``,
+    and the FFT tier's grid (None on the direct tier)."""
+    grid = fft_compatible(offsets, duration_s, oversample)
+    if grid:
+        return "fft", grid
+    return "direct", None
 
 
 def peak_amplitudes(
@@ -148,28 +160,29 @@ def peak_amplitudes(
         Shape (D,) array of ``max_t |y_d(t)|``.
     """
     offsets = np.asarray(offsets_hz, dtype=float)
-    tier = _peak_tier(offsets, duration_s, oversample)
+    _, grid = _peak_tier(offsets, duration_s, oversample)
     return _tier_peaks(
-        tier, offsets, betas, duration_s, amplitudes, oversample
+        grid, offsets, betas, duration_s, amplitudes, oversample
     )
 
 
 def _tier_peaks(
-    tier: str,
+    grid: Optional[FftGrid],
     offsets_hz: np.ndarray,
     betas: np.ndarray,
     duration_s: float,
     amplitudes: Optional[np.ndarray],
     oversample: int = waveform.DEFAULT_OVERSAMPLE,
 ) -> np.ndarray:
-    """:func:`peak_amplitudes` on a tier the caller already picked with
-    :func:`_peak_tier`, so a chunk decides its tier once. Draws go
-    through the tier in row chunks of a bounded working set."""
+    """:func:`peak_amplitudes` on the tier the caller already picked with
+    :func:`_peak_tier` (FFT on its ``grid``, direct when it is None), so
+    a chunk builds its grid and validates its bins once. Draws go through
+    the tier in row chunks of a bounded working set."""
     offsets = np.asarray(offsets_hz, dtype=float)
     betas = np.atleast_2d(np.asarray(betas, dtype=float))
     amps = None if amplitudes is None else np.asarray(amplitudes, dtype=float)
-    t = waveform.time_grid(offsets, duration_s, oversample)
-    if tier == "direct":
+    if grid is None:
+        t = waveform.time_grid(offsets, duration_s, oversample)
         rows = DIRECT_CHUNK_ELEMENTS // max(1, offsets.size * t.size)
 
         def peaks(chunk_betas, chunk_amps):
@@ -178,13 +191,14 @@ def _tier_peaks(
             )
 
     else:
-        rows = FFT_CHUNK_ELEMENTS // max(1, t.size)
-        bins = validate_offset_bins(offsets, t.size, duration_s)
+        rows = FFT_CHUNK_ELEMENTS // max(1, grid.size)
         if amps is None:
-            amps = np.ones(bins.size)
+            amps = np.ones(grid.bins.size)
 
         def peaks(chunk_betas, chunk_amps):
-            envelope = sparse_envelope(bins, chunk_betas, chunk_amps, t.size)
+            envelope = sparse_envelope(
+                grid.bins, chunk_betas, chunk_amps, grid.size
+            )
             return np.max(envelope, axis=1)
 
     rows = max(1, rows)
@@ -319,7 +333,11 @@ def measure_gain_chunk(
     offsets = plan.offsets_array()
     injector = _fault_injector(fault_plan, seed)
     # Per-trial offset drift under faults breaks the shared grids.
-    tier = "scalar" if injector is not None else _peak_tier(offsets, duration_s)
+    tier, grid = (
+        ("scalar", None)
+        if injector is not None
+        else _peak_tier(offsets, duration_s)
+    )
     obs.metrics.counter("trials.processed").inc(count)
     obs.metrics.counter(f"engine.tier.{tier}").inc()
     n_antennas = plan.n_antennas
@@ -371,7 +389,7 @@ def measure_gain_chunk(
             )
         else:
             cib_peaks = _tier_peaks(
-                tier, offsets, cib_betas, duration_s, cib_amps
+                grid, offsets, cib_betas, duration_s, cib_amps
             )
         if include_baseline:
             baseline_peaks = _blind_peaks(
@@ -418,7 +436,9 @@ def power_up_chunk(
     offsets = plan.offsets_array()
     injector = _fault_injector(fault_plan, seed)
     # Per-trial offset drift under faults breaks the shared grids.
-    tier = "scalar" if injector is not None else _peak_tier(offsets, 1.0)
+    tier, grid = (
+        ("scalar", None) if injector is not None else _peak_tier(offsets, 1.0)
+    )
     obs.metrics.counter("trials.processed").inc(count)
     obs.metrics.counter(f"engine.tier.{tier}").inc()
     threshold = tag_spec.minimum_input_voltage_v()
@@ -453,18 +473,13 @@ def power_up_chunk(
                 injector, start, offsets, betas, amplitudes, 1.0
             )
         else:
-            peak_fields = _tier_peaks(tier, offsets, betas, 1.0, amplitudes)
+            peak_fields = _tier_peaks(grid, offsets, betas, 1.0, amplitudes)
             voltage_scales = None
     obs.metrics.histogram("envelope.peak", PEAK_HIST_EDGES).observe_many(
         peak_fields
     )
 
-    front_end = HarvesterFrontEnd(
-        antenna=tag_spec.antenna,
-        chip_resistance_ohms=tag_spec.chip_resistance_ohms,
-        liquid_aperture_factor=tag_spec.liquid_aperture_factor,
-    )
-    voltages = front_end.input_voltage_amplitude_v(
+    voltages = tag_spec.front_end().input_voltage_amplitude_v(
         peak_fields, medium_at_tag, plan.center_frequency_hz
     )
     if voltage_scales is not None:
@@ -609,12 +624,7 @@ def wakeup_latency_chunk(
             fields = _envelope_block(
                 offsets, betas, n_samples, dt_s, amplitudes
             )
-        front_end = HarvesterFrontEnd(
-            antenna=tag_spec.antenna,
-            chip_resistance_ohms=tag_spec.chip_resistance_ohms,
-            liquid_aperture_factor=tag_spec.liquid_aperture_factor,
-        )
-        input_scale = front_end.input_voltage_amplitude_v(
+        input_scale = tag_spec.front_end().input_voltage_amplitude_v(
             1.0, medium_at_tag, plan.center_frequency_hz
         )
         voltages = input_scale * fields
@@ -720,11 +730,11 @@ def strategy_gain_chunk(
     with obs.stage_span("strategy_gains.evaluate", trials=count) as span:
         for group in cib_groups.values():
             idx = np.asarray(group["idx"], dtype=int)
-            tier = _peak_tier(group["offsets"], duration_s)
+            tier, grid = _peak_tier(group["offsets"], duration_s)
             span.attrs["tier"] = tier
             obs.metrics.counter(f"engine.tier.{tier}").inc()
             peaks = _tier_peaks(
-                tier,
+                grid,
                 group["offsets"],
                 np.vstack(group["betas"]),
                 duration_s,

@@ -16,11 +16,7 @@ from repro.gen2.commands import Query
 from repro.gen2.fm0 import chips_to_waveform, encode_chips
 from repro.gen2.pie import PIEDecoder
 from repro.gen2.tag_state import Gen2Tag, TagReply
-from repro.harvester.tag_power import (
-    HarvesterFrontEnd,
-    PowerUpResult,
-    TagPowerModel,
-)
+from repro.harvester.tag_power import PowerUpResult, TagPowerModel
 from repro.sensors.tags import TagSpec
 
 
@@ -55,11 +51,7 @@ class BatteryFreeSensor:
         rng: np.random.Generator,
     ):
         self.spec = spec
-        self.front_end = HarvesterFrontEnd(
-            antenna=spec.antenna,
-            chip_resistance_ohms=spec.chip_resistance_ohms,
-            liquid_aperture_factor=spec.liquid_aperture_factor,
-        )
+        self.front_end = spec.front_end()
         self.power_model = TagPowerModel(
             front_end=self.front_end,
             n_stages=spec.n_stages,

@@ -17,6 +17,7 @@ from typing import Tuple
 
 from repro.constants import DEFAULT_RECTIFIER_STAGES, DIODE_THRESHOLD_V
 from repro.errors import ConfigurationError
+from repro.harvester.tag_power import HarvesterFrontEnd
 from repro.rf.antenna import (
     Antenna,
     MINIATURE_TAG_ANTENNA,
@@ -82,6 +83,14 @@ class TagSpec:
             )
         if self.blf_hz <= 0:
             raise ConfigurationError("BLF must be positive")
+
+    def front_end(self) -> HarvesterFrontEnd:
+        """The tag's antenna and chip input as an Eq. 3 front end."""
+        return HarvesterFrontEnd(
+            antenna=self.antenna,
+            chip_resistance_ohms=self.chip_resistance_ohms,
+            liquid_aperture_factor=self.liquid_aperture_factor,
+        )
 
     def minimum_input_voltage_v(self) -> float:
         """Smallest rectifier input amplitude that can power the chip."""

@@ -49,7 +49,6 @@ from repro.em.media import MEDIA_LIBRARY
 from repro.em.propagation import tissue_field_amplitude
 from repro.errors import ConstraintViolationError
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.harvester.tag_power import HarvesterFrontEnd
 from repro.obs.context import ObsContext, current_obs
 from repro.runtime.adaptive import AdaptiveConfig
 from repro.runtime.cache import (
@@ -383,16 +382,7 @@ def power_at_depth(
     return _power_answer(request, result.expected_peak)
 
 
-def _standard_front_end() -> HarvesterFrontEnd:
-    tag = standard_tag_spec()
-    return HarvesterFrontEnd(
-        antenna=tag.antenna,
-        chip_resistance_ohms=tag.chip_resistance_ohms,
-        liquid_aperture_factor=tag.liquid_aperture_factor,
-    )
-
-
-_STANDARD_FRONT_END = _standard_front_end()
+_STANDARD_FRONT_END = standard_tag_spec().front_end()
 """The standard tag's front end every power answer uses (built once)."""
 
 

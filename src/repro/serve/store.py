@@ -20,9 +20,17 @@ Schema hygiene:
 * ``max_entries`` prunes least-recently-used rows past the cap
   (``plan_store.evictions``), so a busy server's store stays bounded.
 
+Durability: the connection uses SQLite's default rollback journal
+(``journal_mode`` is never set). ``put`` commits every plan before it
+returns. A hit is read-only: its ``last_used_unix_s`` and ``hits``
+update waits in memory and reaches disk in the next ``put`` transaction
+(ahead of its LRU pruning) or in ``close``. A crash therefore loses the
+usage metadata of hits since the last ``put`` or ``close``, never a plan.
+
 The store is the ``backing`` tier of
 :class:`repro.runtime.cache.PlanCache`; it is safe to call from multiple
-threads of one process (a lock serializes the shared connection).
+threads of one process (a lock serializes the shared connection and the
+pending hit updates).
 """
 
 import json
@@ -30,7 +38,7 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.optimizer import SEARCH_REV, OptimizationResult
 from repro.obs.context import current_obs
@@ -88,6 +96,8 @@ class PlanStore:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
         self._conn = sqlite3.connect(str(self.path), check_same_thread=False)
+        # key -> (last use, hits) of store hits not yet written to disk.
+        self._touches: Dict[str, Tuple[float, int]] = {}
         self._ensure_schema()
 
     # -- schema -----------------------------------------------------------------
@@ -148,23 +158,38 @@ class PlanStore:
                     self._conn.execute(
                         "DELETE FROM plans WHERE key = ?", (key,)
                     )
+                self._touches.pop(key, None)
                 metrics.counter("plan_store.corrupt").inc()
                 metrics.counter("plan_store.misses").inc()
                 return None
-            with self._conn:
-                self._conn.execute(
-                    "UPDATE plans SET last_used_unix_s = ?, hits = hits + 1 "
-                    "WHERE key = ?",
-                    (time.time(), key),
-                )
+            _, hits = self._touches.get(key, (0.0, 0))
+            self._touches[key] = (time.time(), hits + 1)
         metrics.counter("plan_store.hits").inc()
         return result
 
+    def _write_touches(self) -> None:
+        """Write the pending hit updates; call inside a transaction."""
+        if self._touches:
+            self._conn.executemany(
+                "UPDATE plans SET last_used_unix_s = ?, hits = hits + ? "
+                "WHERE key = ?",
+                [
+                    (last_used, hits, key)
+                    for key, (last_used, hits) in self._touches.items()
+                ],
+            )
+            self._touches.clear()
+
     def put(self, key: str, result: OptimizationResult) -> None:
-        """Persist ``result`` under ``key``, pruning LRU past the cap."""
+        """Persist ``result`` under ``key``, pruning LRU past the cap.
+
+        The pending hit updates commit in the same transaction, before the
+        pruning reads ``last_used_unix_s``.
+        """
         now = time.time()
         payload = json.dumps(result_to_json(result))
         with self._lock, self._conn:
+            self._write_touches()
             self._conn.execute(
                 "INSERT INTO plans (key, search_rev, payload, "
                 "created_unix_s, last_used_unix_s, hits) "
@@ -210,6 +235,7 @@ class PlanStore:
 
     def delete(self, key: str) -> bool:
         with self._lock, self._conn:
+            self._touches.pop(key, None)
             return (
                 self._conn.execute(
                     "DELETE FROM plans WHERE key = ?", (key,)
@@ -235,7 +261,11 @@ class PlanStore:
         }
 
     def close(self) -> None:
+        """Write the pending hit updates, then close the connection."""
         with self._lock:
+            if self._touches:
+                with self._conn:
+                    self._write_touches()
             self._conn.close()
 
     def __enter__(self) -> "PlanStore":

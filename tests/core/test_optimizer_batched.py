@@ -19,6 +19,7 @@ import pytest
 from repro.core import optimizer as optimizer_module
 from repro.core.optimizer import (
     DEFAULT_GRID_SIZE,
+    FFT_ROW_CHUNK_ELEMENTS,
     FrequencyOptimizer,
     envelope_series_fft,
     evaluate_stacked_specs,
@@ -28,6 +29,7 @@ from repro.core.optimizer import (
 )
 from repro.core.waveform import envelope
 from repro.errors import ConfigurationError
+from tests.reference.optimizer import evaluate_spec_loop, neighborhood_loop
 
 
 def _pair(n_antennas, seed, n_draws=16):
@@ -217,6 +219,69 @@ class TestModeEquivalence:
         b = row_by_row(sequential.optimize, 10, 0)
         assert a.plan.offsets_hz == b.plan.offsets_hz
         assert a.expected_peak == b.expected_peak
+
+
+class TestStackedChunks:
+    """One scatter and one reduction per chunk give the values of the
+    per-row loop, with rows crossing chunk boundaries."""
+
+    N_DRAWS = 48
+
+    @pytest.mark.parametrize("kind", ["peak", "conduction"])
+    @pytest.mark.parametrize("level", ["coarse", "fine"])
+    def test_chunked_values_match_row_loops(
+        self, kind, level, row_by_row, monkeypatch
+    ):
+        optimizer = FrequencyOptimizer(5, n_draws=self.N_DRAWS, seed=4)
+        grid = (
+            optimizer.coarse_grid_size
+            if level == "coarse"
+            else optimizer.grid_size
+        )
+        per_chunk = FFT_ROW_CHUNK_ELEMENTS // grid // self.N_DRAWS
+        candidates = optimizer.random_candidates(2 * per_chunk + 3)
+        args = (candidates, level, kind, 2.5)
+        batched = optimizer._score_matrix(*args)
+        by_row = row_by_row(optimizer._score_matrix, *args)
+        monkeypatch.setattr(
+            optimizer_module,
+            "evaluate_stacked_specs",
+            lambda specs: [evaluate_spec_loop(spec) for spec in specs],
+        )
+        loop = optimizer._score_matrix(*args)
+        assert batched.tobytes() == by_row.tobytes() == loop.tobytes()
+        if kind == "conduction":
+            assert 0.0 < batched.min() and batched.max() < 1.0
+
+
+class TestNeighborhood:
+    @pytest.mark.parametrize("n_antennas", range(2, 9))
+    def test_matches_legacy_loop(self, n_antennas):
+        optimizer = FrequencyOptimizer(
+            n_antennas, n_draws=2, grid_size=128, seed=n_antennas
+        )
+        half = optimizer.grid_size // 2
+        rng = np.random.default_rng(n_antennas)
+        # Repeated, zero and wide steps: trials collide with each other and
+        # the incumbent, go negative and leave [0, grid / 2).
+        steps_sets = ((1, 2, 5, 10, 20), (1, 1, 3), (0, 2), (40, 70))
+        incumbents = [optimizer.random_candidate() for _ in range(6)]
+        for _ in range(6):
+            tail = np.sort(rng.integers(-2, half + 2, n_antennas - 1))
+            incumbents.append((0, *tail))
+        incumbents.append((0, *range(1, n_antennas)))
+        incumbents.append((0, *range(half - n_antennas + 1, half)))
+        for incumbent in incumbents:
+            for steps in steps_sets:
+                got = optimizer._neighborhood(np.asarray(incumbent), steps)
+                want = neighborhood_loop(optimizer, incumbent, steps)
+                assert got.dtype == want.dtype
+                assert got.shape == want.shape
+                assert got.tolist() == want.tolist()
+
+    def test_single_antenna_has_no_moves(self):
+        optimizer = FrequencyOptimizer(1, n_draws=2, seed=0)
+        assert optimizer._neighborhood(np.zeros(1), (1, 2)).shape == (0, 1)
 
 
 class TestSearchIslands:

@@ -39,6 +39,16 @@ class TestSpecs:
         assert standard_tag_spec().liquid_aperture_factor < 0.2
         assert miniature_tag_spec().liquid_aperture_factor == 1.0
 
+    def test_front_end_carries_the_spec(self):
+        for spec in (standard_tag_spec(), miniature_tag_spec()):
+            front_end = spec.front_end()
+            assert front_end.antenna is spec.antenna
+            assert front_end.chip_resistance_ohms == spec.chip_resistance_ohms
+            assert (
+                front_end.liquid_aperture_factor
+                == spec.liquid_aperture_factor
+            )
+
     def test_threshold_in_ic_range(self):
         for spec in (standard_tag_spec(), miniature_tag_spec()):
             assert 0.2 <= spec.threshold_v <= 0.4

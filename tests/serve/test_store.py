@@ -2,6 +2,8 @@
 
 import json
 import sqlite3
+import sys
+import threading
 
 import pytest
 
@@ -36,14 +38,102 @@ class TestRoundTrip:
             assert obs.metrics.counters()["plan_store.misses"] == 1
 
     def test_hits_update_usage_metadata(self, tmp_path, result):
-        with PlanStore(tmp_path / "p.sqlite") as store:
+        path = tmp_path / "p.sqlite"
+        with PlanStore(path) as store:
             store.put("k1", result)
             store.get("k1")
             store.get("k1")
-            row = store._conn.execute(
-                "SELECT hits FROM plans WHERE key = 'k1'"
-            ).fetchone()
-        assert row[0] == 2
+        assert _usage(path)["k1"][1] == 2
+
+
+def _usage(path):
+    """``key -> (last_used_unix_s, hits)`` as committed to the file."""
+    conn = sqlite3.connect(str(path))
+    try:
+        rows = conn.execute(
+            "SELECT key, last_used_unix_s, hits FROM plans"
+        ).fetchall()
+    finally:
+        conn.close()
+    return {key: (last_used, hits) for key, last_used, hits in rows}
+
+
+class TestReadOnlyHits:
+    def test_hit_makes_no_write(self, tmp_path, result):
+        with PlanStore(tmp_path / "p.sqlite") as store:
+            store.put("k1", result)
+            changes = store._conn.total_changes
+            for _ in range(3):
+                assert store.get("k1") is not None
+            assert store.get("absent") is None
+            assert store._conn.total_changes == changes
+
+    def test_close_persists_hits(self, tmp_path, result):
+        path = tmp_path / "p.sqlite"
+        with PlanStore(path) as store:
+            store.put("k1", result)
+            store.put("k2", result)
+            put_usage = _usage(path)
+            for _ in range(3):
+                store.get("k1")
+            assert _usage(path) == put_usage  # nothing written yet
+        usage = _usage(path)
+        assert usage["k1"][1] == 3 and usage["k2"][1] == 0
+        assert usage["k1"][0] >= put_usage["k1"][0]
+        assert usage["k2"] == put_usage["k2"]
+
+    def test_put_writes_pending_hits(self, tmp_path, result):
+        path = tmp_path / "p.sqlite"
+        with PlanStore(path) as store:
+            store.put("k1", result)
+            store.get("k1")
+            store.get("k1")
+            store.put("k2", result)
+            assert _usage(path)["k1"][1] == 2
+            store.get("k1")
+        assert _usage(path)["k1"][1] == 3
+
+    def test_concurrent_hits_and_puts_lose_no_hit(self, tmp_path, result):
+        path = tmp_path / "p.sqlite"
+        keys = ("k0", "k1", "k2")
+        readers, reads = 4, 150
+        with PlanStore(path) as store:
+            for key in keys:
+                store.put(key, result)
+
+            def read(worker):
+                for index in range(reads):
+                    store.get(keys[(worker + index) % len(keys)])
+
+            def write():
+                for index in range(30):
+                    store.put(f"new{index}", result)
+
+            threads = [
+                threading.Thread(target=read, args=(worker,))
+                for worker in range(readers)
+            ] + [threading.Thread(target=write)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+        usage = _usage(path)
+        assert sum(usage[key][1] for key in keys) == readers * reads
+
+    def test_deleted_key_drops_its_pending_hits(self, tmp_path, result):
+        path = tmp_path / "p.sqlite"
+        with PlanStore(path) as store:
+            store.put("k1", result)
+            store.get("k1")
+            assert store.delete("k1")
+            store.put("k1", result)
+        assert _usage(path)["k1"][1] == 0
 
 
 class TestSchemaHygiene:
@@ -105,6 +195,26 @@ class TestLru:
                 store.put("c", result)
                 assert sorted(store.keys()) == ["a", "c"]
             assert obs.metrics.counters()["plan_store.evictions"] == 1
+
+    def test_prunes_by_hits_since_last_put(self, tmp_path, result):
+        """Hits not yet on disk still decide which row the next put
+        prunes: the oldest put survives because it was read since."""
+        path = tmp_path / "p.sqlite"
+        with obs_context() as obs:
+            with PlanStore(path, max_entries=3) as store:
+                for key in ("a", "b", "c"):
+                    store.put(key, result)
+                store.get("b")
+                store.get("a")
+                store.put("d", result)
+                assert sorted(store.keys()) == ["a", "b", "d"]
+                store.get("d")
+                store.get("b")
+                store.put("e", result)
+                assert sorted(store.keys()) == ["b", "d", "e"]
+            assert obs.metrics.counters()["plan_store.evictions"] == 2
+        usage = _usage(path)
+        assert usage["b"][1] == 2 and usage["d"][1] == 1
 
     def test_rejects_nonpositive_cap(self, tmp_path):
         with pytest.raises(ValueError, match="max_entries"):
