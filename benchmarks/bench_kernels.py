@@ -1,7 +1,7 @@
 """Bench: the vectorized time-domain kernels vs their scalar references.
 
-This PR's acceptance gate, executable: the batched rectifier, hysteresis,
-and capture kernels must each be at least 5x faster than looping the
+The kernels' acceptance gate, executable: the batched rectifier and
+capture kernels must each be at least 5x faster than looping the
 pinned scalar implementations over the same work, while staying
 bit-identical to them. The BER block decoder's wall clock is dominated
 by the shared Miller trellis, so its floor is lower: the block kernel
@@ -13,16 +13,14 @@ import time
 import numpy as np
 
 from repro.experiments.report import Table
-from repro.harvester.rectifier import MultiStageRectifier
-from repro.harvester.storage import PowerManager
-from repro.kernels import ber_block, hysteresis_mask_batch, rectifier_batch
+from repro.kernels import ber_block, rectifier_batch
 from repro.reader.out_of_band import OutOfBandReader
 from tests.reference.ber import word_errors_chunk
-from tests.reference.kernels import capture_response_scalar, powered_mask_scalar
+from tests.reference.kernels import capture_response_scalar
+from tests.reference.rectifier import MultiStageRectifier
 from conftest import run_once
 
 RECTIFIER_SHAPE = (96, 4000)
-HYSTERESIS_SHAPE = (64, 8000)
 # Deep-tissue captures are short periods coherently averaged many times
 # (Section 5); that is also the regime where batching pays off most.
 CAPTURE_PERIODS = 1500
@@ -96,48 +94,6 @@ def test_rectifier_kernel_speedup_and_parity(benchmark, emit):
 
     np.testing.assert_array_equal(batched, reference)
     assert speedup >= 5.0, f"rectifier kernel only {speedup:.1f}x faster"
-
-
-def test_hysteresis_kernel_speedup_and_parity(benchmark, emit):
-    rng = np.random.default_rng(32)
-    traces = rng.uniform(0.0, 2.5, HYSTERESIS_SHAPE)
-    manager = PowerManager()
-
-    def scalar():
-        return np.vstack(
-            [powered_mask_scalar(manager, row) for row in traces]
-        )
-
-    hysteresis_mask_batch(traces[:4], 1.8, 1.4)  # warm
-
-    def timed_comparison():
-        reference, t_scalar = _best_of(scalar, repeats=1)
-        batched, t_batched = _best_of(
-            lambda: hysteresis_mask_batch(traces, 1.8, 1.4)
-        )
-        return reference, batched, t_scalar, t_batched
-
-    reference, batched, t_scalar, t_batched = run_once(
-        benchmark, timed_comparison
-    )
-    speedup = t_scalar / t_batched
-    samples = traces.size
-
-    table = Table(
-        title=(
-            f"Kernel -- hysteresis masks "
-            f"({HYSTERESIS_SHAPE[0]} x {HYSTERESIS_SHAPE[1]} samples)"
-        ),
-        headers=("path", "wall (s)", "samples/s", "speedup"),
-    )
-    table.add_row("scalar state machine", t_scalar, samples / t_scalar, 1.0)
-    table.add_row(
-        "hysteresis_mask_batch", t_batched, samples / t_batched, speedup
-    )
-    emit(table)
-
-    np.testing.assert_array_equal(batched, reference)
-    assert speedup >= 5.0, f"hysteresis kernel only {speedup:.1f}x faster"
 
 
 def test_capture_kernel_speedup_and_parity(benchmark, emit):

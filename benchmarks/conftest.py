@@ -40,7 +40,6 @@ def _engine_trials(obs) -> int:
 
 _KERNEL_COUNTERS = (
     "kernels.rectifier_samples",
-    "kernels.hysteresis_samples",
     "kernels.capture_samples",
     "kernels.ber_chips",
 )

@@ -27,11 +27,6 @@ from repro.core.scheduler import (
     TwoStageController,
 )
 from repro.core.multisensor import MultiSensorScheduler, SensorDescriptor
-from repro.core.discovery import (
-    DiscoveryObservation,
-    DiscoveryOutcome,
-    DiscoveryProcedure,
-)
 from repro.core.hopping import (
     AdaptiveHopper,
     BandStatistics,
@@ -63,9 +58,6 @@ __all__ = [
     "TwoStageController",
     "MultiSensorScheduler",
     "SensorDescriptor",
-    "DiscoveryObservation",
-    "DiscoveryOutcome",
-    "DiscoveryProcedure",
     "AdaptiveHopper",
     "BandStatistics",
     "DEFAULT_BANDS_HZ",

@@ -17,14 +17,7 @@ from repro.gen2.fm0 import (
     waveform_to_chips,
 )
 from repro.gen2 import miller
-from repro.gen2.commands import (
-    Ack,
-    Query,
-    QueryAdjust,
-    QueryRep,
-    Select,
-    parse_command,
-)
+from repro.gen2.commands import Ack, Query, QueryRep
 from repro.gen2.tag_state import Gen2Tag, TagReply, TagState
 from repro.gen2.inventory import (
     InventoryResult,
@@ -46,7 +39,6 @@ from repro.gen2.access import (
     Read,
     ReqRN,
     TagMemory,
-    Write,
 )
 
 __all__ = [
@@ -67,10 +59,7 @@ __all__ = [
     "miller",
     "Ack",
     "Query",
-    "QueryAdjust",
     "QueryRep",
-    "Select",
-    "parse_command",
     "Gen2Tag",
     "TagReply",
     "TagState",
@@ -89,5 +78,4 @@ __all__ = [
     "Read",
     "ReqRN",
     "TagMemory",
-    "Write",
 ]

@@ -3,12 +3,11 @@
 Inventory (Query/ACK) only identifies a tag. The applications motivating
 the paper -- "monitoring internal human vital signs", drug delivery -- need
 *data*: after acknowledgement the reader requests a handle (Req_RN) and
-then Reads measurement words from the tag's USER memory bank (or Writes an
-actuation word). This module implements that access layer on top of
-:mod:`repro.gen2.tag_state`.
+then Reads measurement words from the tag's USER memory bank. This module
+implements that access layer on top of :mod:`repro.gen2.tag_state`.
 
-Frames follow the Gen2 structure: commands carry the tag's current handle
-and a CRC-16; replies echo the handle so the reader can attribute them.
+Commands carry the tag's current handle; replies echo it, with a CRC-16,
+so the reader can attribute them.
 """
 
 from dataclasses import dataclass
@@ -17,10 +16,6 @@ from typing import Optional, Sequence, Tuple
 from repro.errors import ProtocolError
 from repro.gen2.commands import _bits_to_int, _int_to_bits
 from repro.gen2.crc import append_crc16, check_crc16
-
-REQ_RN_PREFIX = (1, 1, 0, 0, 0, 0, 0, 1)
-READ_PREFIX = (1, 1, 0, 0, 0, 0, 1, 0)
-WRITE_PREFIX = (1, 1, 0, 0, 0, 0, 1, 1)
 
 MEMORY_BANKS = {"RESERVED": 0, "EPC": 1, "TID": 2, "USER": 3}
 WORD_BITS = 16
@@ -34,14 +29,6 @@ class ReqRN:
 
     def __post_init__(self) -> None:
         _validate_word(self.rn16, "rn16")
-
-    def to_bits(self) -> Tuple[int, ...]:
-        return append_crc16(REQ_RN_PREFIX + tuple(self.rn16))
-
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "ReqRN":
-        frame = _checked_frame(bits, REQ_RN_PREFIX, 8 + 16 + 16, "ReqRN")
-        return cls(rn16=frame[8:24])
 
 
 @dataclass(frozen=True)
@@ -76,81 +63,6 @@ class Read:
             )
         _validate_word(self.handle, "handle")
 
-    def to_bits(self) -> Tuple[int, ...]:
-        payload = (
-            READ_PREFIX
-            + _int_to_bits(MEMORY_BANKS[self.membank], 2)
-            + _int_to_bits(self.word_pointer, 8)
-            + _int_to_bits(self.word_count, 8)
-            + tuple(self.handle)
-        )
-        return append_crc16(payload)
-
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "Read":
-        frame = _checked_frame(
-            bits, READ_PREFIX, 8 + 2 + 8 + 8 + 16 + 16, "Read"
-        )
-        bank_value = _bits_to_int(frame[8:10])
-        membank = next(
-            name for name, value in MEMORY_BANKS.items() if value == bank_value
-        )
-        return cls(
-            membank=membank,
-            word_pointer=_bits_to_int(frame[10:18]),
-            word_count=_bits_to_int(frame[18:26]),
-            handle=frame[26:42],
-        )
-
-
-@dataclass(frozen=True)
-class Write:
-    """Write one 16-bit word (e.g. an actuation command) to a bank."""
-
-    membank: str
-    word_pointer: int
-    data_word: Tuple[int, ...]
-    handle: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.membank not in MEMORY_BANKS:
-            raise ProtocolError(
-                f"membank must be one of {tuple(MEMORY_BANKS)}, got "
-                f"{self.membank!r}"
-            )
-        if not 0 <= self.word_pointer <= 255:
-            raise ProtocolError(
-                f"word pointer must fit one EBV byte, got {self.word_pointer}"
-            )
-        _validate_word(self.data_word, "data_word")
-        _validate_word(self.handle, "handle")
-
-    def to_bits(self) -> Tuple[int, ...]:
-        payload = (
-            WRITE_PREFIX
-            + _int_to_bits(MEMORY_BANKS[self.membank], 2)
-            + _int_to_bits(self.word_pointer, 8)
-            + tuple(self.data_word)
-            + tuple(self.handle)
-        )
-        return append_crc16(payload)
-
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "Write":
-        frame = _checked_frame(
-            bits, WRITE_PREFIX, 8 + 2 + 8 + 16 + 16 + 16, "Write"
-        )
-        bank_value = _bits_to_int(frame[8:10])
-        membank = next(
-            name for name, value in MEMORY_BANKS.items() if value == bank_value
-        )
-        return cls(
-            membank=membank,
-            word_pointer=_bits_to_int(frame[10:18]),
-            data_word=frame[18:34],
-            handle=frame[34:50],
-        )
-
 
 @dataclass(frozen=True)
 class AccessReply:
@@ -178,21 +90,6 @@ class AccessReply:
 def _validate_word(bits: Sequence[int], label: str) -> None:
     if len(bits) != WORD_BITS or any(b not in (0, 1) for b in bits):
         raise ProtocolError(f"{label} must be 16 bits")
-
-
-def _checked_frame(
-    bits: Sequence[int], prefix: Tuple[int, ...], length: int, label: str
-) -> Tuple[int, ...]:
-    frame = tuple(int(b) for b in bits)
-    if len(frame) != length:
-        raise ProtocolError(
-            f"{label} frame must be {length} bits, got {len(frame)}"
-        )
-    if frame[: len(prefix)] != prefix:
-        raise ProtocolError(f"not a {label} frame: prefix {frame[:8]}")
-    if not check_crc16(frame):
-        raise ProtocolError(f"{label} CRC-16 check failed")
-    return frame
 
 
 class TagMemory:
@@ -238,7 +135,7 @@ class AccessEngine:
 
     Wraps a :class:`~repro.gen2.tag_state.Gen2Tag`: after the tag reaches
     ACKNOWLEDGED, a Req_RN carrying its RN16 yields a fresh handle; Read
-    and Write commands must then quote that handle.
+    commands must then quote that handle.
     """
 
     def __init__(self, tag, memory: Optional[TagMemory] = None):
@@ -273,20 +170,6 @@ class AccessEngine:
         # Header 0 (success) + data + echoed handle, CRC-16 over all.
         payload = (0,) + data_bits + self.handle
         return AccessReply(bits=append_crc16(payload), kind="read")
-
-    def handle_write(self, command: Write) -> Optional[AccessReply]:
-        if self.handle is None or tuple(command.handle) != self.handle:
-            return None
-        try:
-            self.memory.write(
-                command.membank,
-                command.word_pointer,
-                _bits_to_int(command.data_word),
-            )
-        except ProtocolError:
-            return None
-        payload = (0,) + self.handle
-        return AccessReply(bits=append_crc16(payload), kind="write")
 
     def store_measurement(self, pointer: int, value: int) -> None:
         """Sensor-side: latch a fresh measurement into USER memory."""

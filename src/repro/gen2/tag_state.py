@@ -2,7 +2,7 @@
 
 Implements the inventory states a battery-free tag walks through: READY ->
 ARBITRATE -> REPLY -> ACKNOWLEDGED, with slot counting, RN16 generation,
-Select flag handling, and session inventoried flags. Power loss resets
+the Query's SL-flag filter, and session inventoried flags. Power loss resets
 everything -- the defining property of a battery-free device.
 """
 
@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gen2.commands import Ack, Query, QueryRep, Select
+from repro.gen2.commands import Ack, Query, QueryRep
 from repro.gen2.crc import append_crc16
 
 
@@ -113,42 +113,6 @@ class Gen2Tag:
 
     def _draw_rn16(self) -> Tuple[int, ...]:
         return tuple(int(b) for b in self._rng.integers(0, 2, size=16))
-
-    #: Gen2 Table 6.20 SL-flag action table: action -> (on_match, on_miss)
-    #: where each entry is "assert", "deassert", "negate", or None (leave).
-    _SELECT_ACTIONS = {
-        0: ("assert", "deassert"),
-        1: ("assert", None),
-        2: (None, "deassert"),
-        3: ("negate", None),
-        4: ("deassert", "assert"),
-        5: ("deassert", None),
-        6: (None, "assert"),
-        7: (None, "negate"),
-    }
-
-    def handle_select(self, command: Select) -> None:
-        """Apply a Select per the spec's full SL action table."""
-        if not self.is_powered:
-            return
-        matches = self._mask_matches(command)
-        on_match, on_miss = self._SELECT_ACTIONS[command.action]
-        effect = on_match if matches else on_miss
-        if effect == "assert":
-            self.selected = True
-        elif effect == "deassert":
-            self.selected = False
-        elif effect == "negate":
-            self.selected = not self.selected
-
-    def _mask_matches(self, command: Select) -> bool:
-        if command.membank != 1:
-            return False
-        start = command.pointer - 32  # EPC starts at bit 32 of bank 1.
-        if start < 0 or start + len(command.mask) > len(self.epc_bits):
-            return False
-        segment = self.epc_bits[start : start + len(command.mask)]
-        return segment == tuple(command.mask)
 
     def handle_query(self, command: Query) -> Optional[TagReply]:
         """Begin (or re-begin) an inventory round."""

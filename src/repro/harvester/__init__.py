@@ -1,41 +1,16 @@
-"""Energy-harvesting substrate: diodes, rectifiers, storage, power-up."""
+"""Energy-harvesting substrate: Eq. 1, the front end and power-up."""
 
-from repro.harvester.diode import (
-    DiodeModel,
-    IdealDiode,
-    ShockleyDiode,
-    ThresholdDiode,
-)
 from repro.harvester.rectifier import (
-    MultiStageRectifier,
     conduction_angle_rad,
     harvesting_efficiency,
     ideal_output_voltage,
 )
-from repro.harvester.storage import (
-    PowerManager,
-    operations_per_wakeup,
-    stored_energy_j,
-)
-from repro.harvester.tag_power import (
-    HarvesterFrontEnd,
-    PowerUpResult,
-    TagPowerModel,
-)
+from repro.harvester.tag_power import HarvesterFrontEnd, TagPowerModel
 
 __all__ = [
-    "DiodeModel",
-    "IdealDiode",
-    "ShockleyDiode",
-    "ThresholdDiode",
-    "MultiStageRectifier",
     "conduction_angle_rad",
     "harvesting_efficiency",
     "ideal_output_voltage",
-    "PowerManager",
-    "operations_per_wakeup",
-    "stored_energy_j",
     "HarvesterFrontEnd",
-    "PowerUpResult",
     "TagPowerModel",
 ]

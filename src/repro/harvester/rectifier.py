@@ -1,24 +1,23 @@
 """N-stage voltage-multiplier rectifier (Section 2.1, Eq. 1, Fig. 4).
 
 The rectifier (Dickson charge pump) converts the RF envelope into DC.
-Three views are provided, from analytic to behavioral:
+Three analytic views are provided:
 
 * :func:`ideal_output_voltage` -- Eq. 1, ``V_DC = N (V_s - V_th)``.
 * :func:`conduction_angle_rad` -- the within-carrier-cycle angle the diode
   conducts, the purple regions of Fig. 4.
-* :class:`MultiStageRectifier` -- a stateful, time-stepped model driving a
-  storage capacitor from an arbitrary envelope (what the link simulation
-  uses to decide whether a CIB peak actually powers a tag up).
+* :func:`harvesting_efficiency` -- the fraction of RF power past the
+  threshold.
+
+The time-stepped storage-capacitor charge is
+:func:`repro.kernels.rectifier_batch`.
 """
 
 import math
-from typing import Optional
 
 import numpy as np
 
 from repro.constants import DEFAULT_RECTIFIER_STAGES, DIODE_THRESHOLD_V
-from repro.errors import ConfigurationError
-from repro.harvester.diode import DiodeModel, ThresholdDiode
 
 
 def ideal_output_voltage(
@@ -85,110 +84,3 @@ def harvesting_efficiency(
     )
     input_power = input_amplitude_v**2 / 2.0
     return float(np.clip(delivered / input_power, 0.0, 1.0))
-
-
-class MultiStageRectifier:
-    """Time-stepped N-stage rectifier charging a storage capacitor.
-
-    The model treats the cascade as a DC source of open-circuit voltage
-    ``N (e(t) - V_th)`` (Eq. 1 evaluated on the instantaneous envelope)
-    behind a source resistance, feeding the storage capacitor through the
-    stage diodes (which block reverse flow). A load resistance models the
-    chip's quiescent draw.
-
-    Args:
-        n_stages: Multiplier stages N.
-        diode: Diode model supplying the threshold drop.
-        source_resistance_ohms: Effective charging resistance.
-        storage_capacitance_f: Storage capacitor C.
-        load_resistance_ohms: DC load (None = open circuit).
-    """
-
-    def __init__(
-        self,
-        n_stages: int = DEFAULT_RECTIFIER_STAGES,
-        diode: Optional[DiodeModel] = None,
-        source_resistance_ohms: float = 5e3,
-        storage_capacitance_f: float = 100e-12,
-        load_resistance_ohms: Optional[float] = 1e6,
-    ):
-        if n_stages < 1:
-            raise ConfigurationError(f"need at least one stage, got {n_stages}")
-        if source_resistance_ohms <= 0:
-            raise ConfigurationError("source resistance must be positive")
-        if storage_capacitance_f <= 0:
-            raise ConfigurationError("storage capacitance must be positive")
-        if load_resistance_ohms is not None and load_resistance_ohms <= 0:
-            raise ConfigurationError("load resistance must be positive")
-        self.n_stages = int(n_stages)
-        self.diode = diode if diode is not None else ThresholdDiode()
-        self.source_resistance_ohms = float(source_resistance_ohms)
-        self.storage_capacitance_f = float(storage_capacitance_f)
-        self.load_resistance_ohms = load_resistance_ohms
-        self.capacitor_voltage_v = 0.0
-
-    @property
-    def threshold_v(self) -> float:
-        """Per-stage diode drop."""
-        return self.diode.forward_drop()
-
-    def reset(self) -> None:
-        """Discharge the storage capacitor."""
-        self.capacitor_voltage_v = 0.0
-
-    def open_circuit_voltage(self, envelope_v: np.ndarray) -> np.ndarray:
-        """Eq. 1 evaluated on an envelope: ``N max(0, e - V_th)``."""
-        envelope = np.asarray(envelope_v, dtype=float)
-        return self.n_stages * np.maximum(0.0, envelope - self.threshold_v)
-
-    def simulate(self, envelope_v: np.ndarray, dt_s: float) -> np.ndarray:
-        """Integrate the capacitor voltage over an envelope trace.
-
-        Args:
-            envelope_v: RF envelope amplitude at the rectifier input (V).
-            dt_s: Sample spacing of the envelope.
-
-        Returns:
-            Capacitor voltage after each sample (same length as input).
-            The rectifier keeps its state across calls, so consecutive
-            envelope blocks integrate seamlessly.
-        """
-        if dt_s <= 0:
-            raise ValueError(f"dt must be positive, got {dt_s}")
-        envelope = np.asarray(envelope_v, dtype=float)
-        if envelope.ndim != 1:
-            raise ValueError("envelope must be 1-D")
-        v_oc = self.open_circuit_voltage(envelope)
-        trace = np.empty(envelope.size)
-        v_cap = self.capacitor_voltage_v
-        tau_charge = self.source_resistance_ohms * self.storage_capacitance_f
-        for index in range(envelope.size):
-            charge_current = max(0.0, v_oc[index] - v_cap) / (
-                self.source_resistance_ohms
-            )
-            load_current = (
-                v_cap / self.load_resistance_ohms
-                if self.load_resistance_ohms is not None
-                else 0.0
-            )
-            dv = (charge_current - load_current) * dt_s / (
-                self.storage_capacitance_f
-            )
-            # Stability clamp for coarse steps: never overshoot the source.
-            if dt_s > tau_charge and v_cap + dv > v_oc[index] > v_cap:
-                v_cap = v_oc[index]
-            else:
-                v_cap = max(0.0, v_cap + dv)
-            trace[index] = v_cap
-        self.capacitor_voltage_v = v_cap
-        return trace
-
-    def steady_state_voltage(self, envelope_amplitude_v: float) -> float:
-        """DC operating point for a constant envelope and the DC load."""
-        v_oc = float(self.open_circuit_voltage(np.array([envelope_amplitude_v]))[0])
-        if self.load_resistance_ohms is None:
-            return v_oc
-        divider = self.load_resistance_ohms / (
-            self.load_resistance_ohms + self.source_resistance_ohms
-        )
-        return v_oc * divider

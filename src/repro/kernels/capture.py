@@ -1,9 +1,10 @@
 """Batched multi-period reader capture.
 
-:func:`capture_batch` replicates the period loop of
-:meth:`repro.reader.out_of_band.OutOfBandReader.capture_response` --
-SAW filter, thermal noise, AGC + ADC quantization per period, coherent
-average -- with all the per-period math stacked into ``(P, T)`` arrays.
+:func:`capture_batch` replicates the scalar period loop of the reader's
+capture (``capture_response_scalar`` in ``tests/reference/kernels.py``,
+one receive-chain pass per period) -- SAW filter, thermal noise, AGC + ADC
+quantization per period, coherent average -- with all the per-period math
+stacked into ``(P, T)`` arrays.
 
 Bit-identity with the scalar loop rests on three facts. First, a numpy
 ``Generator`` fills arrays in C order, so one ``normal(size=(P, 2, T))``
@@ -105,11 +106,13 @@ def capture_batch(
             period loop consumes it.
         jam_amplitude_v: Pre-filter jam amplitude; 0 disables jamming.
         beamformer_frequency_hz: Carrier of the jam, for the SAW stopband.
-        agc_target: Per-period AGC target (see ``ReceiveChain.receive``).
+        agc_target: Per-period AGC target: each period is scaled so its
+            peak sits at this fraction of ADC full scale before
+            quantization, then referred back to the input; 0 disables it.
 
     Returns:
         The ``(T,)`` mean of the per-period real parts -- the scalar
-        loop's ``coherent_average`` output, before any DC blocking.
+        loop's coherent average, before any DC blocking.
     """
     if n_periods < 1:
         raise ValueError(f"need >= 1 period, got {n_periods}")
@@ -205,7 +208,7 @@ def capture_block(
             single precision.
         n_periods: Periods to receive and average per signal.
         rngs: Sequence of ``A`` NumPy generators, one per signal.
-        agc_target: Per-period AGC target (see ``ReceiveChain.receive``).
+        agc_target: Per-period AGC target (as in :func:`capture_batch`).
 
     Returns:
         The ``(A, T)`` per-signal means of the per-period real parts,

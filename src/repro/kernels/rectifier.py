@@ -1,15 +1,14 @@
 """Batched time-stepped rectifier integration.
 
-:func:`rectifier_batch` integrates the
-:class:`repro.harvester.rectifier.MultiStageRectifier` recurrence over a
-``(B, T)`` block of envelope traces, looping only over the time axis while
-every per-sample operation runs vectorized across the batch. The loop
-replicates the scalar reference loop operation for operation, so its
-output is bit-identical to calling ``MultiStageRectifier.simulate`` on
+:func:`rectifier_batch` integrates the storage-capacitor voltage of an
+N-stage rectifier over a ``(B, T)`` block of envelope traces, looping only
+over the time axis while every per-sample operation runs vectorized
+across the batch. The loop replicates the per-sample reference
+(``MultiStageRectifier.simulate`` in ``tests/reference/rectifier.py``)
+operation for operation, so its output is bit-identical to simulating
 each row.
 
-The recurrence per sample (the pinned reference in
-``harvester/rectifier.py``)::
+The recurrence per sample::
 
     charge = max(0, v_oc[t] - v) / Rs
     load   = v / Rl                      (0 when open circuit)
@@ -68,8 +67,8 @@ def rectifier_batch(
         dt_s: Sample spacing of the envelopes.
         n_stages / threshold_v: Eq. 1 parameters (``v_oc = N max(0, e - V_th)``).
         source_resistance_ohms / storage_capacitance_f /
-            load_resistance_ohms: The rectifier's charging dynamics;
-            defaults match :class:`~repro.harvester.rectifier.MultiStageRectifier`.
+            load_resistance_ohms: The rectifier's charging dynamics
+            (5 kOhm, 100 pF and a 1 MOhm chip load by default).
         initial_voltage_v: Capacitor voltage before the first sample;
             scalar or per-row ``(B,)``.
 

@@ -1,27 +1,12 @@
 """Reader-side systems: jamming analysis, out-of-band reader, full link."""
 
-from repro.reader.jamming import (
-    JammingEstimate,
-    jamming_at_reader,
-    reader_saturates,
-)
-from repro.reader.averaging import (
-    averaging_gain_db,
-    coherent_average,
-    required_periods_for_snr,
-    segment_periods,
-)
+from repro.reader.jamming import JammingEstimate, jamming_at_reader
 from repro.reader.out_of_band import OutOfBandReader, ReaderCapture
 from repro.reader.link import IvnLink, LinkTrialResult, branch_eirp_w
 
 __all__ = [
     "JammingEstimate",
     "jamming_at_reader",
-    "reader_saturates",
-    "averaging_gain_db",
-    "coherent_average",
-    "required_periods_for_snr",
-    "segment_periods",
     "OutOfBandReader",
     "ReaderCapture",
     "IvnLink",

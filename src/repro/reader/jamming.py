@@ -82,20 +82,3 @@ def jamming_at_reader(
         residual_power_w=peak * rejection,
     )
 
-
-def reader_saturates(
-    jamming: JammingEstimate,
-    adc_full_scale_v: float,
-    front_end_gain_db: float = 0.0,
-    load_ohms: float = 50.0,
-) -> bool:
-    """Whether the residual jam alone clips the reader's ADC.
-
-    This is the failure the out-of-band design avoids: an in-band reader
-    (no SAW rejection of the beamformer) saturates and loses the tiny
-    backscatter response entirely.
-    """
-    if adc_full_scale_v <= 0:
-        raise ConfigurationError("ADC full scale must be positive")
-    gain = 10.0 ** (front_end_gain_db / 20.0)
-    return jamming.residual_amplitude_v(load_ohms) * gain > adc_full_scale_v

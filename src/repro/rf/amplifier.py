@@ -54,11 +54,6 @@ class PowerAmplifier:
         )
         self._v_sat = v_1db / ratio * 10.0 ** (1.0 / 20.0)
 
-    @property
-    def saturation_amplitude_v(self) -> float:
-        """Output amplitude the model saturates toward."""
-        return self._v_sat
-
     def amplify(self, samples: np.ndarray) -> np.ndarray:
         """Apply gain and AM/AM compression to complex baseband samples."""
         samples = np.asarray(samples, dtype=complex)
@@ -70,23 +65,3 @@ class PowerAmplifier:
             ) ** (1.0 / (2.0 * self.smoothness))
         factor = np.where(magnitude == 0.0, 1.0, factor)
         return amplified * factor
-
-    def output_power_dbm(self, input_amplitude_v: float) -> float:
-        """Steady-state output power for a CW input amplitude."""
-        if input_amplitude_v < 0:
-            raise ValueError("amplitude must be non-negative")
-        out = self.amplify(np.array([complex(input_amplitude_v, 0.0)]))
-        amplitude = float(np.abs(out[0]))
-        power_watts = amplitude**2 / (2.0 * self.load_ohms)
-        if power_watts <= 0:
-            return -math.inf
-        return 10.0 * math.log10(power_watts / 1e-3)
-
-    def compression_db(self, input_amplitude_v: float) -> float:
-        """Gain compression (dB) relative to small-signal at this drive."""
-        if input_amplitude_v <= 0:
-            return 0.0
-        out = self.amplify(np.array([complex(input_amplitude_v, 0.0)]))
-        actual = float(np.abs(out[0]))
-        ideal = input_amplitude_v * self._gain_linear
-        return -20.0 * math.log10(actual / ideal)

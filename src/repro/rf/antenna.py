@@ -62,17 +62,6 @@ class Antenna:
         ideal = self.gain_linear * wavelength**2 / (4.0 * math.pi)
         return self.aperture_efficiency * ideal
 
-    def polarization_mismatch_loss(self, other: "Antenna") -> float:
-        """Power fraction surviving the TX/RX polarization pairing.
-
-        circular->linear (or the reverse) costs half the power; matched
-        pairings pass everything. Cross-polarized linear pairs are handled
-        by :func:`orientation_gain` instead, since they depend on angle.
-        """
-        if self.polarization == other.polarization:
-            return 1.0
-        return 0.5
-
     def orientation_gain(self, angle_rad: float) -> float:
         """Amplitude factor for rotating a linear antenna by ``angle_rad``.
 

@@ -84,29 +84,12 @@ class AnalogToDigitalConverter:
         )
         return codes * self.step
 
-    def quantize(self, samples: np.ndarray) -> np.ndarray:
-        """Quantize complex samples (I and Q independently), with clipping."""
-        samples = np.asarray(samples, dtype=complex)
-        return self.quantize_real(samples.real) + 1j * self.quantize_real(
-            samples.imag
-        )
-
-    def saturates(self, samples: np.ndarray) -> bool:
-        """True when any sample exceeds full scale (receiver saturation).
-
-        This is the self-jamming failure mode of Section 4: if the CIB
-        transmissions reach the reader unfiltered, the ADC clips and the
-        tiny backscatter response is destroyed.
-        """
-        samples = np.asarray(samples, dtype=complex)
-        return bool(
-            np.any(np.abs(samples.real) > self.full_scale)
-            or np.any(np.abs(samples.imag) > self.full_scale)
-        )
-
 
 class ReceiveChain:
     """SAW filter -> LNA noise -> ADC, at a fixed tuned frequency.
+
+    The configuration :func:`repro.kernels.capture_batch` and
+    :func:`repro.kernels.capture_block` run their captures through.
 
     Args:
         tuned_frequency_hz: Carrier the chain is tuned to; the SAW filter
@@ -145,55 +128,3 @@ class ReceiveChain:
         )
         # P = V_rms^2 / R across I+Q.
         return math.sqrt(noise_power * self.reference_ohms)
-
-    def receive(
-        self,
-        in_band: np.ndarray,
-        rng: np.random.Generator,
-        out_of_band: np.ndarray = None,
-        out_of_band_frequency_hz: float = None,
-        agc_target: float = 0.5,
-    ) -> np.ndarray:
-        """Run signals through the chain and return digitized samples.
-
-        Args:
-            in_band: Complex baseband samples at the tuned frequency.
-            out_of_band: Optional interferer samples (e.g. CIB jamming)
-                whose carrier is ``out_of_band_frequency_hz``; the SAW
-                stopband rejection applies to them.
-            agc_target: The automatic gain control scales the composite
-                (signal + interference + noise) so its peak sits at this
-                fraction of ADC full scale, then the returned samples are
-                referred back to the input. Quantization noise therefore
-                scales with the *strongest* component -- a surviving jammer
-                steals dynamic range from the backscatter signal, which is
-                precisely the Section 4 failure mode. Set to 0 to disable.
-        """
-        in_band = np.asarray(in_band, dtype=complex)
-        total = in_band * self.saw.amplitude_response(self.tuned_frequency_hz)
-        if out_of_band is not None:
-            if out_of_band_frequency_hz is None:
-                raise ValueError(
-                    "out_of_band samples need out_of_band_frequency_hz"
-                )
-            interferer = np.asarray(out_of_band, dtype=complex)
-            if interferer.shape != in_band.shape:
-                raise ValueError("in-band and out-of-band lengths must match")
-            total = total + interferer * self.saw.amplitude_response(
-                out_of_band_frequency_hz
-            )
-        std = self.noise_std()
-        noise = std / math.sqrt(2.0) * (
-            rng.normal(size=total.shape) + 1j * rng.normal(size=total.shape)
-        )
-        total = total + noise
-        if self.adc is not None:
-            peak = float(
-                max(np.max(np.abs(total.real)), np.max(np.abs(total.imag)))
-            )
-            if agc_target > 0 and peak > 0:
-                gain = agc_target * self.adc.full_scale / peak
-                total = self.adc.quantize(total * gain) / gain
-            else:
-                total = self.adc.quantize(total)
-        return total

@@ -16,7 +16,6 @@ from repro.gen2.commands import Query
 from repro.gen2.fm0 import chips_to_waveform, encode_chips
 from repro.gen2.pie import PIEDecoder
 from repro.gen2.tag_state import Gen2Tag, TagReply
-from repro.harvester.tag_power import PowerUpResult, TagPowerModel
 from repro.sensors.tags import TagSpec
 
 
@@ -51,20 +50,8 @@ class BatteryFreeSensor:
         rng: np.random.Generator,
     ):
         self.spec = spec
-        self.front_end = spec.front_end()
-        self.power_model = TagPowerModel(
-            front_end=self.front_end,
-            n_stages=spec.n_stages,
-            threshold_v=spec.threshold_v,
-        )
-        self.power_model.power_manager.operate_voltage_v = spec.operate_voltage_v
-        if (
-            self.power_model.power_manager.brownout_voltage_v
-            >= spec.operate_voltage_v
-        ):
-            self.power_model.power_manager.brownout_voltage_v = (
-                0.8 * spec.operate_voltage_v
-            )
+        self.power_model = spec.power_model()
+        self.front_end = self.power_model.front_end
         self.gen2 = Gen2Tag(epc_bits, rng)
         self._rng = rng
 
@@ -86,19 +73,6 @@ class BatteryFreeSensor:
         if not powered and self.gen2.is_powered:
             self.gen2.power_down()
         return powered
-
-    def evaluate_power_envelope(
-        self, input_voltage_envelope_v: np.ndarray, dt_s: float
-    ) -> PowerUpResult:
-        """Full time-domain power-up evaluation (rectifier + storage)."""
-        result = self.power_model.evaluate_envelope(
-            input_voltage_envelope_v, dt_s
-        )
-        if result.powered and not self.gen2.is_powered:
-            self.gen2.power_up()
-        if not result.powered and self.gen2.is_powered:
-            self.gen2.power_down()
-        return result
 
     # -- downlink ----------------------------------------------------------------
 

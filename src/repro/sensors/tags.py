@@ -17,7 +17,7 @@ from typing import Tuple
 
 from repro.constants import DEFAULT_RECTIFIER_STAGES, DIODE_THRESHOLD_V
 from repro.errors import ConfigurationError
-from repro.harvester.tag_power import HarvesterFrontEnd
+from repro.harvester.tag_power import HarvesterFrontEnd, TagPowerModel
 from repro.rf.antenna import (
     Antenna,
     MINIATURE_TAG_ANTENNA,
@@ -92,9 +92,18 @@ class TagSpec:
             liquid_aperture_factor=self.liquid_aperture_factor,
         )
 
+    def power_model(self) -> TagPowerModel:
+        """The tag's Eq. 1 power-up decision over its front end."""
+        return TagPowerModel(
+            self.front_end(),
+            n_stages=self.n_stages,
+            threshold_v=self.threshold_v,
+            operate_voltage_v=self.operate_voltage_v,
+        )
+
     def minimum_input_voltage_v(self) -> float:
         """Smallest rectifier input amplitude that can power the chip."""
-        return self.threshold_v + self.operate_voltage_v / self.n_stages
+        return self.power_model().minimum_input_voltage_v()
 
 
 def standard_tag_spec() -> TagSpec:

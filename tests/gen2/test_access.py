@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ProtocolError
-from repro.gen2.access import (
-    AccessEngine,
-    Read,
-    ReqRN,
-    TagMemory,
-    Write,
-)
+from repro.gen2.access import AccessEngine, Read, ReqRN, TagMemory
 from repro.gen2.commands import Ack, Query
 from repro.gen2.crc import check_crc16
 from repro.gen2.tag_state import Gen2Tag
@@ -27,30 +21,6 @@ def acknowledged_engine(seed=0):
 
 
 class TestFrames:
-    def test_req_rn_roundtrip(self, rng):
-        rn16 = tuple(int(b) for b in rng.integers(0, 2, 16))
-        command = ReqRN(rn16=rn16)
-        assert ReqRN.from_bits(command.to_bits()) == command
-
-    def test_read_roundtrip(self, rng):
-        handle = tuple(int(b) for b in rng.integers(0, 2, 16))
-        command = Read(membank="USER", word_pointer=3, word_count=4, handle=handle)
-        assert Read.from_bits(command.to_bits()) == command
-
-    def test_write_roundtrip(self, rng):
-        handle = tuple(int(b) for b in rng.integers(0, 2, 16))
-        word = tuple(int(b) for b in rng.integers(0, 2, 16))
-        command = Write(membank="USER", word_pointer=1, data_word=word, handle=handle)
-        assert Write.from_bits(command.to_bits()) == command
-
-    def test_corruption_detected(self, rng):
-        handle = tuple(int(b) for b in rng.integers(0, 2, 16))
-        frame = list(Read(membank="USER", word_pointer=0, word_count=1,
-                          handle=handle).to_bits())
-        frame[12] ^= 1
-        with pytest.raises(ProtocolError):
-            Read.from_bits(tuple(frame))
-
     def test_validation(self):
         with pytest.raises(ProtocolError):
             Read(membank="FLASH", word_pointer=0, word_count=1, handle=(0,) * 16)
@@ -120,16 +90,6 @@ class TestAccessEngine:
         read = Read(membank="USER", word_pointer=0, word_count=1,
                     handle=(0,) * 16)
         assert engine.handle_read(read) is None
-
-    def test_write_actuation_word(self):
-        engine, rn16 = acknowledged_engine()
-        engine.handle_req_rn(ReqRN(rn16=rn16))
-        word = tuple(int(b) for b in format(0x00FF, "016b"))
-        write = Write(membank="USER", word_pointer=5, data_word=word,
-                      handle=engine.handle)
-        reply = engine.handle_write(write)
-        assert reply is not None and reply.kind == "write"
-        assert engine.memory.read("USER", 5, 1) == (0x00FF,)
 
     def test_out_of_range_read_returns_none(self):
         engine, rn16 = acknowledged_engine()

@@ -3,15 +3,7 @@
 import pytest
 
 from repro.errors import ProtocolError
-from repro.gen2.commands import (
-    Ack,
-    NAK_FRAME,
-    Query,
-    QueryAdjust,
-    QueryRep,
-    Select,
-    parse_command,
-)
+from repro.gen2.commands import Ack, Query
 
 
 class TestQuery:
@@ -46,73 +38,6 @@ class TestQuery:
 
 
 class TestSmallCommands:
-    def test_query_rep_roundtrip(self):
-        for session in range(4):
-            command = QueryRep(session=session)
-            assert QueryRep.from_bits(command.to_bits()) == command
-            assert len(command.to_bits()) == 4
-
-    def test_query_adjust_roundtrip(self):
-        for up_down in (-1, 0, 1):
-            command = QueryAdjust(session=2, up_down=up_down)
-            assert QueryAdjust.from_bits(command.to_bits()) == command
-            assert len(command.to_bits()) == 9
-
-    def test_ack_roundtrip(self, rng):
-        rn16 = tuple(int(b) for b in rng.integers(0, 2, 16))
-        command = Ack(rn16=rn16)
-        assert Ack.from_bits(command.to_bits()) == command
-        assert len(command.to_bits()) == 18
-
     def test_ack_validation(self):
         with pytest.raises(ProtocolError):
             Ack(rn16=(1, 0))
-
-    def test_query_adjust_invalid(self):
-        with pytest.raises(ProtocolError):
-            QueryAdjust(up_down=2)
-
-
-class TestSelect:
-    def test_roundtrip(self):
-        select = Select(target=4, action=0, membank=1, pointer=32,
-                        mask=(1, 0, 1, 1, 0, 0, 1, 0), truncate=False)
-        assert Select.from_bits(select.to_bits()) == select
-
-    def test_empty_mask_roundtrip(self):
-        select = Select(mask=())
-        assert Select.from_bits(select.to_bits()) == select
-
-    def test_crc16_detects_corruption(self):
-        frame = list(Select(mask=(1, 1, 0, 0)).to_bits())
-        frame[15] ^= 1
-        with pytest.raises(ProtocolError):
-            Select.from_bits(tuple(frame))
-
-    def test_validation(self):
-        with pytest.raises(ProtocolError):
-            Select(target=8)
-        with pytest.raises(ProtocolError):
-            Select(pointer=300)
-        with pytest.raises(ProtocolError):
-            Select(mask=(2,))
-
-
-class TestDispatch:
-    def test_all_commands_dispatch(self, rng):
-        commands = [
-            Query(q=3),
-            QueryRep(session=1),
-            QueryAdjust(session=0, up_down=-1),
-            Ack(rn16=tuple(int(b) for b in rng.integers(0, 2, 16))),
-            Select(mask=(1, 0, 1)),
-        ]
-        for command in commands:
-            assert parse_command(command.to_bits()) == command
-
-    def test_nak(self):
-        assert parse_command(NAK_FRAME) is None
-
-    def test_unknown_frame_raises(self):
-        with pytest.raises(ProtocolError):
-            parse_command((1, 1, 1, 1, 1, 1))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.gen2.commands import Ack, Query, QueryRep, Select
+from repro.gen2.commands import Ack, Query, QueryRep
 from repro.gen2.crc import check_crc16
 from repro.gen2.tag_state import Gen2Tag, TagState
 
@@ -110,21 +110,6 @@ class TestInventoryFlow:
 
 
 class TestSelect:
-    def test_select_matching_mask_sets_flag(self):
-        tag = make_tag()
-        tag.power_up()
-        mask = tag.epc_bits[:8]
-        tag.handle_select(Select(target=4, action=0, membank=1, pointer=32, mask=mask))
-        assert tag.selected
-
-    def test_select_mismatch_clears_flag(self):
-        tag = make_tag()
-        tag.power_up()
-        tag.selected = True
-        wrong = tuple(1 - b for b in tag.epc_bits[:8])
-        tag.handle_select(Select(target=4, action=0, membank=1, pointer=32, mask=wrong))
-        assert not tag.selected
-
     def test_query_sel_flag_filtering(self):
         tag = make_tag()
         tag.power_up()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.harvester.diode import IdealDiode
+from tests.reference.rectifier import IdealDiode
 from repro.harvester.rectifier import ideal_output_voltage
 from tests.reference.dickson import DicksonPump
 

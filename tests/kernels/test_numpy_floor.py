@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.core.optimizer import StackedScoreSpec, evaluate_stacked_specs
 from repro.gen2.fm0 import chips_to_waveform, encode_chips
-from repro.kernels import fm0_block_errors, hysteresis_mask_batch
+from repro.kernels import fm0_block_errors
 
 _SPC = 4
 
@@ -47,12 +47,8 @@ def _conduction_spec():
 
 def _run_kernels():
     tx_bits, waveforms = _fm0_inputs()
-    traces = np.random.default_rng(9).uniform(0.0, 2.5, (3, 200))
     return (
         fm0_block_errors(tx_bits, waveforms, _SPC),
-        hysteresis_mask_batch(traces, 1.8, 1.4),
-        hysteresis_mask_batch(np.empty((2, 0)), 1.8, 1.4),
-        hysteresis_mask_batch(np.empty(0), 1.8, 1.4),
         evaluate_stacked_specs([_conduction_spec()])[0],
     )
 

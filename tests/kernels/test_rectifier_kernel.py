@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.harvester.rectifier import MultiStageRectifier
 from repro.kernels import rectifier_batch
+from tests.reference.rectifier import MultiStageRectifier
 
 
 def _reference_rows(envelopes, dt_s, load_resistance_ohms=1e6, v0=0.0):

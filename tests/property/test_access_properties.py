@@ -6,44 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.hopping import AdaptiveHopper
 from repro.core.plan import paper_plan
-from repro.gen2.access import Read, ReqRN, TagMemory, Write
-from repro.gen2.crc import check_crc16
-
-word = st.lists(st.integers(0, 1), min_size=16, max_size=16).map(tuple)
-
-
-class TestAccessFrameProperties:
-    @given(word)
-    def test_req_rn_roundtrip(self, rn16):
-        command = ReqRN(rn16=rn16)
-        assert ReqRN.from_bits(command.to_bits()) == command
-        assert check_crc16(command.to_bits())
-
-    @given(
-        st.sampled_from(["RESERVED", "EPC", "TID", "USER"]),
-        st.integers(0, 255),
-        st.integers(1, 255),
-        word,
-    )
-    def test_read_roundtrip(self, membank, pointer, count, handle):
-        command = Read(
-            membank=membank, word_pointer=pointer, word_count=count,
-            handle=handle,
-        )
-        assert Read.from_bits(command.to_bits()) == command
-
-    @given(
-        st.sampled_from(["RESERVED", "EPC", "TID", "USER"]),
-        st.integers(0, 255),
-        word,
-        word,
-    )
-    def test_write_roundtrip(self, membank, pointer, data, handle):
-        command = Write(
-            membank=membank, word_pointer=pointer, data_word=data,
-            handle=handle,
-        )
-        assert Write.from_bits(command.to_bits()) == command
+from repro.gen2.access import TagMemory
 
 
 class TestMemoryProperties:

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gen2.commands import Ack, Query, QueryRep, Select
+from repro.gen2.commands import Query
 from repro.gen2.crc import append_crc16, append_crc5, check_crc16, check_crc5
 from repro.gen2.fm0 import (
     chips_to_waveform,
@@ -16,7 +16,6 @@ from repro.gen2.miller import decode_waveform, encode_waveform
 from repro.gen2.pie import PIEDecoder, PIEEncoder
 
 bits = st.lists(st.integers(0, 1), min_size=1, max_size=64).map(tuple)
-bits16 = st.lists(st.integers(0, 1), min_size=16, max_size=16).map(tuple)
 
 
 class TestCrcProperties:
@@ -111,22 +110,3 @@ class TestCommandProperties:
             session=session, target=target, q=q,
         )
         assert Query.from_bits(query.to_bits()) == query
-
-    @given(bits16)
-    def test_ack_roundtrip(self, rn16):
-        assert Ack.from_bits(Ack(rn16=rn16).to_bits()) == Ack(rn16=rn16)
-
-    @given(
-        st.integers(0, 7),
-        st.integers(0, 7),
-        st.integers(0, 3),
-        st.integers(0, 255),
-        st.lists(st.integers(0, 1), min_size=0, max_size=48).map(tuple),
-        st.booleans(),
-    )
-    def test_select_roundtrip(self, target, action, membank, pointer, mask, truncate):
-        select = Select(
-            target=target, action=action, membank=membank,
-            pointer=pointer, mask=mask, truncate=truncate,
-        )
-        assert Select.from_bits(select.to_bits()) == select

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +17,6 @@ from repro.harvester.rectifier import (
     harvesting_efficiency,
     ideal_output_voltage,
 )
-from repro.harvester.storage import PowerManager
 
 F = 915e6
 
@@ -93,17 +91,3 @@ class TestHarvesterProperties:
     @given(st.floats(0.01, 10.0), st.floats(0.0, 0.5))
     def test_efficiency_bounds(self, amplitude, threshold):
         assert 0.0 <= harvesting_efficiency(amplitude, threshold) <= 1.0
-
-    @settings(max_examples=40)
-    @given(
-        st.lists(st.floats(0.0, 3.0), min_size=2, max_size=50),
-    )
-    def test_power_manager_hysteresis_consistency(self, trace):
-        """The powered mask can only be True where the trace once crossed
-        the operate voltage, and duty cycle is within [0, 1]."""
-        manager = PowerManager(operate_voltage_v=1.8, brownout_voltage_v=1.4)
-        array = np.asarray(trace)
-        mask = manager.powered_mask(array)
-        if mask.any():
-            assert array.max() >= manager.operate_voltage_v
-        assert 0.0 <= manager.duty_cycle(array) <= 1.0

@@ -1,15 +1,10 @@
-"""Tests for repro.reader.averaging (Section 5b)."""
+"""Tests for the coherent-averaging oracle (Section 5b) in tests/reference/kernels.py."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.reader.averaging import (
-    averaging_gain_db,
-    coherent_average,
-    required_periods_for_snr,
-    segment_periods,
-)
+from tests.reference.kernels import coherent_average
 
 
 class TestCoherentAverage:
@@ -42,43 +37,3 @@ class TestCoherentAverage:
     def test_misaligned_rejected(self):
         with pytest.raises(ConfigurationError):
             coherent_average([np.ones(3), np.ones(4)])
-
-
-class TestSegmentation:
-    def test_segments(self):
-        stream = np.arange(12)
-        segments = segment_periods(stream, period_samples=4, n_periods=3)
-        assert len(segments) == 3
-        assert list(segments[1]) == [4, 5, 6, 7]
-
-    def test_too_short_rejected(self):
-        with pytest.raises(ConfigurationError):
-            segment_periods(np.arange(7), 4, 2)
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            segment_periods(np.arange(8), 0, 2)
-        with pytest.raises(ValueError):
-            segment_periods(np.arange(8), 4, 0)
-
-
-class TestGainAccounting:
-    def test_gain_db(self):
-        assert averaging_gain_db(10) == pytest.approx(10.0)
-        assert averaging_gain_db(1) == 0.0
-
-    def test_required_periods(self):
-        assert required_periods_for_snr(1.0, 10.0) == 10
-        assert required_periods_for_snr(5.0, 1.0) == 1
-
-    def test_zero_snr_capped(self):
-        assert required_periods_for_snr(0.0, 10.0) == 600
-
-    def test_cap(self):
-        assert required_periods_for_snr(1e-9, 10.0, max_periods=100) == 100
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            averaging_gain_db(0)
-        with pytest.raises(ValueError):
-            required_periods_for_snr(1.0, 0.0)

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.reader.jamming import (
-    JammingEstimate,
-    jamming_at_reader,
-    reader_saturates,
-)
+from repro.reader.jamming import JammingEstimate, jamming_at_reader
 from repro.rf.receiver import SawFilter
 
 
@@ -64,19 +60,3 @@ class TestJammingAtReader:
                 distances_m=np.array([1.0]),
                 reader_rx_gain_linear=1.0,
             )
-
-
-class TestSaturation:
-    def test_in_band_reader_saturates(self):
-        """Without SAW rejection the CIB peak clips the reader ADC."""
-        unfiltered = make_estimate(saw=None)
-        assert reader_saturates(unfiltered, adc_full_scale_v=1.0)
-
-    def test_out_of_band_reader_survives(self):
-        saw = SawFilter(center_hz=880e6, rejection_db=50.0)
-        filtered = make_estimate(saw=saw)
-        assert not reader_saturates(filtered, adc_full_scale_v=1.0)
-
-    def test_invalid_full_scale(self):
-        with pytest.raises(ConfigurationError):
-            reader_saturates(make_estimate(), adc_full_scale_v=0.0)

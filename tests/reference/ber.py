@@ -16,7 +16,7 @@ from repro.gen2.fm0 import (
     waveform_to_chips,
 )
 from repro.gen2.miller import decode_waveform, encode_waveform
-from repro.reader.averaging import coherent_average
+from tests.reference.kernels import coherent_average
 
 
 def _fm0_trial(

