@@ -39,8 +39,8 @@ bit-identical plans, the equivalence the batched-search tests pin down.
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from repro.constants import (
     FLATNESS_ALPHA,
     QUERY_DURATION_S,
 )
+from repro.core import waveform
 from repro.core.constraints import FlatnessConstraint
 from repro.core.plan import CarrierPlan
 from repro.errors import ConfigurationError
@@ -255,6 +256,32 @@ def validate_offset_bins(
             "offsets_hz * duration_s must map to distinct FFT bins"
         )
     return offsets
+
+
+class FftGrid(NamedTuple):
+    """One offset set's capture grid and its carriers' DFT bins."""
+
+    times: np.ndarray
+    bins: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def fft_grid(
+    offsets_hz: Tuple[float, ...], duration_s: float, oversample: int
+) -> Optional[FftGrid]:
+    """An offset set's :func:`repro.core.waveform.time_grid` and its
+    carriers' bins on it (None when :func:`validate_offset_bins` rejects
+    them), cached with read-only arrays. Callers pass every argument, so
+    equal requests share one entry."""
+    offsets = np.asarray(offsets_hz, dtype=float)
+    times = waveform.time_grid(offsets, duration_s, oversample)
+    try:
+        bins = validate_offset_bins(offsets, times.size, duration_s)
+    except ValueError:
+        return None
+    times.setflags(write=False)
+    bins.setflags(write=False)
+    return FftGrid(times, bins)
 
 
 def sparse_envelope(

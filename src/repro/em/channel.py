@@ -124,11 +124,18 @@ class BlindChannel:
 
     # -- deterministic pieces -----------------------------------------------
 
-    def amplitude_gains(self, frequency_hz: Optional[float] = None) -> np.ndarray:
-        """Deterministic amplitude of each antenna's gain (1/m)."""
+    def amplitude_gains(
+        self,
+        frequency_hz: Optional[float] = None,
+        air_distances_m: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Deterministic amplitude of each antenna's gain (1/m), over this
+        channel's air distances or over ``air_distances_m`` (any shape)."""
         frequency = self.frequency_hz if frequency_hz is None else frequency_hz
+        if air_distances_m is None:
+            air_distances_m = self.air_distances_m
         tissue_amplitude = self.tissue_path.amplitude_factor(frequency)
-        return tissue_amplitude * self.orientation_gain / self.air_distances_m
+        return tissue_amplitude * self.orientation_gain / air_distances_m
 
     def geometric_phases(self, frequency_hz: Optional[float] = None) -> np.ndarray:
         """Free-space plus deterministic tissue phase per antenna (rad)."""
@@ -162,18 +169,13 @@ class BlindChannel:
         amplitudes = self.amplitude_gains(frequency)
 
         if self.phase_mode == "random":
-            # uniform(0.0, 2 pi) without its per-call cost: NumPy draws it
-            # as 0.0 + 2 pi * random(), the same doubles as this product.
-            phases = (2.0 * math.pi) * rng.random(self.n_antennas)
-        elif self.phase_mode == "geometric":
+            gains = random_phase_gains(amplitudes, rng.random(self.n_antennas))
+        else:
             phases = self.geometric_phases(frequency)
-        else:  # perturbed
-            std = self._phase_perturbation_std(frequency)
-            phases = self.geometric_phases(frequency) + rng.normal(
-                0.0, std, size=self.n_antennas
-            )
-
-        gains = amplitudes.astype(complex) * np.exp(1j * phases)
+            if self.phase_mode == "perturbed":
+                std = self._phase_perturbation_std(frequency)
+                phases = phases + rng.normal(0.0, std, size=self.n_antennas)
+            gains = amplitudes.astype(complex) * np.exp(1j * phases)
 
         if self.multipath.mean_taps > 0:
             gains = gains * self.multipath.fading_factors(
@@ -185,6 +187,30 @@ class BlindChannel:
             frequency_hz=frequency,
             orientation_gain=self.orientation_gain,
         )
+
+
+def random_phase_gains(amplitudes: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Blind gains ``a * exp(j 2 pi u)`` of ``[0, 1)`` doubles ``u``, any
+    shape. NumPy draws ``uniform(0, 2 pi)`` as ``0.0 + 2 pi * random()``,
+    so these are that draw's phases, bit for bit."""
+    return amplitudes.astype(complex) * np.exp(1j * ((2.0 * math.pi) * uniforms))
+
+
+def arc_trial_gains(
+    arc: BlindChannel, uniforms: np.ndarray, frequency_hz: Optional[float] = None
+) -> np.ndarray:
+    """Gains of many trials on a jittered arc, as array operations.
+
+    ``arc`` is the unjittered arc (every air distance the standoff) with
+    random phases and no multipath taps. A trial of it draws
+    ``rng.random(n)`` jitter (:func:`arc_array_distances`), then
+    ``rng.random(n)`` phases (:meth:`BlindChannel.realize`); this maps a
+    ``(trials, 2 n)`` table of those doubles to their gains, bit for bit.
+    """
+    n = arc.n_antennas
+    distances = arc_jitter_distances(arc.air_distances_m[0], uniforms[:, :n])
+    amplitudes = arc.amplitude_gains(frequency_hz, distances)
+    return random_phase_gains(amplitudes, uniforms[:, n:])
 
 
 def arc_array_distances(

@@ -92,6 +92,13 @@ class TankChannelFactory:
             rng=rng,
         )
 
+    def arc_channel(self) -> Optional[BlindChannel]:
+        """The unjittered arc when a trial draws only its jitter and random
+        phases (:func:`repro.runtime.engine.realize_trials`), else None."""
+        channel = self(None)
+        arc = self.tank.geometry == "arc" and channel.phase_mode == "random"
+        return channel if arc and channel.multipath.mean_taps == 0 else None
+
 
 def measure_gain_trials(
     channel_factory: Callable[[np.random.Generator], BlindChannel],

@@ -23,9 +23,9 @@ import numpy as np
 
 from repro.constants import TANK_STANDOFF_RANGE_M
 from repro.core.plan import paper_plan
-from repro.em.channel import BlindChannel
 from repro.em.media import WATER
 from repro.em.phantoms import WaterTankPhantom
+from repro.experiments.common import TankChannelFactory
 from repro.experiments.report import Table
 from repro.faults.plan import FaultPlan
 from repro.runtime import engine as engine_mod
@@ -106,15 +106,12 @@ class WakeupResult:
         raise KeyError(f"depth {depth_m} not in the sweep")
 
 
-def _tank_channel(
-    rng: np.random.Generator,
-    depth_m: float,
-    n_antennas: int,
-    center_frequency_hz: float,
-) -> BlindChannel:
-    """The experiment's water-tank channel (picklable chunk factory)."""
+def _tank_factory(
+    depth_m: float, n_antennas: int, center_frequency_hz: float
+) -> TankChannelFactory:
+    """The experiment's water-tank channel factory at one depth."""
     tank = WaterTankPhantom(standoff_m=TANK_STANDOFF_RANGE_M)
-    return tank.channel(n_antennas, depth_m, center_frequency_hz, rng=rng)
+    return TankChannelFactory(tank, n_antennas, depth_m, center_frequency_hz)
 
 
 def _rows_from_latencies(
@@ -143,7 +140,7 @@ def _chunk_fn(
         depths_m=tuple(depths_m),
         n_trials_per_depth=n_trials,
         channel_factory=partial(
-            _tank_channel,
+            _tank_factory,
             n_antennas=config.n_antennas,
             center_frequency_hz=plan.center_frequency_hz,
         ),

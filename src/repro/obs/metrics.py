@@ -100,14 +100,20 @@ class Histogram:
         self.maximum = value if self.maximum is None else max(self.maximum, value)
 
     def observe_many(self, values: Iterable[float]) -> None:
-        """Record a batch of values (vectorized for arrays)."""
-        array = np.asarray(list(values) if not hasattr(values, "__len__") else values, dtype=float)
+        """Record a batch of values: vectorized, and bit for bit one
+        :meth:`observe` per value (the total is a running sum)."""
+        if not hasattr(values, "__len__"):
+            values = list(values)
+        array = np.asarray(values, dtype=float).ravel()
         if array.size == 0:
             return
         indices = np.searchsorted(self.edges, array, side="right")
-        for index, bucket_count in zip(*np.unique(indices, return_counts=True)):
-            self.counts[int(index)] += int(bucket_count)
-        self.total += float(array.sum())
+        buckets = np.bincount(indices, minlength=len(self.counts))
+        self.counts[:] = [
+            count + added
+            for count, added in zip(self.counts, buckets.tolist())
+        ]
+        self.total = float(np.cumsum(np.append(self.total, array))[-1])
         self.count += int(array.size)
         low, high = float(array.min()), float(array.max())
         self.minimum = low if self.minimum is None else min(self.minimum, low)

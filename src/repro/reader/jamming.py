@@ -33,10 +33,6 @@ class JammingEstimate:
     peak_power_w: float
     residual_power_w: float
 
-    def residual_amplitude_v(self, load_ohms: float = 50.0) -> float:
-        """Equivalent amplitude of the residual jam across a load."""
-        return math.sqrt(2.0 * self.residual_power_w * load_ohms)
-
 
 def jamming_at_reader(
     eirp_per_branch_w: Sequence[float],

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.analysis.stats import dbm_to_watts
 from repro.core import waveform as waveform_mod
-from repro.core.optimizer import sparse_envelope, validate_offset_bins
+from repro.core.optimizer import fft_grid, sparse_envelope
 from repro.core.plan import CarrierPlan
 from repro.em.channel import BlindChannel
 from repro.em.media import Medium
@@ -83,25 +83,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@functools.lru_cache(maxsize=64)
-def _peak_grid(
-    offsets_hz: Tuple[float, ...]
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Time grid of one CIB period and the carriers' FFT bins on it.
-
-    The bins are ``None`` when the offsets do not land on distinct integer
-    bins of the grid (fault-perturbed, fractional offsets). Cached and
-    read-only: every trial of a plan shares one grid and one bin vector.
-    """
-    offsets = np.asarray(offsets_hz, dtype=float)
-    t = _read_only(waveform_mod.time_grid(offsets, 1.0))
-    try:
-        bins = validate_offset_bins(offsets, t.size, 1.0)
-    except ValueError:
-        return t, None
-    return t, _read_only(bins)
-
-
 def cib_peak(
     offsets_hz: np.ndarray,
     betas: np.ndarray,
@@ -113,7 +94,8 @@ def cib_peak(
     When every carrier sits on an integer bin of that grid the envelope is
     one row of :func:`repro.core.optimizer.sparse_envelope` (agreeing with
     the direct sum to about 1e-13 relative); the grid and the validated
-    bins come from a cache keyed on the offsets, so a trial pays only for
+    bins come from :func:`repro.core.optimizer.fft_grid`, the cache the
+    runtime engine's tier decision reads too, so a trial pays only for
     the envelope row and the ``argmax``. Otherwise -- fault-perturbed,
     fractional offsets -- it falls back to the direct sum, as
     :func:`repro.runtime.engine.peak_amplitudes` does. The two pick the
@@ -124,19 +106,23 @@ def cib_peak(
     Returns:
         ``(peak_value, t_peak)``.
     """
-    t, bins = _peak_grid(tuple(np.asarray(offsets_hz, dtype=float).tolist()))
-    if bins is None:
+    grid = fft_grid(
+        tuple(np.asarray(offsets_hz, dtype=float).tolist()),
+        1.0,
+        waveform_mod.DEFAULT_OVERSAMPLE,
+    )
+    if grid is None:
         return waveform_mod.peak_envelope(
             offsets_hz, betas, duration_s=1.0, amplitudes=amplitudes
         )
     y = sparse_envelope(
-        bins,
+        grid.bins,
         np.atleast_2d(np.asarray(betas, dtype=float)),
         np.asarray(amplitudes, dtype=float),
-        t.size,
+        grid.times.size,
     )[0]
     index = int(np.argmax(y))
-    return float(y[index]), float(t[index])
+    return float(y[index]), float(grid.times[index])
 
 
 @dataclass

@@ -33,10 +33,23 @@ count - 1`` of ``seed`` (:func:`repro.analysis.mc.spawn_rngs`: child ``i``
 depends on ``i`` alone, not on the trial count), and replicates the
 legacy per-trial draw order exactly, which is what makes results
 bit-identical across chunk sizes and worker counts.
+
+The gain, power-up and wake-up chunks draw their trials through one front
+end, :func:`realize_trials`, whose docstring states the per-trial draw
+contract and which factories take its array path. Fault plans stay per
+trial, keyed by the absolute trial index.
 """
 
 import math
-from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -48,12 +61,13 @@ from repro.core.baselines import (
     TransmitterStrategy,
 )
 from repro.core.optimizer import (
+    FftGrid,
     envelope_series_fft,
+    fft_grid,
     sparse_envelope,
-    validate_offset_bins,
 )
 from repro.core.plan import CarrierPlan
-from repro.em.channel import BlindChannel
+from repro.em.channel import BlindChannel, arc_trial_gains
 from repro.em.media import Medium
 from repro.em.propagation import field_scale
 from repro.kernels import rectifier_batch
@@ -88,13 +102,6 @@ _SINGLE_SAMPLE_T = np.zeros(1)
 """One-sample grid for strategies whose envelope is constant in time."""
 
 
-class FftGrid(NamedTuple):
-    """What the FFT tier needs of one offset set: its grid and bins."""
-
-    size: int
-    bins: np.ndarray
-
-
 def fft_compatible(
     offsets_hz: np.ndarray,
     duration_s: float,
@@ -105,36 +112,19 @@ def fft_compatible(
     Requires every ``offset * duration`` to be a distinct non-negative
     integer below half the capture grid size, so each carrier lands on its
     own DFT bin -- the same rule the optimizer's shared sparse-spectrum
-    builder enforces, so the decision is delegated to its validator.
+    builder enforces, so the decision is delegated to its validator,
+    through the grid cache :func:`repro.core.optimizer.fft_grid`.
 
     Returns:
-        The grid size and validated bins when it can (a truthy tuple the
-        tier then evaluates on), else None.
+        The grid and validated bins when it can (a truthy tuple the tier
+        then evaluates on), else None.
     """
     if duration_s <= 0:
         return None
     offsets = np.asarray(offsets_hz, dtype=float)
     if offsets.ndim != 1 or offsets.size == 0:
         return None
-    size = waveform.time_grid(offsets, duration_s, oversample).size
-    try:
-        bins = validate_offset_bins(offsets, size, duration_s)
-    except ValueError:
-        return None
-    return FftGrid(size, bins)
-
-
-def _peak_tier(
-    offsets: np.ndarray,
-    duration_s: float,
-    oversample: int = waveform.DEFAULT_OVERSAMPLE,
-) -> Tuple[str, Optional[FftGrid]]:
-    """The tier that evaluates this offset set, ``"fft"`` or ``"direct"``,
-    and the FFT tier's grid (None on the direct tier)."""
-    grid = fft_compatible(offsets, duration_s, oversample)
-    if grid:
-        return "fft", grid
-    return "direct", None
+    return fft_grid(tuple(offsets.tolist()), duration_s, oversample)
 
 
 def peak_amplitudes(
@@ -160,7 +150,7 @@ def peak_amplitudes(
         Shape (D,) array of ``max_t |y_d(t)|``.
     """
     offsets = np.asarray(offsets_hz, dtype=float)
-    _, grid = _peak_tier(offsets, duration_s, oversample)
+    grid = fft_compatible(offsets, duration_s, oversample) or None
     return _tier_peaks(
         grid, offsets, betas, duration_s, amplitudes, oversample
     )
@@ -175,7 +165,7 @@ def _tier_peaks(
     oversample: int = waveform.DEFAULT_OVERSAMPLE,
 ) -> np.ndarray:
     """:func:`peak_amplitudes` on the tier the caller already picked with
-    :func:`_peak_tier` (FFT on its ``grid``, direct when it is None), so
+    :func:`fft_compatible` (FFT on its ``grid``, direct when it is None), so
     a chunk builds its grid and validates its bins once. Draws go through
     the tier in row chunks of a bounded working set."""
     offsets = np.asarray(offsets_hz, dtype=float)
@@ -191,13 +181,13 @@ def _tier_peaks(
             )
 
     else:
-        rows = FFT_CHUNK_ELEMENTS // max(1, grid.size)
+        rows = FFT_CHUNK_ELEMENTS // max(1, grid.times.size)
         if amps is None:
             amps = np.ones(grid.bins.size)
 
         def peaks(chunk_betas, chunk_amps):
             envelope = sparse_envelope(
-                grid.bins, chunk_betas, chunk_amps, grid.size
+                grid.bins, chunk_betas, chunk_amps, grid.times.size
             )
             return np.max(envelope, axis=1)
 
@@ -270,38 +260,142 @@ def _fault_injector(fault_plan: Optional["FaultPlan"], seed: int):
     return FaultInjector(fault_plan, seed)
 
 
-def _faulted_peaks(
+def _chunk_tier(
+    obs, injector, offsets: np.ndarray, duration_s: float, count: int
+) -> Tuple[str, Optional[FftGrid]]:
+    """Count a chunk's trials and pick its tier once: ``"scalar"`` under
+    faults (per-trial offset drift breaks the shared grids), else
+    ``"fft"`` on the offsets' grid or ``"direct"``."""
+    grid = None if injector is not None else fft_compatible(offsets, duration_s)
+    tier = "scalar" if injector is not None else "fft" if grid else "direct"
+    obs.metrics.counter("trials.processed").inc(count)
+    obs.metrics.counter(f"engine.tier.{tier}").inc()
+    return tier, grid or None
+
+
+def _chunk_peaks(
+    obs,
     injector,
+    grid: Optional[FftGrid],
     start: int,
     offsets: np.ndarray,
     betas: np.ndarray,
     amplitudes: np.ndarray,
     duration_s: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-trial peak envelopes under a fault plan, plus voltage scales.
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """A chunk's CIB envelope peaks (recorded in ``envelope.peak``), plus
+    per-trial voltage scales under faults (None when healthy).
 
-    Fault-active chunks evaluate trial-by-trial on the scalar tier:
-    reference-holdover drift perturbs each trial's *offsets*, so the
-    batched tiers' shared frequency grid no longer exists. The absolute
-    trial index ``start + i`` keys each trial's fault realization, keeping
-    results independent of chunking and worker count.
+    Healthy chunks evaluate on their tier. Fault-active chunks evaluate
+    trial by trial on the direct sum: reference-holdover drift perturbs
+    each trial's *offsets*, so the batched tiers' shared frequency grid
+    no longer exists. The absolute trial index ``start + i`` keys each
+    trial's fault realization, keeping results independent of chunking
+    and worker count.
     """
-    count = betas.shape[0]
-    peaks = np.empty(count)
-    voltage_scales = np.ones(count)
-    for index in range(count):
-        perturbed = injector.perturb_trial(
-            start + index, offsets, betas[index], amplitudes[index]
-        )
-        peaks[index], _ = waveform.peak_envelope(
-            perturbed.offsets_hz,
-            perturbed.betas,
-            duration_s,
-            perturbed.amplitudes,
-        )
-        voltage_scales[index] = perturbed.voltage_scale
-    current_obs().metrics.counter("faults.fault_trials").inc(count)
+    if injector is None:
+        peaks = _tier_peaks(grid, offsets, betas, duration_s, amplitudes)
+        voltage_scales = None
+    else:
+        count = betas.shape[0]
+        peaks = np.empty(count)
+        voltage_scales = np.ones(count)
+        for index in range(count):
+            perturbed = injector.perturb_trial(
+                start + index, offsets, betas[index], amplitudes[index]
+            )
+            peaks[index], _ = waveform.peak_envelope(
+                perturbed.offsets_hz,
+                perturbed.betas,
+                duration_s,
+                perturbed.amplitudes,
+            )
+            voltage_scales[index] = perturbed.voltage_scale
+        obs.metrics.counter("faults.fault_trials").inc(count)
+    obs.metrics.histogram("envelope.peak", PEAK_HIST_EDGES).observe_many(peaks)
     return peaks, voltage_scales
+
+
+# -- the CIB trial front end ----------------------------------------------------
+
+
+class TrialDraws(NamedTuple):
+    """A chunk's trials, row ``i`` drawn from ``rngs[i]``: ``(D, N)`` gains
+    of the plan's antennas, carrier phases (oscillator plus channel) and
+    amplitudes (``field_scale * |h| * plan amplitudes``), and the ``(D,)``
+    largest ``|h|`` over all the channel's antennas (the single-antenna
+    reference peak)."""
+
+    gains: np.ndarray
+    betas: np.ndarray
+    amplitudes: np.ndarray
+    references: np.ndarray
+
+
+def _check_antennas(channel_antennas: int, plan_antennas: int) -> None:
+    if channel_antennas < plan_antennas:
+        raise ValueError(
+            f"channel produced {channel_antennas} antennas but the plan "
+            f"has {plan_antennas}; the batched runtime needs one per carrier"
+        )
+
+
+def realize_trials(
+    channel_factory: Callable[[np.random.Generator], BlindChannel],
+    plan: CarrierPlan,
+    rngs: Sequence[np.random.Generator],
+    field_scale: float,
+    frequency_hz: Optional[float] = None,
+) -> TrialDraws:
+    """The paper's Sec. 3 trial per generator: a channel draw, then random
+    oscillator phases.
+
+    Each trial draws, from its own generator and in this order,
+    ``channel_factory(rng)``, ``channel.realize(rng, frequency_hz)``
+    (None: the channel's carrier) and ``rng.uniform(0, 2 pi, N)``, and
+    leaves the generator where that per-trial loop
+    (``tests/reference/trials.py``) leaves it. When the factory's
+    ``arc_channel()`` is not None a trial draws only ``[0, 1)`` doubles --
+    ``M`` arc jitters, ``M`` channel phases, ``N`` oscillators -- so one
+    ``rng.random(out=row)`` per trial fills a ``(D, 2 M + N)`` table and
+    the rest is array math over the chunk
+    (:func:`repro.em.channel.arc_trial_gains`), bit for bit. Any other
+    factory (multipath taps, fixed or perturbed phases, a linear tank, the
+    head and swine phantoms) draws other distributions or draw-dependent
+    counts and runs the loop itself.
+    """
+    n_antennas = plan.n_antennas
+    arc_channel = getattr(channel_factory, "arc_channel", None)
+    arc = arc_channel() if arc_channel is not None else None
+    if arc is None:
+        gains = np.empty((len(rngs), n_antennas), dtype=complex)
+        references = np.empty(len(rngs))
+        oscillators = np.empty((len(rngs), n_antennas))
+        for index, rng in enumerate(rngs):
+            realization = channel_factory(rng).realize(rng, frequency_hz)
+            _check_antennas(realization.gains.size, n_antennas)
+            gains[index] = realization.gains[:n_antennas]
+            references[index] = np.max(np.abs(realization.gains))
+            oscillators[index] = rng.uniform(0.0, _TWO_PI, size=n_antennas)
+        magnitudes = np.abs(gains)
+    else:
+        m = arc.n_antennas
+        _check_antennas(m, n_antennas)
+        uniforms = np.empty((len(rngs), 2 * m + n_antennas))
+        for row, rng in zip(uniforms, rngs):
+            rng.random(out=row)
+        full = arc_trial_gains(arc, uniforms[:, : 2 * m], frequency_hz)
+        all_magnitudes = np.abs(full)
+        references = np.max(all_magnitudes, axis=1)
+        gains = full[:, :n_antennas]
+        magnitudes = all_magnitudes[:, :n_antennas]
+        oscillators = _TWO_PI * uniforms[:, 2 * m :]  # 0.0 + 2 pi * random()
+    return TrialDraws(
+        gains,
+        oscillators + np.angle(gains),
+        field_scale * magnitudes * plan.amplitudes_array(),
+        references,
+    )
 
 
 # -- trial-chunk work units ----------------------------------------------------
@@ -332,50 +426,28 @@ def measure_gain_chunk(
     obs = current_obs()
     offsets = plan.offsets_array()
     injector = _fault_injector(fault_plan, seed)
-    # Per-trial offset drift under faults breaks the shared grids.
-    tier, grid = (
-        ("scalar", None)
-        if injector is not None
-        else _peak_tier(offsets, duration_s)
-    )
-    obs.metrics.counter("trials.processed").inc(count)
-    obs.metrics.counter(f"engine.tier.{tier}").inc()
+    tier, grid = _chunk_tier(obs, injector, offsets, duration_s, count)
     n_antennas = plan.n_antennas
+    # Per-antenna power: power_scale is 1.0, so the front end's
+    # 1.0 * |h| * a equals the transmitter's |h| * a * 1.0 bit for bit.
     cib = CIBTransmitter(plan)
     baseline = BlindSameFrequencyTransmitter(n_antennas)
-    plan_amps = plan.amplitudes_array()
     residual_std = baseline.residual_offset_std_hz
 
-    gains_rows = np.empty((count, n_antennas), dtype=complex)
-    reference_peaks = np.empty(count)
-    cib_betas = np.empty((count, n_antennas))
-    cib_amps = np.empty((count, n_antennas))
     blind_phases = np.empty((count, n_antennas))
     blind_residuals = np.zeros((count, n_antennas))
 
     with obs.stage_span("gain_trials.realize", trials=count, start=start):
         rngs = spawn_rngs(seed, count, start)
-        for index, rng in enumerate(rngs):
-            channel = channel_factory(rng)
-            realization = channel.realize(rng)
-            reference_peaks[index] = float(np.max(np.abs(realization.gains)))
-            row = realization.gains[:n_antennas]
-            if row.size != n_antennas:
-                raise ValueError(
-                    f"channel produced {row.size} antennas but the plan "
-                    f"has {n_antennas}; the batched runtime needs them to "
-                    "match"
-                )
-            gains_rows[index] = row
-            oscillator = rng.uniform(0.0, _TWO_PI, size=n_antennas)
-            cib_betas[index] = oscillator + np.angle(row)
-            cib_amps[index] = np.abs(row) * plan_amps * cib.power_scale
-            if include_baseline:
+        draws = realize_trials(channel_factory, plan, rngs, cib.power_scale)
+        if include_baseline:
+            for index, rng in enumerate(rngs):
                 blind_phases[index] = rng.uniform(0.0, _TWO_PI, size=n_antennas)
                 if residual_std > 0:
                     blind_residuals[index] = rng.normal(
                         0.0, residual_std, size=n_antennas
                     )
+    gains_rows, cib_betas, cib_amps, reference_peaks = draws
 
     if obs.profile:
         _profile_chunk(
@@ -383,14 +455,9 @@ def measure_gain_chunk(
             blind_phases, blind_residuals,
         )
     with obs.stage_span("gain_trials.evaluate", trials=count, tier=tier):
-        if injector is not None:
-            cib_peaks, _ = _faulted_peaks(
-                injector, start, offsets, cib_betas, cib_amps, duration_s
-            )
-        else:
-            cib_peaks = _tier_peaks(
-                grid, offsets, cib_betas, duration_s, cib_amps
-            )
+        cib_peaks, _ = _chunk_peaks(
+            obs, injector, grid, start, offsets, cib_betas, cib_amps, duration_s
+        )
         if include_baseline:
             baseline_peaks = _blind_peaks(
                 gains_rows,
@@ -401,9 +468,6 @@ def measure_gain_chunk(
             )
         else:
             baseline_peaks = reference_peaks
-    obs.metrics.histogram("envelope.peak", PEAK_HIST_EDGES).observe_many(
-        cib_peaks
-    )
 
     cib_gains = (cib_peaks / reference_peaks) ** 2
     baseline_gains = (baseline_peaks / reference_peaks) ** 2
@@ -435,49 +499,25 @@ def power_up_chunk(
     scale = field_scale(eirp_per_branch_w)
     offsets = plan.offsets_array()
     injector = _fault_injector(fault_plan, seed)
-    # Per-trial offset drift under faults breaks the shared grids.
-    tier, grid = (
-        ("scalar", None) if injector is not None else _peak_tier(offsets, 1.0)
-    )
-    obs.metrics.counter("trials.processed").inc(count)
-    obs.metrics.counter(f"engine.tier.{tier}").inc()
+    tier, grid = _chunk_tier(obs, injector, offsets, 1.0, count)
     threshold = tag_spec.minimum_input_voltage_v()
-    n_antennas = plan.n_antennas
-    plan_amps = plan.amplitudes_array()
-
-    betas = np.empty((count, n_antennas))
-    amplitudes = np.empty((count, n_antennas))
 
     with obs.stage_span("power_up.realize", trials=count, start=start):
-        rngs = spawn_rngs(seed, count, start)
-        for index, rng in enumerate(rngs):
-            channel = channel_factory(rng)
-            realization = channel.realize(rng, plan.center_frequency_hz)
-            gains = realization.gains[:n_antennas]
-            if gains.size != n_antennas:
-                raise ValueError(
-                    f"channel produced {gains.size} antennas but the plan "
-                    f"has {n_antennas}; the batched runtime needs them to "
-                    "match"
-                )
-            betas[index] = rng.uniform(0.0, _TWO_PI, size=gains.size) + np.angle(
-                gains
-            )
-            amplitudes[index] = scale * np.abs(gains) * plan_amps
+        draws = realize_trials(
+            channel_factory,
+            plan,
+            spawn_rngs(seed, count, start),
+            scale,
+            plan.center_frequency_hz,
+        )
+    betas, amplitudes = draws.betas, draws.amplitudes
 
     if obs.profile:
         _profile_chunk(obs, count, betas, amplitudes)
     with obs.stage_span("power_up.evaluate", trials=count, tier=tier):
-        if injector is not None:
-            peak_fields, voltage_scales = _faulted_peaks(
-                injector, start, offsets, betas, amplitudes, 1.0
-            )
-        else:
-            peak_fields = _tier_peaks(grid, offsets, betas, 1.0, amplitudes)
-            voltage_scales = None
-    obs.metrics.histogram("envelope.peak", PEAK_HIST_EDGES).observe_many(
-        peak_fields
-    )
+        peak_fields, voltage_scales = _chunk_peaks(
+            obs, injector, grid, start, offsets, betas, amplitudes, 1.0
+        )
 
     voltages = tag_spec.front_end().input_voltage_amplitude_v(
         peak_fields, medium_at_tag, plan.center_frequency_hz
@@ -524,7 +564,9 @@ def wakeup_latency_chunk(
     plan: CarrierPlan,
     depths_m: Tuple[float, ...],
     n_trials_per_depth: int,
-    channel_factory: Callable[[np.random.Generator, float], BlindChannel],
+    channel_factory: Callable[
+        [float], Callable[[np.random.Generator], BlindChannel]
+    ],
     eirp_per_branch_w: float,
     tag_spec: TagSpec,
     medium_at_tag: Medium,
@@ -541,6 +583,8 @@ def wakeup_latency_chunk(
     ``spawn_rngs(seed + int(depth * 1e4), n_trials_per_depth)`` -- the
     exact seeding of the legacy per-depth loop -- so results are
     bit-identical across chunk sizes and worker counts.
+    ``channel_factory(depth)`` is the channel factory of one depth; its
+    trials go through :func:`realize_trials`.
 
     Returns a ``(count,)`` float array of latencies in seconds, with NaN
     marking trials that never reach the operating voltage. A non-empty
@@ -577,25 +621,10 @@ def wakeup_latency_chunk(
                 hi - lo,
                 lo - depth_index * n_trials_per_depth,
             )
-            for offset, rng in enumerate(rngs):
-                row = lo - start + offset
-                channel = channel_factory(rng, depth)
-                realization = channel.realize(rng)
-                gains = realization.gains
-                if gains.size != n_antennas:
-                    raise ValueError(
-                        f"channel produced {gains.size} antennas but the "
-                        f"plan has {n_antennas}; the batched runtime needs "
-                        "them to match"
-                    )
-                betas[row] = rng.uniform(
-                    0.0, _TWO_PI, gains.size
-                ) + np.angle(gains)
-                amplitudes[row] = scale * np.abs(gains)
-                # The scalar path builds a BatteryFreeSensor here, whose
-                # EPC consumes one 96-bit draw; replicate it (value unused)
-                # to keep the per-trial stream aligned.
-                rng.integers(0, 2, 96)
+            draws = realize_trials(channel_factory(depth), plan, rngs, scale)
+            rows = slice(lo - start, hi - start)
+            betas[rows] = draws.betas
+            amplitudes[rows] = draws.amplitudes
 
     if obs.profile:
         _profile_chunk(obs, count, betas, amplitudes)
@@ -730,7 +759,8 @@ def strategy_gain_chunk(
     with obs.stage_span("strategy_gains.evaluate", trials=count) as span:
         for group in cib_groups.values():
             idx = np.asarray(group["idx"], dtype=int)
-            tier, grid = _peak_tier(group["offsets"], duration_s)
+            grid = fft_compatible(group["offsets"], duration_s) or None
+            tier = "fft" if grid else "direct"
             span.attrs["tier"] = tier
             obs.metrics.counter(f"engine.tier.{tier}").inc()
             peaks = _tier_peaks(

@@ -38,17 +38,23 @@ class TestHistogramBucketing:
         assert histogram.maximum == 10.0
 
     def test_observe_many_matches_scalar_loop(self):
-        values = np.random.default_rng(7).uniform(0, 8, size=500)
-        batched = Histogram(edges=(1.0, 2.0, 5.0))
-        looped = Histogram(edges=(1.0, 2.0, 5.0))
-        batched.observe_many(values)
-        for value in values:
-            looped.observe(value)
-        assert batched.counts == looped.counts
-        assert batched.count == looped.count
-        assert batched.total == pytest.approx(looped.total)
-        assert batched.minimum == looped.minimum
-        assert batched.maximum == looped.maximum
+        # Bit for bit: bucket counts, the running total and the extremes,
+        # over several batches (one an iterator) with values on the edges.
+        rng = np.random.default_rng(7)
+        edges = (0.001, 0.1, 1.0, 2.0, 5.0, 50.0)
+        batched = Histogram(edges=edges)
+        looped = Histogram(edges=edges)
+        for size in (1, 9, 40, 500):
+            values = rng.lognormal(0.0, 2.0, size=size)
+            values[: size // 3] = rng.choice(edges, size=size // 3)
+            batched.observe_many(iter(values) if size == 9 else values)
+            for value in values:
+                looped.observe(value)
+            assert batched.counts == looped.counts
+            assert batched.count == looped.count
+            assert batched.total == looped.total
+            assert batched.minimum == looped.minimum
+            assert batched.maximum == looped.maximum
 
     def test_empty_batch_is_a_no_op(self):
         histogram = Histogram(edges=(1.0,))

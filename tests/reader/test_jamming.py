@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.reader.jamming import JammingEstimate, jamming_at_reader
+from repro.reader.jamming import jamming_at_reader
 from repro.rf.receiver import SawFilter
 
 
@@ -34,14 +34,6 @@ class TestJammingAtReader:
         assert filtered.peak_power_w == pytest.approx(unfiltered.peak_power_w)
         ratio = filtered.residual_power_w / unfiltered.residual_power_w
         assert ratio == pytest.approx(10 ** (-52.0 / 10.0), rel=1e-6)
-
-    def test_residual_amplitude(self):
-        estimate = JammingEstimate(
-            incident_power_w=1.0, peak_power_w=2.0, residual_power_w=0.5
-        )
-        assert estimate.residual_amplitude_v(50.0) == pytest.approx(
-            np.sqrt(2 * 0.5 * 50)
-        )
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -20,7 +20,7 @@ from repro.experiments.wakeup_latency import (
     WakeupConfig,
     WakeupResult,
     _rows_from_latencies,
-    _tank_channel,
+    _tank_factory,
 )
 from repro.runtime import engine as engine_mod
 from repro.sensors.sensor import BatteryFreeSensor
@@ -67,9 +67,9 @@ def trial_latency(
     index).
     """
     plan = paper_plan().subset(config.n_antennas)
-    channel = _tank_channel(
-        rng, depth_m, config.n_antennas, plan.center_frequency_hz
-    )
+    channel = _tank_factory(
+        depth_m, config.n_antennas, plan.center_frequency_hz
+    )(rng)
     realization = channel.realize(rng)
     gains = realization.gains
     betas = rng.uniform(0, 2 * np.pi, gains.size) + np.angle(gains)

@@ -138,6 +138,7 @@ REMOVED_NAMES = (
     ("repro.rf", "SyncDomain"),
     ("repro.rf", "TransmitChain"),
     ("repro.rf", "RadioArray"),
+    ("repro.reader.jamming", "JammingEstimate.residual_amplitude_v"),
     ("repro.rf", "SoftwareRadio"),
     ("repro.rf", "Spectrum"),
     ("repro.rf", "ensemble_spectrum"),
